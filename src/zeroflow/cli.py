@@ -196,7 +196,9 @@ def cmd_spectrum(args) -> int:
                     "l": lv.l,
                     "xi": lv.xi * omega,
                     "n_converged": lv.n_converged,
-                    "last_decrement": lv.last_decrement * omega,
+                    "last_decrement": (
+                        lv.last_decrement * omega if math.isfinite(lv.last_decrement) else None
+                    ),
                     "converged": lv.converged,
                 }
                 for lv in result.levels

@@ -6,9 +6,10 @@ For a monic OPS the zeros interlace across degree,
 
 so for fixed l the sequence x_{n,l} decreases strictly in n and converges to
 a limit xi_l; the set of limits is the point spectrum.  The solver computes
-the first `count` zeros of P_n by Sturm-count bisection (each zero is
-individually bracketed, so no zero can be skipped silently), drives n upward
-along a growth schedule, and declares a flow converged when two successive
+the first `count` zeros of P_n by bisection on the pivot-form Sturm count,
+which is monotone in x in floating point (each zero is individually
+bracketed, so no zero can be skipped silently), drives n upward along a
+growth schedule, and declares a flow converged when two successive
 decrements fall below the requested tolerance.
 """
 

@@ -74,9 +74,11 @@ def _design_poly(n: np.ndarray, quadratic: bool) -> np.ndarray:
 
 
 def _design_q(n: np.ndarray, q: float, quadratic: bool) -> np.ndarray:
-    cols = [np.ones_like(n), q**n]
-    if quadratic:
-        cols.append(q ** (-n))
+    # q**(-n) may overflow to inf; rms_at rejects a non-finite design
+    with np.errstate(over="ignore"):
+        cols = [np.ones_like(n), q**n]
+        if quadratic:
+            cols.append(q ** (-n))
     return np.column_stack(cols)
 
 

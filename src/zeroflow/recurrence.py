@@ -339,9 +339,10 @@ def count_zeros_below(rec: MonicRecurrence, x: float, n: int) -> int:
     """Number of zeros of P_n strictly below x.
 
     Sturm property of OPS: the count equals the number of sign agreements
-    between consecutive members of (P_0(x), ..., P_n(x)).  An exact hit
-    P_j(x) = 0 takes the sign of -P_{j-1}(x), which keeps the chain
-    consistent with P_{j+1} = -lambda_j P_{j-1}.
+    between consecutive members of (P_0(x), ..., P_n(x)), i.e. the number of
+    positive pivots q_k = P_k(x) / P_{k-1}(x).  An exact hit P_j(x) = 0 takes
+    the sign of -P_{j-1}(x) (the pivot becomes -pivmin), which keeps the
+    chain consistent with P_{j+1} = -lambda_j P_{j-1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -350,37 +351,29 @@ def count_zeros_below(rec: MonicRecurrence, x: float, n: int) -> int:
 
 
 def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs."""
-    n = c.shape[0]
+    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs.
+
+    Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz:
+    q_1 = x - c_0, q_k = (x - c_{k-1}) - lambda_{k-1} / q_{k-1}, and the count
+    is #{k : q_k > 0}.  A pivot with |q_k| < pivmin = tiny * max(1, max
+    lambda) becomes -pivmin, so lambda / q stays below 1/tiny and no
+    rescaling is needed.  The count is monotone in x in floating point
+    (Demmel, Dhillon & Ren, ETNA 3, 1995).
+    """
     xs = np.asarray(xs, dtype=float)
-    count = np.zeros(xs.shape, dtype=np.int64)
-    s_prev = np.ones(xs.shape, dtype=np.int8)  # sign of P_0 = 1
-    p_prev = np.ones_like(xs)
-    p_cur = xs - c[0]
-    s_cur = np.sign(p_cur).astype(np.int8)
-    hit = s_cur == 0
-    if hit.any():
-        s_cur[hit] = -s_prev[hit]
-    count += s_cur == s_prev
-    for k in range(2, n + 1):
-        p_next = (xs - c[k - 1]) * p_cur - lam[k - 1] * p_prev
-        m = np.maximum(np.abs(p_next), np.abs(p_cur))
-        big = m > _RESCALE_LIMIT
-        if big.any():
-            p_next = np.where(big, p_next * _RESCALE_DOWN, p_next)
-            p_cur = np.where(big, p_cur * _RESCALE_DOWN, p_cur)
-        small = (m < _RESCALE_DOWN) & (m > 0.0)
-        if small.any():
-            p_next = np.where(small, p_next * _RESCALE_UP, p_next)
-            p_cur = np.where(small, p_cur * _RESCALE_UP, p_cur)
-        s_next = np.sign(p_next).astype(np.int8)
-        hit = s_next == 0
-        if hit.any():
-            s_next[hit] = -s_cur[hit]
-        count += s_next == s_cur
-        p_prev, p_cur = p_cur, p_next
-        s_prev, s_cur = s_cur, s_next
-    return count
+    pivmin = np.finfo(float).tiny * max(1.0, float(lam.max()))
+    q = np.full(xs.shape, np.inf)  # lambda_0 / inf = 0 starts q_1 = x - c_0
+    ratio = np.empty_like(q)
+    low = np.empty(xs.shape, dtype=bool)
+    n_low = np.zeros(xs.shape, dtype=np.int64)
+    for ck, lk in zip(c.tolist(), lam.tolist()):
+        np.divide(lk, q, out=ratio)
+        np.subtract(xs, ck, out=q)
+        q -= ratio
+        np.less(q, pivmin, out=low)
+        np.minimum(q, -pivmin, out=q, where=low)
+        n_low += low
+    return c.shape[0] - n_low
 
 
 def _terminal_values(c: np.ndarray, lam: np.ndarray, xs: np.ndarray):

@@ -85,6 +85,35 @@ def test_spectrum_partial_budget_exits_2(capsys, tmp_path):
     assert all(r["converged"] == "false" for r in rows)
 
 
+def test_spectrum_partial_json_is_strict(capsys):
+    # a level with fewer than two schedule points has no decrement: the json
+    # must say null, not the non-standard NaN token
+    code, out, err = run_cli(
+        capsys,
+        "spectrum", "--model", "displaced", "--kappa", "0.2",
+        "--levels", "3", "--schedule", "30", "--format", "json",
+    )
+    assert code == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard json constant {token}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["complete"] is False
+    assert [lv["last_decrement"] for lv in payload["levels"]] == [None, None, None]
+
+
+def test_spectrum_partial_csv_keeps_nan(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "spectrum", "--model", "displaced", "--kappa", "0.2",
+        "--levels", "3", "--schedule", "30",
+    )
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["last_decrement"] for r in rows] == ["nan", "nan", "nan"]
+
+
 def test_flow_trace_csv(capsys):
     code, out, err = run_cli(
         capsys,

@@ -97,6 +97,20 @@ def test_run_flows_rabi_vs_jacobi_oracle():
         np.testing.assert_allclose(res.xi, expect, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kappa, parity", [(1.75, "+"), (2.4, "+"), (2.5, "-"), (2.6, "+"), (2.75, "-")]
+)
+def test_run_flows_strong_coupling_is_monotone(kappa, parity):
+    # points where a count that is not monotone in floating point made a
+    # flow rise by more than the bisection slack (NonMonotoneFlow)
+    rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4, parity=parity))
+    res = run_flows(rec, 20, tol=1e-10)
+    assert res.complete
+    n_final = max(lv.n_converged for lv in res.levels)
+    expect = jacobi_eigenvalues(rec, 3 * n_final, 20)
+    np.testing.assert_allclose(res.xi, expect, rtol=0, atol=1e-10)
+
+
 def test_run_flows_histories_strictly_decrease():
     rec = displaced_recurrence(0.5)
     res = run_flows(rec, 4, tol=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,3 +126,12 @@ def test_best_fit_skips_degenerate_families():
 
 def test_degenerate_fit_error_type_exists():
     assert issubclass(DegenerateFit, Exception)
+
+
+def test_long_ladder_q_scan_is_silent():
+    # q**(-n) overflows for small q at 300 levels; those q are rejected
+    # without a RuntimeWarning reaching the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = best_lattice_fit(np.arange(300) - 0.04)
+    assert fit.family == "linear"

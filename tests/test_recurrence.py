@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from zeroflow import (
     MonicRecurrence,
@@ -180,6 +181,47 @@ def test_exact_hit_convention_keeps_count_consistent():
     rec = hermite_recurrence()
     for n in range(1, 8):
         assert 0 <= count_zeros_below(rec, 0.0, n) <= n
+
+
+def test_exact_hit_at_degree_one_is_not_below():
+    rec = MonicRecurrence.from_arrays([0.75, 2.0], [1.0])
+    assert count_zeros_below(rec, 0.75, 1) == 0
+
+
+@pytest.mark.parametrize("n, below", [(3, 1), (5, 2)])
+def test_exact_hit_at_middle_hermite_zero(n, below):
+    # x = 0 is a zero of the odd Hermite-style P_n, and of every odd P_j on
+    # the way: each exact hit counts as not below, so the count is the
+    # number of zeros strictly below 0
+    assert count_zeros_below(hermite_recurrence(), 0.0, n) == below
+
+
+def _wide_range_recurrence(rng: np.random.Generator) -> MonicRecurrence:
+    """c_n ~ n**3 and lambda_n spread over 1e-12 ... 1e6."""
+    n = 64
+    c = rng.uniform(1e-3, 1.0) * np.arange(n) ** 3 + rng.uniform(-1.0, 1.0, size=n)
+    lam = 10.0 ** rng.uniform(-12.0, 6.0, size=n - 1)
+    return MonicRecurrence.from_arrays(c, lam, description="wide-range")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.booleans())
+def test_count_matches_lapack_eigenvalues(seed, n, wide):
+    rng = np.random.default_rng(seed)
+    rec = (_wide_range_recurrence if wide else random_recurrence)(rng)
+    c, lam = rec.coeff_arrays(n)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:])) if n > 1 else c.copy()
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    span = eig[-1] - eig[0] + scale
+    probes = np.concatenate(
+        (
+            rng.uniform(eig[0] - 0.1 * span, eig[-1] + 0.1 * span, size=20),
+            0.5 * (eig[1:] + eig[:-1]),
+        )
+    )
+    gap = np.min(np.abs(probes[:, None] - eig[None, :]), axis=1)
+    for x in probes[gap > 1e-8 * scale]:
+        assert count_zeros_below(rec, float(x), n) == int(np.sum(eig < x))
 
 
 @settings(max_examples=40, deadline=None)
