@@ -10,13 +10,10 @@ Subcommands:
     classify-spectrum lattice-family fit of a spectrum file
 
 Exit codes: 0 success, 1 usage/config error, 2 partial result (budget hit
-before convergence).  Outputs are deterministic: identical configurations
-produce byte-identical files.  CSV numbers carry 17 significant digits and
-JSON uses shortest round-trip floats, so either format reparses losslessly.
-
-The environment variable ZEROFLOW_THREADS caps worker parallelism; the
-current kernels are vectorized in-process on one worker, so any positive
-cap is honored as-is (it is validated, never silently ignored).
+before convergence), 3 numerical fault (NonMonotoneFlow, ZeroCoagulation,
+Divergent).  Outputs are deterministic: identical configurations produce
+byte-identical files.  CSV numbers carry 17 significant digits and JSON uses
+shortest round-trip floats, so either format reparses losslessly.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +32,8 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .errors import ZeroflowError
-from .flows import GrowthSchedule, flow_trace, run_flows
+from .errors import Divergent, NonMonotoneFlow, ZeroCoagulation, ZeroflowError
+from .flows import GrowthSchedule, _default_schedule, flow_trace, run_flows
 from .lattice import FAMILIES, best_lattice_fit, fit_lattice
 from .measure import _eval_F_many
 from .models import (
@@ -59,17 +55,6 @@ def _fmt(x: float) -> str:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ZeroflowError(message)
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("ZEROFLOW_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ZeroflowError(f"ZEROFLOW_THREADS must be a positive integer, got {raw!r}")
-    _require(cap >= 1, f"ZEROFLOW_THREADS must be >= 1, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -138,14 +123,10 @@ class RunConfig:
             return displaced_recurrence(self.kappa)
         return tabulated_recurrence(load_tabulated(self.table))
 
-    def schedule_for(self, n_levels: int):
+    def schedule_for(self, rec: MonicRecurrence, n_levels: int):
         if self.schedule is not None:
             return list(self.schedule)
-        n_start = self.n_start if self.n_start is not None else n_levels + 20
-        _require(
-            n_start >= n_levels, f"--n-start must be >= the requested levels ({n_levels}), got {n_start}"
-        )
-        return GrowthSchedule(n_start=n_start, growth=self.growth, n_max=self.n_max)
+        return _default_schedule(rec, n_levels, self.n_start, self.growth, self.n_max)
 
     def emit(self, text: str) -> None:
         if self.out:
@@ -165,7 +146,7 @@ def cmd_spectrum(args) -> int:
         rec,
         args.levels,
         tol=cfg.tol,
-        schedule=cfg.schedule_for(args.levels),
+        schedule=cfg.schedule_for(rec, args.levels),
         override=cfg.override,
     )
     omega = cfg.omega
@@ -216,7 +197,7 @@ def cmd_flow(args) -> int:
     _require(args.level >= 1, "--level must be >= 1")
     rec = cfg.recurrence()
     trace = flow_trace(
-        rec, args.level, cfg.schedule_for(args.level), tol=cfg.tol, override=cfg.override
+        rec, args.level, cfg.schedule_for(rec, args.level), tol=cfg.tol, override=cfg.override
     )
     omega = cfg.omega
 
@@ -420,8 +401,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="run even if the class-membership test is negative",
     )
     p.add_argument("--n-start", type=int, default=None, help="initial cut-off degree")
-    p.add_argument("--growth", type=float, default=1.5, help="cut-off growth factor")
-    p.add_argument("--n-max", type=int, default=250_000, help="cut-off budget")
+    p.add_argument(
+        "--growth", type=float, default=GrowthSchedule.growth, help="cut-off growth factor"
+    )
+    p.add_argument("--n-max", type=int, default=GrowthSchedule.n_max, help="cut-off budget")
     p.add_argument(
         "--schedule", default=None, help="explicit comma-separated cut-off degrees (overrides)"
     )
@@ -495,8 +478,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for partial results
         return 0 if exc.code in (0, None) else 1
     try:
-        _check_threads_env()
         return args.func(args)
+    except (NonMonotoneFlow, ZeroCoagulation, Divergent) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ZeroflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,11 +6,14 @@ For a monic OPS the zeros interlace across degree,
 
 so for fixed l the sequence x_{n,l} decreases strictly in n and converges to
 a limit xi_l; the set of limits is the point spectrum.  The solver computes
-the first `count` zeros of P_n by bisection on the pivot-form Sturm count,
+the first `count` zeros of P_n on brackets of the pivot-form Sturm count,
 which is monotone in x in floating point (each zero is individually
 bracketed, so no zero can be skipped silently), drives n upward along a
 growth schedule, and declares a flow converged when two successive
-decrements fall below the requested tolerance.
+decrements fall below the requested tolerance.  At a new degree a bracket
+gallops down from its flow's previous zero (Bentley & Yao, IPL 5, 1976), and
+brackets shrink by multisection, few brackets taking many probes per batched
+count (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).
 """
 
 from __future__ import annotations
@@ -35,11 +38,16 @@ __all__ = [
     "flow_trace",
 ]
 
-# Bisection halts when the bracket is narrower than 2**-50 absolutely, or
+# The bracket search halts when the bracket is narrower than 2**-50 absolutely, or
 # relatively for |x| > 1.
 _BISECT_TOL = 2.0**-50
 # How many bisection tolerances two zeros must be apart to count as simple.
 _SIMPLE_FACTOR = 4.0
+# Probes per pass over all active brackets: the Sturm kernel's cost per step
+# is nearly flat up to this batch, so few brackets get many probes each.
+_PROBE_BATCH = 256
+# Growth of the gallop distance below a warm zero, per probe.
+_GALLOP_GROWTH = 16.0
 _DEFAULT_N_MAX = 250_000
 
 
@@ -91,6 +99,25 @@ def _cap_schedule(schedule: ScheduleLike, n_cap: Optional[int]) -> ScheduleLike:
             )
         return GrowthSchedule(schedule.n_start, schedule.growth, n_cap)
     return schedule
+
+
+def _default_schedule(
+    rec: MonicRecurrence,
+    n_levels: int,
+    n_start: Optional[int] = None,
+    growth: float = GrowthSchedule.growth,
+    n_max: int = GrowthSchedule.n_max,
+) -> GrowthSchedule:
+    """Growth schedule from n_start (default n_levels + 20), with n_start
+    clamped to a tabulated model's length (_cap_schedule clamps n_max)."""
+    start = n_levels + 20 if n_start is None else int(n_start)
+    if start < n_levels:
+        raise ValueError(f"n_start must be >= n_levels ({n_levels}), got {start}")
+    if rec.n_cap is not None and rec.n_cap < start:
+        start = rec.n_cap
+        if start < n_levels:
+            raise ValueError("tabulated model too short for the requested levels")
+    return GrowthSchedule(n_start=start, growth=growth, n_max=n_max)
 
 
 def _schedule_degrees(schedule: ScheduleLike) -> Iterable[int]:
@@ -160,7 +187,8 @@ class SpectrumResult:
 
 
 def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
-    """The `count` smallest zeros of P_n by Sturm bisection.
+    """The `count` smallest zeros of P_n by multisection on Sturm-count
+    brackets (a warm start also gallops down from the previous zeros).
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
     from l-1 to l; the final brackets are re-counted, so an omission or a
@@ -183,6 +211,8 @@ def _zeros_with_warm(
     hi = np.full(count, hi_glob)
     targets = np.arange(1, count + 1, dtype=np.int64)
 
+    # distance below hi of the first gallop probe; inf means plain multisection
+    reach = np.full(count, np.inf)
     if warm is not None and warm.size >= count:
         # interlacing: zeros only drift down as n grows, so the previous
         # tableau gives upper brackets; previous lower neighbours are tried
@@ -195,20 +225,32 @@ def _zeros_with_warm(
         ok_hi = cts[count:] >= targets
         lo = np.where(ok_lo, lo_try, lo_glob)
         hi = np.where(ok_hi, hi_try, hi_glob)
+        # a converged flow barely moves: look just below the warm zero first
+        reach = np.where(ok_hi, 2.0 * slack, np.inf)
 
     active = np.arange(count)
     while active.size:
-        lo_a = lo[active]
-        hi_a = hi[active]
-        mid = 0.5 * (lo_a + hi_a)
-        stuck = (mid <= lo_a) | (mid >= hi_a)  # float resolution reached
-        cts = _sturm_counts(c, lam, mid)
-        go_down = cts >= targets[active]
-        new_hi = np.where(go_down, mid, hi_a)
-        new_lo = np.where(go_down, lo_a, mid)
-        hi[active] = new_hi
-        lo[active] = new_lo
-        keep = (new_hi - new_lo > _bisect_tol(mid)) & ~stuck
+        lo_a, hi_a = lo[active], hi[active]
+        width = hi_a - lo_a
+        # p ascending probes per bracket, each max(uniform point, hi - gallop
+        # distance); gallop distances grow by _GALLOP_GROWTH per probe and are
+        # taken as fractions of the width, so they stay finite
+        p = max(1, _PROBE_BATCH // active.size)
+        e = np.arange(p - 1, -1, -1)
+        frac = np.minimum(reach[active] / width, 1.0)
+        step = width[:, None] * np.minimum((e + 1) / (p + 1), frac[:, None] * _GALLOP_GROWTH**e)
+        probes = hi_a[:, None] - step
+        cts = _sturm_counts(c, lam, probes.ravel()).reshape(probes.shape)
+        k = np.count_nonzero(cts < targets[active, None], axis=1)
+        ends = np.hstack((lo_a[:, None], probes, hi_a[:, None]))
+        rows = np.arange(active.size)
+        new_lo, new_hi = ends[rows, k], ends[rows, k + 1]
+        lo[active], hi[active] = new_lo, new_hi
+        # a zero below every probe keeps galloping from beyond the lowest one;
+        # any other bracket is now narrower than this reach, so it multisects
+        reach[active] = _GALLOP_GROWTH * step[:, 0]
+        new_width = new_hi - new_lo  # a width that did not shrink is float resolution
+        keep = (new_width > _bisect_tol(0.5 * (new_lo + new_hi))) & (new_width < width)
         active = active[keep]
 
     zeros = 0.5 * (lo + hi)
@@ -252,6 +294,39 @@ def _refuse_if_outside_class(rec: MonicRecurrence, override: bool) -> None:
         )
 
 
+def _track_flows(
+    rec: MonicRecurrence, count: int, tol: float, schedule: ScheduleLike, watch: int
+) -> tuple[list[list[tuple[int, float]]], np.ndarray]:
+    """Histories of the first `count` zero flows over the schedule and the
+    degree at which each converged (0 if it did not), as run_flows defines
+    convergence.  Stops once every flow from index `watch` on has converged."""
+    histories: list[list[tuple[int, float]]] = [[] for _ in range(count)]
+    n_conv = np.zeros(count, dtype=np.int64)
+    warm = None
+    for n in _schedule_degrees(_cap_schedule(schedule, rec.n_cap)):
+        if rec.n_cap is not None and n > rec.n_cap:
+            break
+        if n < count:
+            raise ValueError(f"schedule degree {n} is below the flow count {count}")
+        tab = _zeros_with_warm(rec, n, count, warm)
+        for i, hist in enumerate(histories):
+            x = float(tab.zeros[i])
+            if hist:
+                _check_monotone(i + 1, hist[-1][0], hist[-1][1], n, x)
+            hist.append((n, x))
+            if not n_conv[i] and len(hist) >= 3:
+                d1 = hist[-3][1] - hist[-2][1]
+                d2 = hist[-2][1] - hist[-1][1]
+                if d1 < tol and d2 < tol:
+                    n_conv[i] = n
+        warm = tab.zeros
+        if n_conv[watch:].all():
+            break
+    if not histories[0]:
+        raise ValueError("schedule produced no degrees")
+    return histories, n_conv
+
+
 def run_flows(
     rec: MonicRecurrence,
     n_levels: int,
@@ -273,62 +348,21 @@ def run_flows(
         raise ValueError("tol must be > 0")
     _refuse_if_outside_class(rec, override)
     if schedule is None:
-        start = n_levels + 20 if n_start is None else int(n_start)
-        if start < n_levels:
-            raise ValueError(f"n_start must be >= n_levels ({n_levels}), got {start}")
-        n_max = _DEFAULT_N_MAX
-        if rec.n_cap is not None:
-            n_max = min(n_max, rec.n_cap)
-            start = min(start, n_max)
-        if start < n_levels:
-            raise ValueError("tabulated model too short for the requested levels")
-        schedule = GrowthSchedule(n_start=start, n_max=n_max)
+        schedule = _default_schedule(rec, n_levels, n_start)
     elif n_start is not None:
         raise ValueError("pass either n_start or an explicit schedule, not both")
-    schedule = _cap_schedule(schedule, rec.n_cap)
-
-    histories: list[list[tuple[int, float]]] = [[] for _ in range(n_levels)]
-    converged = np.zeros(n_levels, dtype=bool)
-    n_conv = np.zeros(n_levels, dtype=np.int64)
-    warm = None
-    last_n = None
-
-    for n in _schedule_degrees(schedule):
-        if rec.n_cap is not None and n > rec.n_cap:
-            break
-        if n < n_levels:
-            raise ValueError(f"schedule degree {n} is below n_levels={n_levels}")
-        tab = _zeros_with_warm(rec, n, n_levels, warm)
-        for i in range(n_levels):
-            x = float(tab.zeros[i])
-            hist = histories[i]
-            if hist:
-                _check_monotone(i + 1, hist[-1][0], hist[-1][1], n, x)
-            hist.append((n, x))
-            if not converged[i] and len(hist) >= 3:
-                d1 = hist[-3][1] - hist[-2][1]
-                d2 = hist[-2][1] - hist[-1][1]
-                if d1 < tol and d2 < tol:
-                    converged[i] = True
-                    n_conv[i] = n
-        warm = tab.zeros
-        last_n = n
-        if converged.all():
-            break
+    histories, n_conv = _track_flows(rec, n_levels, tol, schedule, watch=0)
 
     levels = []
     for i, hist in enumerate(histories):
-        if not hist:
-            raise ValueError("schedule produced no degrees")
-        xi = hist[-1][1]
         dec = hist[-2][1] - hist[-1][1] if len(hist) >= 2 else math.nan
         levels.append(
             LevelResult(
                 l=i + 1,
-                xi=xi,
-                n_converged=int(n_conv[i]) if converged[i] else int(last_n),
+                xi=hist[-1][1],
+                n_converged=int(n_conv[i]) or hist[-1][0],
                 last_decrement=dec,
-                converged=bool(converged[i]),
+                converged=bool(n_conv[i]),
             )
         )
     return SpectrumResult(
@@ -345,36 +379,14 @@ def flow_trace(
     tol: float = 1e-8,
     override: bool = False,
 ) -> ZeroFlow:
-    """Full history of the single flow x_{n,l} over the schedule."""
+    """Full history of the single flow x_{n,l} over the schedule, up to the
+    degree at which it converged."""
     if l < 1:
         raise ValueError("l must be >= 1")
     _refuse_if_outside_class(rec, override)
-    schedule = _cap_schedule(schedule, rec.n_cap)
-    history: list[tuple[int, float]] = []
-    warm = None
-    converged = False
-    for n in _schedule_degrees(schedule):
-        if rec.n_cap is not None and n > rec.n_cap:
-            break
-        if n < l:
-            raise ValueError(f"schedule degree {n} is below l={l}")
-        tab = _zeros_with_warm(rec, n, l, warm)
-        x = float(tab.zeros[l - 1])
-        if history:
-            _check_monotone(l, history[-1][0], history[-1][1], n, x)
-        history.append((n, x))
-        if not converged and len(history) >= 3:
-            d1 = history[-3][1] - history[-2][1]
-            d2 = history[-2][1] - history[-1][1]
-            converged = d1 < tol and d2 < tol
-        warm = tab.zeros
-        if converged:
-            break
-    if not history:
-        raise ValueError("schedule produced no degrees")
+    histories, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)
+    history = tuple(histories[l - 1])
+    converged = bool(n_conv[l - 1])
     return ZeroFlow(
-        l=l,
-        history=tuple(history),
-        converged=converged,
-        xi=history[-1][1] if converged else None,
+        l=l, history=history, converged=converged, xi=history[-1][1] if converged else None
     )

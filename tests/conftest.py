@@ -34,6 +34,14 @@ def random_recurrence(rng: np.random.Generator) -> MonicRecurrence:
     return MonicRecurrence.from_arrays(c, lam, description="random")
 
 
+def wide_range_recurrence(rng: np.random.Generator) -> MonicRecurrence:
+    """c_n ~ n**3 and lambda_n spread over 1e-12 ... 1e6, tabulated to degree 64."""
+    n = 64
+    c = rng.uniform(1e-3, 1.0) * np.arange(n) ** 3 + rng.uniform(-1.0, 1.0, size=n)
+    lam = 10.0 ** rng.uniform(-12.0, 6.0, size=n - 1)
+    return MonicRecurrence.from_arrays(c, lam, description="wide-range")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

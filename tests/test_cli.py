@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from zeroflow import ZeroCoagulation, load_tabulated, run_flows, tabulated_recurrence
+from zeroflow import cli
 from zeroflow.cli import main
 
 
@@ -242,18 +244,32 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert path.read_text().startswith("l,xi,")
 
 
-def test_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("ZEROFLOW_THREADS", "junk")
+def test_numerical_fault_exits_3(capsys, monkeypatch):
+    def coagulate(*args, **kwargs):
+        raise ZeroCoagulation("adjacent zeros at n=30 closer than 4x tolerance")
+
+    monkeypatch.setattr(cli, "run_flows", coagulate)
     code, out, err = run_cli(
         capsys, "spectrum", "--model", "displaced", "--kappa", "0.2", "--levels", "2"
     )
-    assert code == 1
-    assert "ZEROFLOW_THREADS" in err
-    monkeypatch.setenv("ZEROFLOW_THREADS", "4")
+    assert code == 3
+    assert out == ""
+    assert "adjacent zeros" in err
+
+
+def test_short_table_default_schedule_matches_api(capsys, tmp_path):
+    # the default n_start (levels + 20 = 30) exceeds the 25-entry table: the
+    # CLI clamps it like run_flows and reports the partial levels
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"c": list(range(25)), "lam": [0.3] * 24}))
     code, out, err = run_cli(
-        capsys, "spectrum", "--model", "displaced", "--kappa", "0.2", "--levels", "2"
+        capsys, "spectrum", "--model", "tabulated", "--table", str(path), "--levels", "10"
     )
-    assert code == 0
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    expect = run_flows(tabulated_recurrence(load_tabulated(path)), 10)
+    assert [float(r["xi"]) for r in rows] == expect.xi.tolist()
+    assert all(r["converged"] == "false" for r in rows)
 
 
 def test_tabulated_model_via_cli(capsys, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from zeroflow import (
     GrowthSchedule,
@@ -16,9 +17,15 @@ from zeroflow import (
     run_flows,
     zeros_of,
 )
-from zeroflow.flows import _check_monotone
+from zeroflow import flows
+from zeroflow.flows import _bisect_tol, _check_monotone, _zeros_with_warm
 
-from conftest import hermite_recurrence, jacobi_eigenvalues, random_recurrence
+from conftest import (
+    hermite_recurrence,
+    jacobi_eigenvalues,
+    random_recurrence,
+    wide_range_recurrence,
+)
 
 
 # -- zeros_of ----------------------------------------------------------------
@@ -61,6 +68,72 @@ def test_coagulated_zeros_raise():
     rec = MonicRecurrence.from_arrays([0.0, 0.0], [1e-40])
     with pytest.raises(ZeroCoagulation):
         zeros_of(rec, 2, 2)
+
+
+# -- warm brackets -------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 64),
+    st.booleans(),
+    st.sampled_from(["exact", "shifted", "other", "constant"]),
+)
+def test_warm_brackets_match_cold_and_lapack(seed, n, wide, kind):
+    # a warm tableau only suggests brackets; whatever it holds, the zeros
+    # must be those of a cold start and of an independent eigensolver
+    rng = np.random.default_rng(seed)
+    make = wide_range_recurrence if wide else random_recurrence
+    rec = make(rng)
+    count = int(rng.integers(1, n))
+    prev = zeros_of(rec, int(rng.integers(count, n)), count).zeros
+    if kind == "exact":
+        warm = prev
+    elif kind == "shifted":
+        spacing = float(np.mean(np.diff(prev))) if count > 1 else 1.0
+        warm = (
+            prev
+            + rng.integers(-16, 17, size=count) * _bisect_tol(prev)
+            + rng.integers(-2, 3, size=count) * spacing
+        )
+    elif kind == "other":
+        warm = zeros_of(make(rng), n, count).zeros
+    else:
+        warm = np.full(count, rng.uniform(prev[0], prev[-1] + 1.0))
+
+    cold = zeros_of(rec, n, count).zeros
+    got = _zeros_with_warm(rec, n, count, warm).zeros
+    assert np.all(np.abs(got - cold) <= 4.0 * _bisect_tol(cold))
+    c, lam = rec.coeff_arrays(n)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, count - 1))
+    # LAPACK's eigenvalue error scales with the matrix norm, not the zero
+    norm = max(1.0, float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam))))
+    np.testing.assert_allclose(got, eig, rtol=0, atol=1e-12 * norm)
+
+
+def test_warm_degrees_take_few_sturm_passes(monkeypatch):
+    # galloping from the previous tableau, then multisection: a repeatable
+    # count of kernel calls per degree, not a time
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+    warm = zeros_of(rec, 1020, 1000).zeros
+    sturm_counts = flows._sturm_counts
+    budget = [0]
+
+    def counting(c, lam, xs):
+        budget[0] -= 1
+        assert budget[0] >= 0, "more Sturm passes than budgeted"
+        return sturm_counts(c, lam, xs)
+
+    monkeypatch.setattr(flows, "_sturm_counts", counting)
+    budget[0] = 16
+    warm = _zeros_with_warm(rec, 1530, 1000, warm).zeros
+    budget[0] = 8
+    _zeros_with_warm(rec, 2295, 1000, warm)
+    # every zero 1e-6 below its warm value: more than 128 brackets gallop with
+    # one probe each, so the gallop distance has to grow from pass to pass
+    budget[0] = 48
+    _zeros_with_warm(rec, 1530, 1000, warm + 1e-6)
 
 
 # -- interlacing (property) --------------------------------------------------
@@ -187,6 +260,23 @@ def test_flow_trace_hermite_strict_decrease():
     xs = [x for _, x in trace.history]
     assert xs[0] == pytest.approx(-1.0, abs=1e-12)
     assert xs[0] > xs[1] > xs[2]
+
+
+def test_flow_trace_agrees_with_run_flows():
+    # the two loops keep separate warm tableaux (count l versus n_levels),
+    # so they agree within the bisection resolution, not bitwise
+    rec = rabi_recurrence(RabiParams(kappa=1.0, delta=0.4))
+    schedule = [12, 18, 27, 40, 60]
+    full = run_flows(rec, 10, tol=1e-12, schedule=schedule)
+    for l in (1, 5, 10):
+        trace = flow_trace(rec, l, schedule, tol=1e-12)
+        level = full.levels[l - 1]
+        assert trace.converged == level.converged
+        assert trace.history[-1][0] == level.n_converged
+        for k, (n, x) in enumerate(trace.history):
+            res = run_flows(rec, 10, tol=1e-12, schedule=schedule[: k + 1])
+            assert not res.complete  # so res.xi is the value at degree n
+            assert abs(res.levels[l - 1].xi - x) <= 4.0 * _bisect_tol(np.array(x))
 
 
 def test_flow_trace_validates_schedule():

@@ -21,7 +21,7 @@ from zeroflow import (
 )
 from zeroflow.recurrence import _RESCALE_LIMIT
 
-from conftest import hermite_recurrence, random_recurrence
+from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
 
 
 # -- monic normalization -----------------------------------------------------
@@ -196,19 +196,11 @@ def test_exact_hit_at_middle_hermite_zero(n, below):
     assert count_zeros_below(hermite_recurrence(), 0.0, n) == below
 
 
-def _wide_range_recurrence(rng: np.random.Generator) -> MonicRecurrence:
-    """c_n ~ n**3 and lambda_n spread over 1e-12 ... 1e6."""
-    n = 64
-    c = rng.uniform(1e-3, 1.0) * np.arange(n) ** 3 + rng.uniform(-1.0, 1.0, size=n)
-    lam = 10.0 ** rng.uniform(-12.0, 6.0, size=n - 1)
-    return MonicRecurrence.from_arrays(c, lam, description="wide-range")
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.booleans())
 def test_count_matches_lapack_eigenvalues(seed, n, wide):
     rng = np.random.default_rng(seed)
-    rec = (_wide_range_recurrence if wide else random_recurrence)(rng)
+    rec = (wide_range_recurrence if wide else random_recurrence)(rng)
     c, lam = rec.coeff_arrays(n)
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:])) if n > 1 else c.copy()
     scale = max(1.0, float(np.max(np.abs(eig))))
