@@ -249,8 +249,10 @@ def _zeros_with_warm(
         # a zero below every probe keeps galloping from beyond the lowest one;
         # any other bracket is now narrower than this reach, so it multisects
         reach[active] = _GALLOP_GROWTH * step[:, 0]
-        new_width = new_hi - new_lo  # a width that did not shrink is float resolution
-        keep = (new_width > _bisect_tol(0.5 * (new_lo + new_hi))) & (new_width < width)
+        # an end that did not move means every probe rounded onto lo or hi:
+        # float resolution (a wide width may round to itself and still move)
+        moved = (new_lo > lo_a) | (new_hi < hi_a)
+        keep = (new_hi - new_lo > _bisect_tol(0.5 * (new_lo + new_hi))) & moved
         active = active[keep]
 
     zeros = 0.5 * (lo + hi)

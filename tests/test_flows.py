@@ -117,6 +117,7 @@ def test_warm_degrees_take_few_sturm_passes(monkeypatch):
     # count of kernel calls per degree, not a time
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
     warm = zeros_of(rec, 1020, 1000).zeros
+    cold = {n: zeros_of(rec, n, 1000).zeros for n in (1530, 2295)}
     sturm_counts = flows._sturm_counts
     budget = [0]
 
@@ -125,15 +126,36 @@ def test_warm_degrees_take_few_sturm_passes(monkeypatch):
         assert budget[0] >= 0, "more Sturm passes than budgeted"
         return sturm_counts(c, lam, xs)
 
+    def check(n, budgeted, warm):
+        budget[0] = budgeted
+        got = _zeros_with_warm(rec, n, 1000, warm).zeros
+        assert np.all(np.abs(got - cold[n]) <= 4.0 * _bisect_tol(cold[n]))
+        return got
+
     monkeypatch.setattr(flows, "_sturm_counts", counting)
-    budget[0] = 16
-    warm = _zeros_with_warm(rec, 1530, 1000, warm).zeros
-    budget[0] = 8
-    _zeros_with_warm(rec, 2295, 1000, warm)
+    warm = check(1530, 16, warm)
+    check(2295, 8, warm)
     # every zero 1e-6 below its warm value: more than 128 brackets gallop with
     # one probe each, so the gallop distance has to grow from pass to pass
-    budget[0] = 48
-    _zeros_with_warm(rec, 1530, 1000, warm + 1e-6)
+    check(1530, 48, warm + 1e-6)
+
+
+def test_warm_brackets_far_above_the_gershgorin_bound():
+    # two sublattices, diagonal 0 and 1e6 with couplings 1e3: the Gershgorin
+    # bound is near -2000, the first zero near -4.  With more than 128 brackets
+    # each gallops with one probe, so the first bracket's 4-tolerance probe
+    # leaves its rounded width unchanged and must still count as progress.
+    n, count = 600, 200
+    rec = MonicRecurrence.from_arrays(
+        np.where(np.arange(n) % 2 == 0, 0.0, 1e6), np.full(n, 1e6)
+    )
+    cold = zeros_of(rec, n, count).zeros
+    c, lam = rec.coeff_arrays(n)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, count - 1))
+    for shift in (3.0 * _bisect_tol(cold), 1e3 * _bisect_tol(cold), 1e-6):
+        got = _zeros_with_warm(rec, n, count, cold + shift).zeros
+        assert np.all(np.abs(got - cold) <= 4.0 * _bisect_tol(cold))
+        np.testing.assert_allclose(got, eig, rtol=0, atol=1e-12 * 2e6)
 
 
 # -- interlacing (property) --------------------------------------------------
