@@ -249,7 +249,9 @@ def cmd_cf_compare(args) -> int:
     rows = []
     complete = True
     if total > 0:
-        result = run_flows(rec, total, tol=cfg.tol, override=cfg.override)
+        result = run_flows(
+            rec, total, tol=cfg.tol, schedule=cfg.schedule_for(rec, total), override=cfg.override
+        )
         complete = result.complete
         xi = result.xi
         inside = xi[(xi >= args.x_min) & (xi < args.x_max)]

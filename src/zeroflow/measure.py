@@ -1,19 +1,20 @@
 """Continued fractions, finite-degree measures, spectral masses, eigenvectors.
 
-The two Jacobi-type continued fractions attached to a monic recurrence are
-evaluated through their polynomial ratio representations
+The two Jacobi-type continued fractions attached to a monic recurrence,
 
     E(x) = P^(1)_{n-1}(x) / P_n(x),          F(x) = -P_n(x) / P^(1)_{n-1}(x),
 
-truncated at depth n, where P^(1) is the first associated OPS (coefficients
-shifted by one).  E is the finite-depth Stieltjes transform: its poles sit at
-the zeros of P_n, which flow to the spectrum, and its partial fraction
-expansion has positive weights summing to one.  F vanishes exactly where E
-has poles, and E*F = -lambda_0 = -1 identically at matched depth.
+are truncated at depth n, where P^(1) is the first associated OPS
+(coefficients shifted by one).  E is the finite-depth Stieltjes transform:
+its poles sit at the zeros of P_n, which flow to the spectrum, and its
+partial fraction expansion has positive weights summing to one.  F vanishes
+exactly where E has poles, and E*F = -lambda_0 = -1 identically at matched
+depth.
 
-Evaluating the ratios over the rescaled, overflow-proof polynomial streams
-(rather than by forward Lentz-style iteration) inherits the unlimited dynamic
-range of the recurrence kernels.
+F is evaluated as the backward continued fraction
+(c_0 - x) + lambda_1/((x - c_1) - lambda_2/(...)), innermost term first, and
+E = -1/F, so E*F = -1 holds to one rounding.  Every partial tail is a ratio
+of associated polynomials, so the evaluation never overflows at any depth.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .recurrence import (
     RawRecurrence,
     _RESCALE_EXP,
     _RESCALE_LIMIT,
-    _ratio,
-    _terminal_values,
-    _value_and_derivative,
+    _backward_fraction,
 )
 from .scaled import ScaledReal
 
@@ -113,56 +112,40 @@ class EigenvectorResult:
     two_term_residual: float
 
 
-def _associated_arrays(c: np.ndarray, lam: np.ndarray):
-    """Coefficient slices generating P^(1)_{n-1} from the same materialization."""
-    return c[1:], lam[1:]
-
-
-def _E_parts(rec: MonicRecurrence, xs: np.ndarray, depth: int):
-    """(num, num_exp, den, den_exp) with E = num/den = P^(1)_{depth-1}/P_depth."""
+def _eval_F_many(rec: MonicRecurrence, xs: np.ndarray, depth: int) -> np.ndarray:
+    """Vectorized F on a grid; poles come out as +-inf rather than raising."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    xs = np.asarray(xs, dtype=float)
     c, lam = rec.coeff_arrays(depth)
-    den, _, den_exp = _terminal_values(c, lam, xs)
-    if depth == 1:
-        num = np.ones_like(xs)
-        num_exp = np.zeros(xs.shape, dtype=np.int64)
-    else:
-        ca, lama = _associated_arrays(c, lam)
-        num, _, num_exp = _terminal_values(ca, lama, xs)
-    return num, num_exp, den, den_exp
+    return _backward_fraction(c, lam, xs)
 
 
 def eval_E(rec: MonicRecurrence, x: float, depth: int) -> float:
     """Depth-truncated Stieltjes fraction E(x) = P^(1)_{depth-1}(x)/P_depth(x).
 
     E has its poles at the zeros of P_depth, i.e. at the finite-degree
-    spectrum approximants; depth 1 gives 1/(x - c_0).
+    spectrum approximants; depth 1 gives 1/(x - c_0).  Computed as -1/F from
+    the backward fraction; PoleHit is raised when F(x) is exactly zero.
     """
-    num, num_exp, den, den_exp = _E_parts(rec, np.array([float(x)]), depth)
-    if den[0] == 0.0:
+    f = float(_eval_F_many(rec, np.array([float(x)]), depth)[0])
+    if f == 0.0:
         raise PoleHit(f"E({x!r}) hit a zero of P_{depth} exactly")
-    return float(_ratio(num, num_exp, den, den_exp)[0])
+    return -1.0 / f
 
 
 def eval_F(rec: MonicRecurrence, x: float, depth: int) -> float:
     """Depth-truncated quantization function F(x) = -P_depth(x)/P^(1)_{depth-1}(x).
 
     Backward evaluation of the depth-term continued fraction
-    (c_0 - x) + lambda_1/(x - c_1 - lambda_2/(...)) in ratio form; its zeros
-    are the zeros of P_depth and E*F = -lambda_0 = -1 at matched depth.
+    (c_0 - x) + lambda_1/((x - c_1) - lambda_2/(...)), innermost term first;
+    its zeros are the zeros of P_depth and E*F = -lambda_0 = -1 at matched
+    depth.  PoleHit is raised when F(x) is infinite (x at a zero of
+    P^(1)_{depth-1} to double precision).
     """
-    num, num_exp, den, den_exp = _E_parts(rec, np.array([float(x)]), depth)
-    if num[0] == 0.0:
+    f = float(_eval_F_many(rec, np.array([float(x)]), depth)[0])
+    if math.isinf(f):
         raise PoleHit(f"F({x!r}) hit a zero of P^(1)_{depth - 1} exactly")
-    return float(-_ratio(den, den_exp, num, num_exp)[0])
-
-
-def _eval_F_many(rec: MonicRecurrence, xs: np.ndarray, depth: int) -> np.ndarray:
-    """Vectorized F on a grid; poles come out as +-inf rather than raising."""
-    num, num_exp, den, den_exp = _E_parts(rec, xs, depth)
-    return -_ratio(den, den_exp, num, num_exp)
+    return f
 
 
 def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
@@ -270,14 +253,13 @@ def _christoffel_sums(c: np.ndarray, lam: np.ndarray, xs: np.ndarray):
 
 
 def _derivative_weights(rec: MonicRecurrence, n: int, nodes: np.ndarray) -> np.ndarray:
-    """Residue form M_{n,k} = P^(1)_{n-1}(x_k)/P_n'(x_k); kept as an
-    independent cross-check route for degrees low enough that the associated
-    zeros have not yet coagulated with the nodes."""
+    """Residue form M_{n,k} = -1/F'(x_k), F' from the derivative of the same
+    backward fraction; kept as an independent cross-check route for degrees
+    low enough that the associated zeros have not yet coagulated with the
+    nodes."""
     c, lam = rec.coeff_arrays(n)
-    ca, lama = _associated_arrays(c, lam)
-    q, _, q_exp = _terminal_values(ca, lama, nodes)
-    _, d, d_exp = _value_and_derivative(c, lam, nodes)
-    return _ratio(q, q_exp, d, d_exp)
+    _, df = _backward_fraction(c, lam, nodes, derivative=True)
+    return -1.0 / df
 
 
 def spectral_mass(

@@ -18,7 +18,9 @@ Evaluation renormalizes the live recurrence terms by powers of two whenever
 they drift out of a safe magnitude window.  A common power-of-two factor is
 exact in binary floating point and cancels from every ratio, sign and zero
 location, so the sequences can be run to arbitrary degree without overflow
-or underflow and without losing a single mantissa bit.
+or underflow and without losing a single mantissa bit.  Sturm counts and the
+continued fraction F run on ratios of consecutive terms instead (pivots and
+backward fraction tails), which stay in range without any rescaling.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ __all__ = [
 # double limit 2**1024 covers any sane coefficient growth.
 _RESCALE_EXP = 500
 _RESCALE_LIMIT = 2.0**_RESCALE_EXP
-_RESCALE_UP = 2.0**_RESCALE_EXP
-_RESCALE_DOWN = 2.0**-_RESCALE_EXP
 
 _FractionLike = Union[Fraction, int, str, float]
 
@@ -376,77 +376,40 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return c.shape[0] - n_low
 
 
-def _terminal_values(c: np.ndarray, lam: np.ndarray, xs: np.ndarray):
-    """(P_n, P_{n-1}, exp) at each x: true values are p * 2**exp.
+def _backward_fraction(
+    c: np.ndarray, lam: np.ndarray, xs: np.ndarray, derivative: bool = False
+):
+    """F(x) = -P_n(x) / P^(1)_{n-1}(x), n = len(c), at each x in xs.
 
-    n = len(c) >= 1.  The shared per-element exponent keeps ratios of the
-    two terminal values exactly representable.
+    Backward evaluation of the n-term continued fraction: t = x - c_{n-1},
+    then t <- (x - c_k) - lambda_{k+1} / t for k = n-2 ... 0, and F = -t.
+    Each t is a ratio of associated polynomials, so nothing overflows and no
+    rescaling is needed.  An exact hit t = 0 gives lambda/0 = inf and the next
+    step's lambda/inf = 0, which is the correct limit; a final t = 0 leaves F
+    at +-inf, the pole.  With derivative=True, (F, F') is returned, F'
+    following t' <- 1 + lambda_{k+1} t' / t**2 (undefined after an exact
+    hit).
     """
-    n = c.shape[0]
     xs = np.asarray(xs, dtype=float)
-    p_prev = np.ones_like(xs)
-    p_cur = xs - c[0]
-    exp = np.zeros(xs.shape, dtype=np.int64)
-    for k in range(2, n + 1):
-        p_next = (xs - c[k - 1]) * p_cur - lam[k - 1] * p_prev
-        m = np.maximum(np.abs(p_next), np.abs(p_cur))
-        big = m > _RESCALE_LIMIT
-        if big.any():
-            p_next = np.where(big, p_next * _RESCALE_DOWN, p_next)
-            p_cur = np.where(big, p_cur * _RESCALE_DOWN, p_cur)
-            exp += big * _RESCALE_EXP
-        small = (m < _RESCALE_DOWN) & (m > 0.0)
-        if small.any():
-            p_next = np.where(small, p_next * _RESCALE_UP, p_next)
-            p_cur = np.where(small, p_cur * _RESCALE_UP, p_cur)
-            exp -= small * _RESCALE_EXP
-        p_prev, p_cur = p_cur, p_next
-    return p_cur, p_prev, exp
-
-
-def _value_and_derivative(c: np.ndarray, lam: np.ndarray, xs: np.ndarray):
-    """(P_n, P_n', exp) at each x, sharing one exponent per element.
-
-    The derivative satisfies the differentiated recurrence
-    d_n = (x - c_{n-1}) d_{n-1} - lambda_{n-1} d_{n-2} + P_{n-1},
-    d_0 = 0, d_1 = 1, and must be rescaled together with P to stay coupled.
-    """
-    n = c.shape[0]
-    xs = np.asarray(xs, dtype=float)
-    p_prev = np.ones_like(xs)
-    p_cur = xs - c[0]
-    d_prev = np.zeros_like(xs)
-    d_cur = np.ones_like(xs)
-    exp = np.zeros(xs.shape, dtype=np.int64)
-    for k in range(2, n + 1):
-        p_next = (xs - c[k - 1]) * p_cur - lam[k - 1] * p_prev
-        d_next = (xs - c[k - 1]) * d_cur - lam[k - 1] * d_prev + p_cur
-        m = np.maximum(
-            np.maximum(np.abs(p_next), np.abs(p_cur)),
-            np.maximum(np.abs(d_next), np.abs(d_cur)),
-        )
-        big = m > _RESCALE_LIMIT
-        if big.any():
-            scale = np.where(big, _RESCALE_DOWN, 1.0)
-            p_next, p_cur = p_next * scale, p_cur * scale
-            d_next, d_cur = d_next * scale, d_cur * scale
-            exp += big * _RESCALE_EXP
-        small = (m < _RESCALE_DOWN) & (m > 0.0)
-        if small.any():
-            scale = np.where(small, _RESCALE_UP, 1.0)
-            p_next, p_cur = p_next * scale, p_cur * scale
-            d_next, d_cur = d_next * scale, d_cur * scale
-            exp -= small * _RESCALE_EXP
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return p_cur, d_cur, exp
-
-
-def _ratio(num: np.ndarray, num_exp: np.ndarray, den: np.ndarray, den_exp: np.ndarray):
-    """(num * 2**num_exp) / (den * 2**den_exp) as doubles; inf on poles."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = num / den
-        return np.ldexp(r, (num_exp - den_exp).astype(np.int64))
+    t = np.full(xs.shape, np.inf)  # lambda / inf = 0 starts t = x - c_{n-1}
+    u = np.empty_like(t)
+    steps = zip(c[::-1].tolist(), [1.0] + lam[:0:-1].tolist())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not derivative:
+            for ck, lk in steps:
+                np.divide(lk, t, out=t)
+                np.subtract(xs, ck, out=u)
+                np.subtract(u, t, out=t)
+            return np.negative(t, out=t)
+        dt = np.zeros_like(t)
+        for ck, lk in steps:
+            np.divide(lk, t, out=u)
+            np.divide(u, t, out=t)  # lambda / t**2
+            dt *= t
+            dt += 1.0
+            np.subtract(xs, ck, out=t)
+            t -= u
+    return -t, -dt
 
 
 def _zero_bounds(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:

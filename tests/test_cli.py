@@ -164,6 +164,21 @@ def test_cf_compare_low_levels_detected(capsys):
     assert payload["detected_levels"] == 3  # low levels are all visible
 
 
+def test_cf_compare_takes_schedule_flags(capsys):
+    base = (
+        "cf-compare", "--model", "displaced", "--kappa", "0.5",
+        "--x-min", "-0.3", "--x-max", "5", "--format", "json",
+    )
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    assert json.loads(out)["true_levels"] == 6  # k - 0.25 for k = 0..5
+    # the default schedule starts at levels + 20; naming it changes nothing
+    assert run_cli(capsys, *base, "--n-start", "26")[:2] == (0, out)
+    # one degree cannot show two decrements: partial result
+    assert run_cli(capsys, *base, "--schedule", "7")[0] == 2
+    assert run_cli(capsys, *base, "--n-start", "26", "--n-max", "26")[0] == 2
+
+
 def test_classify_rabi_case_a(capsys):
     code, out, err = run_cli(
         capsys, "classify", "--alpha", "0", "--beta", "-1", "--a", "5", "--b", "1"

@@ -1,11 +1,14 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from zeroflow import (
     DiscreteMeasure,
     Divergent,
+    MonicRecurrence,
     NotMinimal,
     PoleHit,
     RabiParams,
@@ -21,6 +24,7 @@ from zeroflow import (
     zeros_of,
 )
 from zeroflow.measure import _derivative_weights
+from zeroflow.recurrence import _sturm_counts
 
 from conftest import hermite_recurrence
 
@@ -70,6 +74,96 @@ def test_pole_hit_raises():
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
     with pytest.raises(PoleHit):
         eval_E(rec, 0.4, 1)  # x = c_0 is the depth-1 pole exactly
+    c1 = float(rec.coeff_arrays(2)[0][1])
+    with pytest.raises(PoleHit):
+        eval_F(rec, c1, 2)  # P^(1)_1 = x - c_1 = 0, F = +-inf
+    assert eval_E(rec, c1, 2) == 0.0  # E = P^(1)_1 / P_2 vanishes there
+
+
+def _mp_terminal(rec, x, depth):
+    """(P_depth(x), P^(1)_{depth-1}(x)) at 50 digits by the forward recurrence
+    on the model's own double coefficients; mpmath exponents do not overflow."""
+    c, lam = rec.coeff_arrays(depth)
+    c, lam = c.tolist(), lam.tolist()
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+
+        def poly(cs, ls):
+            prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+            for ck, lk in zip(cs, ls):
+                prev, cur = cur, (x - ck) * cur - lk * prev
+            return cur
+
+        return poly(c, lam), poly(c[1:], lam[1:])
+
+
+def _assert_matches_mpmath(rec, x, depth):
+    p, q = _mp_terminal(rec, x, depth)
+    f, e = eval_F(rec, x, depth), eval_E(rec, x, depth)
+    assert math.isfinite(f) and math.isfinite(e)
+    assert abs(f - (-p / q)) <= 1e-12 * abs(p / q)
+    assert abs(e - q / p) <= 1e-12 * abs(q / p)
+    return p
+
+
+EF_MODELS = (
+    displaced_recurrence(0.5),
+    rabi_recurrence(RabiParams(kappa=0.2, delta=0.4)),
+    rabi_recurrence(RabiParams(kappa=3.0, delta=0.7, parity="-")),
+)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 17, 300, 2500])
+@pytest.mark.parametrize("rec", EF_MODELS, ids=lambda r: r.description)
+def test_E_and_F_match_mpmath(rec, depth):
+    rng = np.random.default_rng(depth)
+    for x in rng.uniform(-10.0, 300.0, size=6):
+        p = _assert_matches_mpmath(rec, float(x), depth)
+    if depth == 2500:
+        assert abs(p) > sys.float_info.max  # the fraction never forms P_depth
+
+
+@pytest.mark.parametrize("rec", EF_MODELS, ids=lambda r: r.description)
+def test_E_and_F_at_diagonal_entries(rec):
+    # x = c_k zeroes the term x - c_k of the fraction; x = c_{d-1} makes the
+    # innermost tail exactly 0, which must pass through inf to the finite limit
+    depth = 17
+    c, _ = rec.coeff_arrays(depth)
+    for k in (2, 5, 9, depth - 1):
+        _assert_matches_mpmath(rec, float(c[k]), depth)
+
+
+def test_inner_exact_hit_gives_finite_limit():
+    # at x = 0 the tail t_5 = 0 - (-2) = 2, then t_4 = 0 - (-1) - 2/2 = 0
+    # exactly: lambda_4 / 0 = inf, and the next step's lambda_3 / inf = 0
+    rec = MonicRecurrence.from_arrays(
+        [0.5, 1.5, 2.5, 3.5, -1.0, -2.0], [1.0, 1.0, 1.0, 1.0, 2.0], description="hit"
+    )
+    _assert_matches_mpmath(rec, 0.0, 6)
+
+
+@pytest.mark.parametrize(
+    "rec, depth, x_min, x_max",
+    [
+        (displaced_recurrence(0.5), 161, -0.3, 100.0),
+        (rabi_recurrence(RabiParams(kappa=0.2, delta=0.4)), 120, -1.0, 100.0),
+        (rabi_recurrence(RabiParams(kappa=3.0, delta=0.4)), 400, -10.0, 300.0),
+    ],
+    ids=["displaced-0.5", "rabi-0.2", "rabi-3"],
+)
+def test_F_sign_matches_sturm_parity(rec, depth, x_min, x_max):
+    # sign F = (-1)**(N_d(x) + N^(1)_{d-1}(x)), with N the zeros-below-x
+    # counts of P_d and P^(1)_{d-1} (the kernel of count_zeros_below)
+    from zeroflow.measure import _eval_F_many
+
+    grid = np.linspace(x_min, x_max, 200_001)
+    sign = np.sign(_eval_F_many(rec, grid, depth))
+    c, lam = rec.coeff_arrays(depth)
+    ca, lama = rec.associated(1).coeff_arrays(depth - 1)
+    parity = (_sturm_counts(c, lam, grid) + _sturm_counts(ca, lama, grid)) % 2
+    expect = np.where(parity == 0, 1.0, -1.0)
+    assert np.count_nonzero(sign[1:] != sign[:-1]) >= 5
+    assert np.count_nonzero((sign != expect) & (sign != 0)) == 0
 
 
 def test_sign_scan_misses_high_levels():

@@ -1,0 +1,48 @@
+"""Smoke tests: the example scripts run end to end on small inputs.
+
+The scripts import package internals (sign_scan_comparison.py uses the
+private measure._eval_F_many), so a rename there must fail here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_sign_scan_comparison_script():
+    out = run_script(
+        "sign_scan_comparison.py", "--kappa", "0.5", "--x-max", "20", "--points", "2001"
+    )
+    assert "levels below 20.0: 21 (all converged: True)" in out
+    assert "depth 81" in out
+
+
+def test_flow_convergence_script():
+    out = run_script("flow_convergence.py", "--levels", "1", "2", "--schedule", "8", "12", "18")
+    rows = out.splitlines()[1:]
+    assert [int(r.split()[0]) for r in rows] == [8, 12, 18]
+    assert float(rows[-1].split()[1]) == -0.04  # displaced ground state -kappa**2
+
+
+def test_rabi_levels_script():
+    out = run_script("rabi_levels.py", "--levels", "12", "--fit-levels", "10", "--tol", "1e-8")
+    assert out.count("complete=True") == 2
