@@ -15,6 +15,9 @@ F is evaluated as the backward continued fraction
 (c_0 - x) + lambda_1/((x - c_1) - lambda_2/(...)), innermost term first, and
 E = -1/F, so E*F = -1 holds to one rounding.  Every partial tail is a ratio
 of associated polynomials, so the evaluation never overflows at any depth.
+Measure weights and spectral masses sum squares of orthonormal polynomials
+forward, and eigenvectors come from backward ratios of the minimal
+solution; neither needs rescaling either.
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ import numpy as np
 
 from .errors import Divergent, NotMinimal, PoleHit
 from .flows import zeros_of
-from .recurrence import (
-    MonicRecurrence,
-    RawRecurrence,
-    _RESCALE_EXP,
-    _RESCALE_LIMIT,
-    _backward_fraction,
-)
-from .scaled import ScaledReal
+from .recurrence import MonicRecurrence, RawRecurrence, _backward_fraction
 
 __all__ = [
     "DiscreteMeasure",
@@ -48,6 +44,14 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+# p~_0 of the orthonormal recurrence: sums of p~_l**2 come out scaled by
+# 2**-128, so a sum stays finite for every weight 2**-128 / S above underflow.
+_SEED = 2.0**-64
+
+# Two backward runs may differ by this much relative to the largest
+# component without disagreeing: rounding noise in a vanishing component.
+_NOISE = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -152,15 +156,17 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
     """Finite-degree measure: nodes are the zeros of P_n with the residue
     weights of E at depth n, computed through the Christoffel identity
 
-        M_{n,k} = [ sum_{l=0}^{n-1} P_l(x_{n,k})^2 / n_l ]^{-1}.
+        M_{n,k} = [ sum_{l=0}^{n-1} p_l(x_{n,k})^2 ]^{-1},   p_l = P_l / sqrt(n_l).
 
     The textbook residue form P^(1)_{n-1}(x_k)/P_n'(x_k) is algebraically the
     same number but numerically treacherous here: zeros of the associated OPS
     coagulate with the nodes (the same phenomenon that blinds the continued
     fraction), leaving the numerator inside its own rounding noise at
     converged nodes.  The sum of squares has no cancellation, so positivity
-    survives at every node whose weight is representable at all; a weight
-    below the double underflow threshold raises instead of flushing to zero.
+    survives at every node whose weight is representable at all.  The
+    orthonormal values are summed forward in plain doubles from the seed
+    p~_0 = 2**-64 (see _orthonormal); a weight below the double underflow
+    threshold raises instead of flushing to zero.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -168,7 +174,7 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
     if n == 1:
         return DiscreteMeasure(nodes=nodes, weights=np.array([1.0]), degree=1)
     c, lam = rec.coeff_arrays(n)
-    inv_m, inv_e = _christoffel_sums(c, lam, nodes)
+    sums = _christoffel_sums(c, lam, nodes)
 
     # Once a zero flow has converged to within bisection resolution of its
     # limit, the Christoffel polynomial varies by orders of magnitude across
@@ -176,9 +182,9 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
     # in double precision at all.  Detect that by re-evaluating the sums a few
     # node tolerances away: in the stable regime they barely move.
     h = 8.0 * 2.0**-50 * np.maximum(1.0, np.abs(nodes))
-    probe_m, probe_e = _christoffel_sums(c, lam, nodes + h)
-    with np.errstate(divide="ignore", over="ignore"):
-        drift = np.abs(np.log2(probe_m / inv_m) + (probe_e - inv_e))
+    probe = _christoffel_sums(c, lam, nodes + h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = np.abs(np.log2(probe / sums))
     if np.any(drift > 0.07):  # log2(1.05)
         k = int(np.argmax(drift))
         raise ValueError(
@@ -188,68 +194,43 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
         )
 
     with np.errstate(under="ignore"):
-        weights = np.ldexp(1.0 / inv_m, _clip_exp(-inv_e))
-    dead = np.flatnonzero(weights == 0.0)
+        weights = np.ldexp(1.0 / sums, -128)
+    dead = np.flatnonzero(~(weights > 0.0))
     if dead.size:
         k = int(dead[0])
-        mag = -(float(inv_e[k]) + math.log2(inv_m[k]))
         raise ValueError(
-            f"weight M_{{{n},{k + 1}}} ~ 2**{mag:.0f} underflows double precision; "
-            "reduce the degree or use a more strongly coupled model"
+            f"weight M_{{{n},{k + 1}}} is below 2**-1074 and underflows double "
+            "precision; reduce the degree or use a more strongly coupled model"
         )
     return DiscreteMeasure(nodes=nodes, weights=weights, degree=n)
 
 
-def _clip_exp(e: np.ndarray) -> np.ndarray:
-    # np.ldexp saturates anyway; keep exponents inside a safe integer window
-    return np.clip(e, -(1 << 20), 1 << 20).astype(np.int64)
+def _orthonormal(c: np.ndarray, lam: np.ndarray, x):
+    """Yield p~_l(x) = 2**-64 P_l(x) / sqrt(n_l), l = 0 .. len(c) - 1, where
+    n_l = lambda_1 ... lambda_l, by the orthonormal recurrence
+
+        p~_l = ((x - c_{l-1}) p~_{l-1} - sqrt(lambda_{l-1}) p~_{l-2}) / sqrt(lambda_l).
+
+    x is a float, or an array of points with one array yielded per l.  No
+    rescaling is needed for sums of squares: each p~_l**2 is bounded by the
+    sum it feeds, so nothing overflows before the sum itself does."""
+    root = np.sqrt(lam).tolist()
+    p_prev, p = 0.0, 0.0 * x + _SEED
+    yield p
+    for ck, r_prev, r in zip(c.tolist(), root, root[1:]):
+        p_prev, p = p, ((x - ck) * p - r_prev * p_prev) / r
+        yield p
 
 
-def _christoffel_sums(c: np.ndarray, lam: np.ndarray, xs: np.ndarray):
-    """S(x) = sum_{l=0}^{n-1} P_l(x)^2 / n_l as (mantissa, exp2) pairs,
-    n = len(c), n_l = lambda_1 ... lambda_l.  All terms are nonnegative, so
-    the accumulation is cancellation-free at any dynamic range."""
-    n = c.shape[0]
+def _christoffel_sums(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """S(x) = sum_{l=0}^{n-1} p~_l(x)^2 = 2**-128 sum_l P_l(x)^2 / n_l at each
+    x in xs, n = len(c); +inf (or nan) once the sum leaves the double range."""
     xs = np.asarray(xs, dtype=float)
-    acc_m = np.ones_like(xs)  # l = 0 term: P_0^2 / n_0 = 1
-    acc_e = np.zeros(xs.shape, dtype=np.int64)
-    p_prev = np.ones_like(xs)
-    p_cur = xs - c[0]
-    off = np.zeros(xs.shape, dtype=np.int64)
-    norm_m, norm_e = 1.0, 0
-    for l in range(1, n):
-        if l >= 2:
-            p_next = (xs - c[l - 1]) * p_cur - lam[l - 1] * p_prev
-            m = np.maximum(np.abs(p_next), np.abs(p_cur))
-            big = m > _RESCALE_LIMIT
-            if big.any():
-                p_next = np.where(big, p_next * 2.0**-_RESCALE_EXP, p_next)
-                p_cur = np.where(big, p_cur * 2.0**-_RESCALE_EXP, p_cur)
-                off += big * _RESCALE_EXP
-            small = (m < 2.0**-_RESCALE_EXP) & (m > 0.0)
-            if small.any():
-                p_next = np.where(small, p_next * 2.0**_RESCALE_EXP, p_next)
-                p_cur = np.where(small, p_cur * 2.0**_RESCALE_EXP, p_cur)
-                off -= small * _RESCALE_EXP
-            p_prev, p_cur = p_cur, p_next
-        norm_m *= lam[l]
-        frac, ex = math.frexp(norm_m)
-        norm_m, norm_e = frac, norm_e + ex
-
-        term_m = p_cur * p_cur / norm_m
-        term_e = 2 * off - norm_e
-        # exact power-of-two alignment onto the larger exponent
-        top = np.maximum(acc_e, term_e)
-        with np.errstate(under="ignore"):
-            acc_m = acc_m * np.exp2((acc_e - top).astype(float)) + term_m * np.exp2(
-                (term_e - top).astype(float)
-            )
-        acc_e = top
-        acc_m, de = np.frexp(acc_m)
-        acc_e = acc_e + de
-    # normalize mantissas into [1, 2)
-    acc_m, de = np.frexp(acc_m)
-    return 2.0 * acc_m, acc_e + de - 1
+    sums = np.zeros_like(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in _orthonormal(c, lam, xs):
+            sums += p * p
+    return sums
 
 
 def _derivative_weights(rec: MonicRecurrence, n: int, nodes: np.ndarray) -> np.ndarray:
@@ -274,93 +255,72 @@ def spectral_mass(
 ) -> SpectralMass:
     """Mass of the limiting measure at a converged spectral point xi.
 
-    Accumulates S_L = sum_{l<=L} P_l(xi)^2 / n_l.  At a spectral point the
+    Accumulates S_L = sum_{l<=L} P_l(xi)^2 / n_l, forward in plain doubles
+    over the orthonormal values of _orthonormal.  At a spectral point the
     terms decay superexponentially once l passes the resonant range, so S
     saturates and mass = 1/S; off the spectrum only a dominant solution
     exists, the terms grow without bound, and Divergent is raised.
 
     Because xi carries rounding error, the terms of a saturated sum
     eventually turn around and grow again like (dominant * error)^2; the
-    running minimum of term/S is kept as a saturation candidate so the sum
-    is cut at the turnaround, exactly like an asymptotic series.  Divergence
-    is declared heuristically (thresholds exposed): S above
-    divergence_threshold, terms rising over divergence_run consecutive l,
-    and no saturation candidate better than saturate_rtol.  Spectral points
-    deeper than about divergence_run levels need divergence_run raised, as
-    their sums legitimately climb for that long before saturating.
+    running minimum of (two consecutive terms)/S is kept as a saturation
+    candidate so the sum is cut at the turnaround, exactly like an
+    asymptotic series.  Two consecutive small terms fix the whole minimal
+    tail, while one term alone can be small by accident at an isolated zero
+    of P_l(xi) and is no candidate.  Divergence is declared heuristically
+    (thresholds exposed): S above divergence_threshold, terms rising over
+    divergence_run consecutive l, and no saturation candidate better than
+    saturate_rtol.  Spectral points deeper than about divergence_run levels
+    need divergence_run raised, as their sums legitimately climb for that
+    long before saturating.
     """
     if l_max < tail_run + 2:
         raise ValueError("l_max too small to certify anything")
     xi = float(xi)
     c, lam = rec.coeff_arrays(l_max + 1)
+    terms = (p * p for p in _orthonormal(c, lam, xi))
 
-    total = 1.0  # l = 0 term: P_0^2 / n_0 = 1
-    p_prev, p_cur = 1.0, xi - c[0]
-    offset = 0
-    norm_m, norm_e = 1.0, 0  # n_l as mantissa * 2**exp
+    total = next(terms)  # l = 0 term: p~_0^2 = 2**-128 stands for P_0^2 / n_0 = 1
+    threshold = divergence_threshold * total
     small_run = 0
     rise_run = 0
-    prev_term = 1.0
+    prev_term = total
     best_ratio = 1.0
     best_total = total
-    best_term = 1.0
-    shift = int(round(math.log2(_RESCALE_LIMIT)))
-    inv_limit = 1.0 / _RESCALE_LIMIT
+    best_tail = total
 
-    def saturated(total_at: float, term_at: float, ratio_at: float) -> SpectralMass:
-        tail = term_at + ratio_at * total_at
-        return SpectralMass(xi=xi, mass=1.0 / total_at, tail_estimate=tail)
+    def saturated(total_at: float, tail_at: float) -> SpectralMass:
+        # undo the 2**-128 scale of the orthonormal seed
+        return SpectralMass(
+            xi=xi, mass=math.ldexp(1.0 / total_at, -128), tail_estimate=tail_at * 2.0**128
+        )
 
-    for l in range(1, l_max + 1):
-        if l >= 2:
-            p_next = (xi - c[l - 1]) * p_cur - lam[l - 1] * p_prev
-            m = max(abs(p_next), abs(p_cur))
-            if m > _RESCALE_LIMIT:
-                p_next = math.ldexp(p_next, -shift)
-                p_cur = math.ldexp(p_cur, -shift)
-                offset += shift
-            elif 0.0 < m < inv_limit:
-                p_next = math.ldexp(p_next, shift)
-                p_cur = math.ldexp(p_cur, shift)
-                offset -= shift
-            p_prev, p_cur = p_cur, p_next
-        norm_m *= lam[l]
-        frac, ex = math.frexp(norm_m)
-        norm_m, norm_e = frac, norm_e + ex
-
-        try:
-            term = math.ldexp(p_cur * p_cur / norm_m, 2 * offset - norm_e)
-        except OverflowError:
-            term = math.inf
-        if math.isinf(term) or math.isinf(total + term):
+    for l, term in enumerate(terms, start=1):
+        if not math.isfinite(total + term):
             if best_ratio <= saturate_rtol:
-                return saturated(best_total, best_term, best_ratio)
+                return saturated(best_total, best_tail)
             raise Divergent(f"partial sums overflow at l={l}: {xi!r} is not a spectral point")
         total += term
-        ratio = term / total
+        ratio = (prev_term + term) / total
         if ratio < best_ratio:
-            best_ratio, best_total, best_term = ratio, total, term
+            best_ratio, best_total, best_tail = ratio, total, term + ratio * total
 
         if term <= tail_rtol * total:
             small_run += 1
             if small_run >= tail_run:
-                return saturated(total, term, ratio)
+                return saturated(total, 2.0 * term)
         else:
             small_run = 0
         rise_run = rise_run + 1 if term > prev_term else 0
         prev_term = term
-        if (
-            rise_run >= divergence_run
-            and total > divergence_threshold
-            and best_ratio > saturate_rtol
-        ):
+        if rise_run >= divergence_run and total > threshold and best_ratio > saturate_rtol:
             raise Divergent(
                 f"partial sums exceed {divergence_threshold:g} and grew over the last "
                 f"{divergence_run} terms: {xi!r} is not a spectral point"
             )
 
     if best_ratio <= saturate_rtol:
-        return saturated(best_total, best_term, best_ratio)
+        return saturated(best_total, best_tail)
     raise ValueError(
         f"sum neither saturated nor certified divergent by l_max={l_max}; increase l_max"
     )
@@ -376,47 +336,40 @@ def reconstruct_eigenvector(
 ) -> EigenvectorResult:
     """Expansion coefficients phi_0..phi_{n_max} of the state at energy xi.
 
-    Backward recurrence from a far tail (start >= 2*n_max, re-run from twice
-    as far and compared) isolates the minimal solution; the result is
-    normalized to phi_0 = 1.  The solution is a physical eigenvector only if
-    (a) the Bargmann partial sums sum |phi_n|^2 n! saturate and (b) the
-    two-term condition phi_1 + a_0(xi) phi_0 = 0 holds; off the spectrum the
-    unique solution with the two-term initial condition is dominant and (b)
-    fails by an O(1) residual.  NotMinimal is raised in either case, and when
-    the two tail runs disagree (no minimal/dominant separation at xi).
+    Backward ratios from a far tail (start >= 2*n_max, re-run from twice as
+    far and compared) isolate the minimal solution; the result is normalized
+    to phi_0 = 1.  The solution is a physical eigenvector only if (a) the
+    Bargmann partial sums sum |phi_n|^2 n! saturate and (b) the two-term
+    condition phi_1 + a_0(xi) phi_0 = 0 holds; off the spectrum the unique
+    solution with the two-term initial condition is dominant and (b) fails by
+    an O(1) residual.  NotMinimal is raised in either case, and when the two
+    tail runs disagree (no minimal/dominant separation at xi).  The runs are
+    compared component by component to match_rtol, except that a difference
+    within rounding of the largest |phi_j| is never a disagreement: a
+    component that vanishes at xi holds only rounding noise in either run.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     xi = float(xi)
     _check_same_model(rec, raw)
     start = max(2 * n_max, n_max + 32)
-    phi_a = _backward_minimal(raw, xi, n_max, start, seed=1234)
-    phi_b = _backward_minimal(raw, xi, n_max, 2 * start, seed=987654321)
+    rho = _backward_minimal(raw, xi, n_max, start, seed=1234)
+    rho_b = _backward_minimal(raw, xi, n_max, 2 * start, seed=987654321)
 
-    floor = ScaledReal.from_float(1.0, -1000)
-    for k in range(n_max + 1):
-        a, b = phi_a[k], phi_b[k]
-        mag = max(abs(a), abs(b))
-        if mag <= floor:
-            continue
-        diff = abs(a - b)
-        if diff > match_rtol * mag:
-            raise NotMinimal(
-                f"backward runs from tails {start} and {2 * start} disagree at n={k}; "
-                f"no stable minimal solution at {xi!r}"
-            )
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        phi = np.cumprod(np.r_[1.0, rho])
+        phi_b = np.cumprod(np.r_[1.0, rho_b])
+        # Bargmann terms |phi_k|^2 k! = |phi_{k-1}|^2 (k-1)! * rho_k^2 * k
+        sums = np.cumsum(np.cumprod(np.r_[1.0, rho * rho * np.arange(1, n_max + 1)]))
+        diff = np.abs(phi - phi_b)
+        mag = np.maximum(np.abs(phi), np.abs(phi_b))
+        bad = np.flatnonzero(diff > np.maximum(match_rtol * mag, _NOISE * mag.max()))
+    if bad.size:
+        raise NotMinimal(
+            f"backward runs from tails {start} and {2 * start} disagree at n={int(bad[0])}; "
+            f"no stable minimal solution at {xi!r}"
+        )
 
-    phi = np.array([p.to_float() for p in phi_a])
-
-    # Bargmann partial sums sum |phi_n|^2 n! in scaled arithmetic
-    sums = np.empty(n_max + 1)
-    fact = ScaledReal.one()
-    total = ScaledReal.zero()
-    for k in range(n_max + 1):
-        if k > 0:
-            fact = fact * float(k)
-        total = total + phi_a[k] * phi_a[k] * fact
-        sums[k] = total.to_float()
     window = min(max(4, n_max // 8), n_max)
     head = sums[-window - 1]
     saturated = bool(
@@ -463,10 +416,12 @@ def _check_same_model(rec: MonicRecurrence, raw: RawRecurrence) -> None:
 
 def _backward_minimal(
     raw: RawRecurrence, xi: float, n_max: int, start: int, seed: int
-) -> list[ScaledReal]:
-    """Miller backward pass phi_{n-1} = -(phi_{n+1} + a_n phi_n)/b_n from a
-    random tail seed at `start`, returned for n = 0..n_max normalized to
-    phi_0 = 1."""
+) -> np.ndarray:
+    """Ratios rho_n = phi_n / phi_{n-1}, n = 1..n_max, of the minimal solution,
+    by the continued fraction rho_n = -b_n / (a_n + rho_{n+1}) (Gautschi,
+    SIAM Rev. 9, 1967) run down from a random tail ratio at `start`.  Each
+    rho is a plain double: no rescaling, at any depth.  An exact zero
+    denominator (phi_{n-1} = 0) is stepped past by one ulp."""
     rng = np.random.default_rng(seed)
     idx = np.arange(start + 1, dtype=np.int64)
     a_vals = np.asarray(raw.a(idx, xi), dtype=float)
@@ -474,26 +429,12 @@ def _backward_minimal(
     if np.any(b_vals[1:] == 0.0):
         raise ValueError("b_n must be nonzero for n >= 1")
 
-    shift = int(round(math.log2(_RESCALE_LIMIT)))
     hi, cur = float(rng.uniform(0.25, 1.0)), float(rng.uniform(0.25, 1.0))
-    offset = 0
-    out: dict[int, ScaledReal] = {}
-    for n in range(start, 0, -1):
+    rho = hi / cur  # phi_{start+1} / phi_start
+    out = np.empty(n_max)
+    for n, a_n, b_n in zip(range(start, 0, -1), a_vals[:0:-1].tolist(), b_vals[:0:-1].tolist()):
+        denom = a_n + rho
+        rho = -b_n / (denom if denom != 0.0 else math.ulp(a_n))
         if n <= n_max:
-            out[n] = ScaledReal.from_float(cur, offset)
-        nxt = -(hi + a_vals[n] * cur) / b_vals[n]
-        m = max(abs(nxt), abs(cur))
-        if m > _RESCALE_LIMIT:
-            nxt = math.ldexp(nxt, -shift)
-            cur = math.ldexp(cur, -shift)
-            offset += shift
-        elif 0.0 < m < 1.0 / _RESCALE_LIMIT:
-            nxt = math.ldexp(nxt, shift)
-            cur = math.ldexp(cur, shift)
-            offset -= shift
-        hi, cur = cur, nxt
-    out[0] = ScaledReal.from_float(cur, offset)
-    if out[0].sign == 0:
-        raise NotMinimal(f"phi_0 vanished in the backward pass at {xi!r}")
-    phi0 = out[0]
-    return [out[n] / phi0 for n in range(n_max + 1)]
+            out[n - 1] = rho
+    return out

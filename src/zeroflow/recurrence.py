@@ -14,18 +14,16 @@ polynomial sequence
 which is the universal internal representation here.  Everything downstream
 (zero flows, continued fractions, discrete measures) consumes MonicRecurrence.
 
-Evaluation renormalizes the live recurrence terms by powers of two whenever
-they drift out of a safe magnitude window.  A common power-of-two factor is
-exact in binary floating point and cancels from every ratio, sign and zero
-location, so the sequences can be run to arbitrary degree without overflow
-or underflow and without losing a single mantissa bit.  Sturm counts and the
-continued fraction F run on ratios of consecutive terms instead (pivots and
-backward fraction tails), which stay in range without any rescaling.
+No kernel forms P_n itself, which leaves the double range after a few
+hundred steps.  Sturm counts and the continued fraction F run on ratios of
+consecutive terms (pivots and backward fraction tails), and the sums of
+squares in the measure module run on orthonormal values whose squares are
+bounded by the sum they feed; all stay in range without any rescaling, at
+any degree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -33,22 +31,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NonlinearCoefficient, NonPositiveLambda
-from .scaled import ScaledReal
 
 __all__ = [
     "RecurrenceAsymptotics",
     "RawRecurrence",
     "MonicRecurrence",
     "to_monic",
-    "eval_sequence",
     "count_zeros_below",
 ]
-
-# Magnitude window for the rescaled recurrence terms.  One step multiplies a
-# term by at most ~|x - c_n| + lambda_n, so 2**500 of headroom below the
-# double limit 2**1024 covers any sane coefficient growth.
-_RESCALE_EXP = 500
-_RESCALE_LIMIT = 2.0**_RESCALE_EXP
 
 _FractionLike = Union[Fraction, int, str, float]
 
@@ -294,45 +284,6 @@ def _check_affine(raw: RawRecurrence, idx: np.ndarray) -> None:
 # ----------------------------------------------------------------------------
 # evaluation kernels
 # ----------------------------------------------------------------------------
-
-
-def eval_sequence(
-    rec: MonicRecurrence,
-    x: float,
-    n_max: int,
-    _rescale_limit: float = _RESCALE_LIMIT,
-) -> tuple[ScaledReal, ...]:
-    """(P_0(x), ..., P_{n_max}(x)) as exact-exponent ScaledReal values.
-
-    Total for any valid recurrence: renormalization moves the common
-    power-of-two factor into the exponent, never the mantissa.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    x = float(x)
-    out = [ScaledReal.one()]
-    if n_max == 0:
-        return tuple(out)
-    c, lam = rec.coeff_arrays(n_max)
-    inv_limit = 1.0 / _rescale_limit
-    shift = int(round(math.log2(_rescale_limit)))
-    p_prev, p_cur = 1.0, x - c[0]
-    offset = 0
-    out.append(ScaledReal.from_float(p_cur, offset))
-    for k in range(2, n_max + 1):
-        p_next = (x - c[k - 1]) * p_cur - lam[k - 1] * p_prev
-        m = max(abs(p_next), abs(p_cur))
-        if m > _rescale_limit:
-            p_next = math.ldexp(p_next, -shift)
-            p_cur = math.ldexp(p_cur, -shift)
-            offset += shift
-        elif 0.0 < m < inv_limit:
-            p_next = math.ldexp(p_next, shift)
-            p_cur = math.ldexp(p_cur, shift)
-            offset -= shift
-        out.append(ScaledReal.from_float(p_next, offset))
-        p_prev, p_cur = p_cur, p_next
-    return tuple(out)
 
 
 def count_zeros_below(rec: MonicRecurrence, x: float, n: int) -> int:

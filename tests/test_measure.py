@@ -12,6 +12,7 @@ from zeroflow import (
     NotMinimal,
     PoleHit,
     RabiParams,
+    RawRecurrence,
     displaced_recurrence,
     eval_E,
     eval_F,
@@ -227,6 +228,45 @@ def test_partial_fractions_agrees_with_residue_route():
     np.testing.assert_allclose(w_christoffel, w_residue, rtol=1e-6)
 
 
+def _mp_christoffel_weights(rec, nodes, n):
+    """1 / sum_{l<n} P_l(x)^2 / n_l at 60 digits: the monic recurrence and
+    the products n_l = lambda_1 ... lambda_l on the model's own doubles."""
+    c, lam = rec.coeff_arrays(n)
+    out = []
+    with mpmath.workdps(60):
+        cs = [mpmath.mpf(v) for v in c.tolist()]
+        ls = [mpmath.mpf(v) for v in lam.tolist()]
+        for x in nodes.tolist():
+            x = mpmath.mpf(x)
+            prev, cur, norm, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(1)
+            for l in range(1, n):
+                prev, cur = cur, (x - cs[l - 1]) * cur - ls[l - 1] * prev
+                norm *= ls[l]
+                total += cur * cur / norm
+            out.append(1 / total)
+    return out
+
+
+@pytest.mark.parametrize("kappa, n", [(4.0, 60), (16.0, 200), (16.0, 300)])
+def test_partial_fractions_weights_match_mpmath(kappa, n):
+    # every 12th node and the 8 highest, whose weights are the smallest (at
+    # kappa = 16, n = 300 they reach the subnormal range)
+    m = partial_fractions(displaced_recurrence(kappa), n)
+    picks = np.unique(np.r_[np.arange(0, n, 12), np.arange(n - 8, n)])
+    expect = _mp_christoffel_weights(displaced_recurrence(kappa), m.nodes[picks], n)
+    checked = 0
+    for w, e in zip(m.weights[picks].tolist(), expect):
+        if w > 2.0**-1000:
+            assert abs(float((w - e) / e)) <= 1e-12
+            checked += 1
+    assert checked >= len(picks) - 3
+
+
+def test_partial_fractions_raises_on_underflowing_weight():
+    with pytest.raises(ValueError, match="underflows"):
+        partial_fractions(displaced_recurrence(16.0), 400)
+
+
 def test_partial_fractions_raises_past_coagulation_horizon():
     with pytest.raises(ValueError, match="coagulation"):
         partial_fractions(displaced_recurrence(0.2), 40)
@@ -270,6 +310,15 @@ def test_first_masses_match_poisson_ladder():
         assert spectral_mass(rec, k - 0.04).mass == pytest.approx(expect, rel=1e-10)
 
 
+@pytest.mark.parametrize("kappa, k", [(1.0, 1), (2**0.5, 2), (3**0.5, 3)])
+def test_poisson_ladder_where_P1_vanishes(kappa, k):
+    # xi = k - kappa**2 = 0 = c_0 makes the l = 1 term exactly zero, an
+    # isolated small term early in the sum that must not cut it
+    rec = displaced_recurrence(kappa)
+    expect = math.exp(-float(k)) * float(k) ** k / math.factorial(k)
+    assert spectral_mass(rec, k - float(k)).mass == pytest.approx(expect, rel=1e-10)
+
+
 def test_masses_sum_below_one_and_approach_it():
     rec = displaced_recurrence(0.2)
     partial = [sum(spectral_mass(rec, l - 0.04).mass for l in range(k)) for k in (3, 6, 10)]
@@ -304,6 +353,73 @@ def test_displaced_eigenvector_is_coherent_state():
     assert res.bargmann_saturated
     assert res.bargmann_partial_sums[-1] == pytest.approx(math.exp(0.04), rel=1e-10)
     assert res.two_term_residual < 1e-10
+
+
+def _displaced_eigenvector(kappa, k, n_max):
+    """phi_n of (z + kappa)**k exp(-kappa z), the displaced number state k,
+    normalized to phi_0 = 1."""
+    return np.array([
+        sum(
+            math.comb(k, j) * kappa ** -j * (-kappa) ** (n - j) / math.factorial(n - j)
+            for j in range(min(k, n) + 1)
+        )
+        for n in range(n_max + 1)
+    ])
+
+
+def test_eigenvector_with_vanishing_component():
+    # kappa = 1, xi = 0: phi_n = (-1)**n (1 - n) / n!, so phi_1 = 0 exactly
+    raw = rabi_raw_recurrence(RabiParams(kappa=1.0, delta=0.0))
+    res = reconstruct_eigenvector(displaced_recurrence(1.0), raw, 0.0, 30)
+    expect = np.array([(-1) ** n * (1 - n) / math.factorial(n) for n in range(31)])
+    np.testing.assert_allclose(res.phi, expect, rtol=0, atol=1e-15)
+    assert res.bargmann_saturated
+    # kappa = sqrt(2) at its level 2 - 2.0 = 0: phi_1 = 0 again
+    kappa = 2**0.5
+    raw = rabi_raw_recurrence(RabiParams(kappa=kappa, delta=0.0))
+    res = reconstruct_eigenvector(displaced_recurrence(kappa), raw, 2 - 2.0, 30)
+    np.testing.assert_allclose(res.phi, _displaced_eigenvector(kappa, 2, 30), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nudge, disagree", [(1e-16, False), (1e-6, True)])
+def test_backward_runs_compared_above_rounding_noise(monkeypatch, nudge, disagree):
+    # kappa = 1, xi = 0 has phi_1 = 0: a difference of 1e-16 between the two
+    # runs there is rounding noise against max |phi_j| = 1, while 1e-6 is not.
+    # The second run's phi_1 = rho_1 is moved by the nudge, phi_2 = rho_1 rho_2
+    # is kept.
+    from zeroflow import measure
+
+    inner = measure._backward_minimal
+
+    def nudged(raw, xi, n_max, start, seed):
+        rho = inner(raw, xi, n_max, start, seed)
+        if seed != 1234:
+            phi_2 = rho[0] * rho[1]
+            rho[0] += nudge
+            rho[1] = phi_2 / rho[0]
+        return rho
+
+    monkeypatch.setattr(measure, "_backward_minimal", nudged)
+    raw = rabi_raw_recurrence(RabiParams(kappa=1.0, delta=0.0))
+    if disagree:
+        with pytest.raises(NotMinimal, match="disagree at n=1"):
+            reconstruct_eigenvector(displaced_recurrence(1.0), raw, 0.0, 30)
+    else:
+        reconstruct_eigenvector(displaced_recurrence(1.0), raw, 0.0, 30)
+
+
+def test_backward_runs_disagree_without_minimal_solution():
+    # a_n = -x, b_n = 1 (monic c = 0, lambda = 1): at x = 0.5 both solutions
+    # of t**2 - x t + 1 = 0 have modulus one, so no solution is minimal and
+    # the runs from two random tails differ at O(1)
+    raw = RawRecurrence.from_affine(
+        alpha=lambda n: np.ones(np.shape(n)),
+        c=lambda n: np.zeros(np.shape(n)),
+        b=lambda n: np.ones(np.shape(n)),
+    )
+    rec = MonicRecurrence(c=lambda n: np.zeros(np.shape(n)), lam=lambda n: np.ones(np.shape(n)))
+    with pytest.raises(NotMinimal, match="disagree"):
+        reconstruct_eigenvector(rec, raw, 0.5, 30)
 
 
 def test_rabi_eigenvector_two_term_residual():

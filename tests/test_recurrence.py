@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -14,12 +13,10 @@ from zeroflow import (
     RawRecurrence,
     count_zeros_below,
     displaced_recurrence,
-    eval_sequence,
     rabi_raw_recurrence,
     rabi_recurrence,
     to_monic,
 )
-from zeroflow.recurrence import _RESCALE_LIMIT
 
 from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
 
@@ -56,7 +53,8 @@ def test_to_monic_zero_sets_match_raw_truncation():
             for k in range(1, n):
                 phi_prev, phi = phi, -a[k] * phi - b[k] * phi_prev
             signs_raw.append(np.sign(phi))
-        signs_p = [seq[-1].sign for seq in (eval_sequence(rec, float(x), n) for x in xs)]
+        # sign P_n(x) = (-1)**(number of zeros of P_n above x)
+        signs_p = [(-1) ** (n - count_zeros_below(rec, float(x), n)) for x in xs]
         flips_raw = np.nonzero(np.diff(signs_raw))[0]
         flips_p = np.nonzero(np.diff(signs_p))[0]
         np.testing.assert_array_equal(flips_raw, flips_p)
@@ -104,61 +102,6 @@ def test_lambda0_convention_and_cap():
     assert rec.n_cap == 3
     with pytest.raises(ValueError):
         rec.coeff_arrays(4)
-
-
-# -- evaluation --------------------------------------------------------------
-
-
-def test_eval_sequence_hermite_at_zero():
-    seq = eval_sequence(hermite_recurrence(), 0.0, 3)
-    assert [s.to_float() for s in seq] == [1.0, 0.0, -1.0, 0.0]
-
-
-def test_eval_sequence_first_step_is_x_minus_c0():
-    rec = displaced_recurrence(0.2)
-    assert eval_sequence(rec, -0.04, 1)[-1].to_float() == pytest.approx(-0.04, abs=0)
-
-
-def test_eval_sequence_long_growth_against_mpmath():
-    # c_n = 0, lambda_n = 1, x = 10: growth never over/underflows and the
-    # exponent tracks an independently computed high-precision value
-    import mpmath
-
-    rec = MonicRecurrence(
-        c=lambda n: np.zeros(np.shape(n)), lam=lambda n: np.ones(np.shape(n))
-    )
-    n = 2000
-    seq = eval_sequence(rec, 10.0, n)
-    with mpmath.workprec(300):
-        p_prev, p_cur = mpmath.mpf(1), mpmath.mpf(10)
-        for _ in range(2, n + 1):
-            p_prev, p_cur = p_cur, 10 * p_cur - p_prev
-        expect_log2 = mpmath.log(abs(p_cur), 2)
-        expect_sign = 1 if p_cur > 0 else -1
-    got = seq[-1]
-    assert got.sign == expect_sign
-    assert got.log2_abs() == pytest.approx(float(expect_log2), rel=1e-12)
-    assert got.exp2 > 6000  # far past the double range
-
-
-def test_renormalization_preserves_every_mantissa_bit():
-    # forcing a rescale on almost every step must reproduce the plain float
-    # recurrence bit for bit whenever the latter does not overflow
-    rec = rabi_recurrence(RabiParams(kappa=0.7, delta=0.3))
-    x = 3.21
-    n = 60
-    forced = eval_sequence(rec, x, n, _rescale_limit=2.0**8)
-    plain = eval_sequence(rec, x, n, _rescale_limit=_RESCALE_LIMIT)
-    for a, b in zip(forced, plain):
-        assert a.sign == b.sign
-        assert a.mantissa == b.mantissa  # exact bit equality
-        assert a.exp2 == b.exp2
-    # and the plain run agrees with a raw float recurrence
-    c, lam = rec.coeff_arrays(n)
-    p_prev, p_cur = 1.0, x - c[0]
-    for k in range(2, n + 1):
-        p_prev, p_cur = p_cur, (x - c[k - 1]) * p_cur - lam[k - 1] * p_prev
-    assert plain[-1].to_float() == p_cur
 
 
 # -- Sturm counts ------------------------------------------------------------
@@ -261,7 +204,11 @@ def test_evaluation_is_monic_of_full_degree():
     # fit a cubic through P_3 samples: leading coefficient exactly 1
     rec = rabi_recurrence(RabiParams(kappa=0.7, delta=0.3))
     xs = np.array([-1.0, 0.5, 2.0, 3.5])
-    vals = np.array([eval_sequence(rec, float(x), 3)[-1].to_float() for x in xs])
+    c, lam = rec.coeff_arrays(3)
+    p_prev, p = np.zeros_like(xs), np.ones_like(xs)
+    for ck, lk in zip(c, lam):
+        p_prev, p = p, (xs - ck) * p - lk * p_prev
+    vals = p
     coeffs = np.polyfit(xs, vals, 3)
     assert coeffs[0] == pytest.approx(1.0, abs=1e-10)
 
