@@ -9,11 +9,18 @@ Subcommands:
     classify          growth-exponent membership test (case a-d)
     classify-spectrum lattice-family fit of a spectrum file
 
+The computing subcommands pass the argparse values straight on: _recurrence
+validates the flags and builds the model, _schedule hands --schedule or the
+growth flags to the flows module, which alone clamps cut-offs to a tabulated
+model's length (cf-compare's default --depth is clamped the same way), and
+_emit_rows writes every csv or json result.
+
 Exit codes: 0 success, 1 usage/config error, 2 partial result (budget hit
 before convergence), 3 numerical fault (NonMonotoneFlow, ZeroCoagulation,
 Divergent).  Outputs are deterministic: identical configurations produce
 byte-identical files.  CSV numbers carry 17 significant digits and JSON uses
-shortest round-trip floats, so either format reparses losslessly.
+shortest round-trip floats, so either format reparses losslessly; a missing
+number is nan in csv and null in json.
 """
 
 from __future__ import annotations
@@ -24,16 +31,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .classifier import classify
 from .errors import Divergent, NonMonotoneFlow, ZeroCoagulation, ZeroflowError
-from .flows import GrowthSchedule, _default_schedule, flow_trace, run_flows
+from .flows import GrowthSchedule, ScheduleLike, _default_schedule, _degrees, flow_trace, run_flows
 from .lattice import FAMILIES, best_lattice_fit, fit_lattice
 from .measure import _eval_F_many
 from .models import (
@@ -48,144 +53,96 @@ from .recurrence import MonicRecurrence, RecurrenceAsymptotics, count_zeros_belo
 _DEFAULT_POINTS = 200_001
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ZeroflowError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated solver configuration shared by the computing subcommands.
+def _recurrence(args, *checks: tuple[bool, str]) -> MonicRecurrence:
+    """The model named by the flags, after the shared model and solver flags
+    and then the subcommand's own (condition, message) checks are validated."""
+    _require(args.tol > 0.0, "--tol must be > 0")
+    _require(args.growth > 1.0, "--growth must be > 1")
+    _require(args.n_max >= 1, "--n-max must be >= 1")
+    _require(args.omega > 0.0, "--omega must be > 0")
+    if args.model == "tabulated":
+        _require(args.table is not None, "--table is required for the tabulated model")
+    else:
+        _require(args.kappa is not None, f"--kappa is required for the {args.model} model")
+    if args.model == "displaced":
+        _require(args.kappa > 0.0, "kappa must be > 0 to build the displaced recurrence")
+    for cond, message in checks:
+        _require(cond, message)
+    if args.model == "rabi":
+        return rabi_recurrence(RabiParams(kappa=args.kappa, delta=args.delta, parity=args.parity))
+    if args.model == "displaced":
+        return displaced_recurrence(args.kappa)
+    return tabulated_recurrence(load_tabulated(args.table))
 
-    Core paths take no random seed: identical configs give identical bytes.
-    """
 
-    model: str
-    kappa: Optional[float]
-    delta: float
-    parity: str
-    table: Optional[str]
-    omega: float
-    tol: float
-    n_start: Optional[int]
-    growth: float
-    n_max: int
-    schedule: Optional[tuple[int, ...]]
-    fmt: str
-    out: Optional[str]
-    override: bool
+def _schedule(args, n_levels: int) -> ScheduleLike:
+    """The --schedule degrees, or else the default growth schedule for
+    n_levels flows with the --n-start, --growth and --n-max flags."""
+    if args.schedule is None:
+        return _default_schedule(n_levels, args.n_start, args.growth, args.n_max)
+    try:
+        return [int(tok) for tok in args.schedule.split(",")]
+    except ValueError:
+        raise ZeroflowError(f"--schedule must be comma-separated integers, got {args.schedule!r}")
 
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        schedule = None
-        if getattr(args, "schedule", None) is not None:
-            try:
-                schedule = tuple(int(tok) for tok in args.schedule.split(","))
-            except ValueError:
-                raise ZeroflowError(f"--schedule must be comma-separated integers, got {args.schedule!r}")
-        cfg = cls(
-            model=args.model,
-            kappa=args.kappa,
-            delta=args.delta,
-            parity=args.parity,
-            table=args.table,
-            omega=args.omega,
-            tol=args.tol,
-            n_start=args.n_start,
-            growth=args.growth,
-            n_max=args.n_max,
-            schedule=schedule,
-            fmt=args.format,
-            out=args.out,
-            override=args.override,
-        )
-        _require(cfg.tol > 0.0, "--tol must be > 0")
-        _require(cfg.growth > 1.0, "--growth must be > 1")
-        _require(cfg.n_max >= 1, "--n-max must be >= 1")
-        _require(cfg.omega > 0.0, "--omega must be > 0")
-        if cfg.model == "rabi":
-            _require(cfg.kappa is not None, "--kappa is required for the rabi model")
-        elif cfg.model == "displaced":
-            _require(cfg.kappa is not None, "--kappa is required for the displaced model")
-            _require(cfg.kappa > 0.0, "kappa must be > 0 to build the displaced recurrence")
-        else:
-            _require(cfg.table is not None, "--table is required for the tabulated model")
-        return cfg
 
-    def recurrence(self) -> MonicRecurrence:
-        if self.model == "rabi":
-            return rabi_recurrence(RabiParams(kappa=self.kappa, delta=self.delta, parity=self.parity))
-        if self.model == "displaced":
-            return displaced_recurrence(self.kappa)
-        return tabulated_recurrence(load_tabulated(self.table))
+def _emit(args, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
-    def schedule_for(self, rec: MonicRecurrence, n_levels: int):
-        if self.schedule is not None:
-            return list(self.schedule)
-        return _default_schedule(rec, n_levels, self.n_start, self.growth, self.n_max)
 
-    def emit(self, text: str) -> None:
-        if self.out:
-            Path(self.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+def _emit_rows(args, header: dict, key: str, columns: tuple[str, ...], rows) -> None:
+    """csv: the column names, then one line per row, floats with 17
+    significant digits and bools as true/false.  json: the header keys, then
+    the rows as objects under `key`, with a non-finite float as null."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(
+                ("true" if v else "false") if isinstance(v, bool)
+                else format(v, ".17g") if isinstance(v, float)
+                else v
+                for v in row
+            )
+        _emit(args, buf.getvalue())
+        return
+    body = [
+        {c: None if isinstance(v, float) and not math.isfinite(v) else v for c, v in zip(columns, row)}
+        for row in rows
+    ]
+    _emit(args, json.dumps({**header, key: body}, indent=2) + "\n")
 
 
 # -- spectrum ----------------------------------------------------------------
 
 
 def cmd_spectrum(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require(args.levels >= 1, "--levels must be >= 1")
-    rec = cfg.recurrence()
+    rec = _recurrence(args, (args.levels >= 1, "--levels must be >= 1"))
     result = run_flows(
-        rec,
-        args.levels,
-        tol=cfg.tol,
-        schedule=cfg.schedule_for(rec, args.levels),
-        override=cfg.override,
+        rec, args.levels, tol=args.tol, schedule=_schedule(args, args.levels), override=args.override
     )
-    omega = cfg.omega
-
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["l", "xi", "n_converged", "last_decrement", "converged"])
-        for lv in result.levels:
-            writer.writerow(
-                [
-                    lv.l,
-                    _fmt(lv.xi * omega),
-                    lv.n_converged,
-                    _fmt(lv.last_decrement * omega) if math.isfinite(lv.last_decrement) else "nan",
-                    "true" if lv.converged else "false",
-                ]
-            )
-        cfg.emit(buf.getvalue())
-    else:
-        payload = {
-            "model": result.model_descriptor,
-            "tolerance": result.tolerance,
-            "omega": omega,
-            "complete": result.complete,
-            "levels": [
-                {
-                    "l": lv.l,
-                    "xi": lv.xi * omega,
-                    "n_converged": lv.n_converged,
-                    "last_decrement": (
-                        lv.last_decrement * omega if math.isfinite(lv.last_decrement) else None
-                    ),
-                    "converged": lv.converged,
-                }
-                for lv in result.levels
-            ],
-        }
-        cfg.emit(json.dumps(payload, indent=2) + "\n")
+    omega = args.omega
+    header = {
+        "model": result.model_descriptor,
+        "tolerance": result.tolerance,
+        "omega": omega,
+        "complete": result.complete,
+    }
+    rows = [
+        (lv.l, lv.xi * omega, lv.n_converged, lv.last_decrement * omega, lv.converged)
+        for lv in result.levels
+    ]
+    columns = ("l", "xi", "n_converged", "last_decrement", "converged")
+    _emit_rows(args, header, "levels", columns, rows)
     return 0 if result.complete else 2
 
 
@@ -193,30 +150,19 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require(args.level >= 1, "--level must be >= 1")
-    rec = cfg.recurrence()
+    rec = _recurrence(args, (args.level >= 1, "--level must be >= 1"))
     trace = flow_trace(
-        rec, args.level, cfg.schedule_for(rec, args.level), tol=cfg.tol, override=cfg.override
+        rec, args.level, _schedule(args, args.level), tol=args.tol, override=args.override
     )
-    omega = cfg.omega
-
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "x"])
-        for n, x in trace.history:
-            writer.writerow([n, _fmt(x * omega)])
-        cfg.emit(buf.getvalue())
-    else:
-        payload = {
-            "model": rec.description,
-            "l": trace.l,
-            "converged": trace.converged,
-            "xi": None if trace.xi is None else trace.xi * omega,
-            "history": [{"n": n, "x": x * omega} for n, x in trace.history],
-        }
-        cfg.emit(json.dumps(payload, indent=2) + "\n")
+    omega = args.omega
+    header = {
+        "model": rec.description,
+        "l": trace.l,
+        "converged": trace.converged,
+        "xi": None if trace.xi is None else trace.xi * omega,
+    }
+    rows = [(n, x * omega) for n, x in trace.history]
+    _emit_rows(args, header, "history", ("n", "x"), rows)
     return 0 if trace.converged else 2
 
 
@@ -227,35 +173,34 @@ def _stable_level_count(rec: MonicRecurrence, x_max: float) -> int:
     """Number of spectral points below x_max: the Sturm count at degree n is
     nondecreasing in n and reaches the true count once the relevant flows
     have crossed x_max, so grow n until the count repeats."""
-    n = 64
     prev = -1
-    while True:
-        if rec.n_cap is not None and n > rec.n_cap:
-            n = rec.n_cap
+    for n in _degrees(rec, 1, GrowthSchedule(64)):
         cnt = count_zeros_below(rec, x_max, n)
-        if cnt == prev or (rec.n_cap is not None and n >= rec.n_cap):
-            return cnt
+        if cnt == prev:
+            break
         prev = cnt
-        n = int(math.ceil(1.5 * n))
+    return cnt
 
 
 def cmd_cf_compare(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require(args.x_max > args.x_min, "--x-max must exceed --x-min")
-    _require(args.points >= 2, "--points must be >= 2")
-    rec = cfg.recurrence()
-
+    rec = _recurrence(
+        args,
+        (args.x_max > args.x_min, "--x-max must exceed --x-min"),
+        (args.points >= 2, "--points must be >= 2"),
+    )
     total = _stable_level_count(rec, args.x_max)
     rows = []
     complete = True
     if total > 0:
         result = run_flows(
-            rec, total, tol=cfg.tol, schedule=cfg.schedule_for(rec, total), override=cfg.override
+            rec, total, tol=args.tol, schedule=_schedule(args, total), override=args.override
         )
         complete = result.complete
         xi = result.xi
         inside = xi[(xi >= args.x_min) & (xi < args.x_max)]
-        depth = args.depth if args.depth is not None else total + 60
+        depth = args.depth
+        if depth is None:
+            depth = total + 60 if rec.n_cap is None else min(total + 60, rec.n_cap)
         _require(depth >= 1, "--depth must be >= 1")
 
         grid = np.linspace(args.x_min, args.x_max, args.points)
@@ -273,59 +218,22 @@ def cmd_cf_compare(args) -> int:
         for k, level in enumerate(inside):
             lo, hi = bounds[k], bounds[k + 1]
             changes = int(np.count_nonzero((flip_pos >= lo) & (flip_pos < hi)))
-            rows.append(
-                {
-                    "interval": k + 1,
-                    "x_lo": lo,
-                    "x_hi": hi,
-                    "xi": float(level),
-                    "f_sign_changes": changes,
-                    "true_levels": 1,
-                    "detected": changes > 0,
-                }
-            )
+            rows.append((k + 1, lo, hi, float(level), changes, 1, changes > 0))
 
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["interval", "x_lo", "x_hi", "xi", "f_sign_changes", "true_levels", "detected"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r["interval"],
-                    _fmt(r["x_lo"]),
-                    _fmt(r["x_hi"]),
-                    _fmt(r["xi"]),
-                    r["f_sign_changes"],
-                    r["true_levels"],
-                    "true" if r["detected"] else "false",
-                ]
-            )
-        cfg.emit(buf.getvalue())
-    else:
-        payload = {
-            "model": rec.description,
-            "x_min": args.x_min,
-            "x_max": args.x_max,
-            "points": args.points,
-            "true_levels": len(rows),
-            "detected_levels": sum(1 for r in rows if r["detected"]),
-            "intervals": rows,
-        }
-        cfg.emit(json.dumps(payload, indent=2) + "\n")
+    header = {
+        "model": rec.description,
+        "x_min": args.x_min,
+        "x_max": args.x_max,
+        "points": args.points,
+        "true_levels": len(rows),
+        "detected_levels": sum(1 for r in rows if r[-1]),
+    }
+    columns = ("interval", "x_lo", "x_hi", "xi", "f_sign_changes", "true_levels", "detected")
+    _emit_rows(args, header, "intervals", columns, rows)
     return 0 if complete else 2
 
 
 # -- classify ----------------------------------------------------------------
-
-
-def _emit_plain(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_classify(args) -> int:
@@ -339,7 +247,7 @@ def cmd_classify(args) -> int:
         "dominant_excluded": report.dominant_excluded,
         "detail": report.detail,
     }
-    _emit_plain(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -379,7 +287,7 @@ def cmd_classify_spectrum(args) -> int:
         "residual": fit.residual,
         "levels_used": fit.levels_used,
     }
-    _emit_plain(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, json.dumps(payload, indent=2) + "\n")
     return 0
 
 

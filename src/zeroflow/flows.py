@@ -86,48 +86,46 @@ class GrowthSchedule:
 ScheduleLike = Union[GrowthSchedule, Sequence[int]]
 
 
-def _cap_schedule(schedule: ScheduleLike, n_cap: Optional[int]) -> ScheduleLike:
-    """Clamp a growth schedule's budget to a tabulated model's length."""
-    if (
-        n_cap is not None
-        and isinstance(schedule, GrowthSchedule)
-        and schedule.n_max > n_cap
-    ):
-        if schedule.n_start > n_cap:
-            raise ValueError(
-                f"n_start={schedule.n_start} exceeds the tabulated length {n_cap}"
-            )
-        return GrowthSchedule(schedule.n_start, schedule.growth, n_cap)
-    return schedule
-
-
 def _default_schedule(
-    rec: MonicRecurrence,
     n_levels: int,
     n_start: Optional[int] = None,
     growth: float = GrowthSchedule.growth,
     n_max: int = GrowthSchedule.n_max,
 ) -> GrowthSchedule:
-    """Growth schedule from n_start (default n_levels + 20), with n_start
-    clamped to a tabulated model's length (_cap_schedule clamps n_max)."""
+    """Growth schedule for n_levels flows from n_start (default n_levels + 20)."""
     start = n_levels + 20 if n_start is None else int(n_start)
     if start < n_levels:
         raise ValueError(f"n_start must be >= n_levels ({n_levels}), got {start}")
-    if rec.n_cap is not None and rec.n_cap < start:
-        start = rec.n_cap
-        if start < n_levels:
-            raise ValueError("tabulated model too short for the requested levels")
     return GrowthSchedule(n_start=start, growth=growth, n_max=n_max)
 
 
-def _schedule_degrees(schedule: ScheduleLike) -> Iterable[int]:
+def _degrees(
+    rec: MonicRecurrence, count: int, schedule: Optional[ScheduleLike] = None
+) -> list[int]:
+    """The cut-offs at which `count` flows are followed: a growth schedule
+    (by default _default_schedule) or an explicit increasing list, clamped to
+    a tabulated model's length.  A growth schedule that runs past the table
+    ends with one step at the table length; list degrees past it are dropped."""
+    cap = rec.n_cap
+    if cap is not None and cap < count:
+        raise ValueError("tabulated model too short for the requested levels")
+    if schedule is None:
+        schedule = _default_schedule(count)
     if isinstance(schedule, GrowthSchedule):
-        return schedule.degrees()
-    degrees = [int(n) for n in schedule]
-    if not degrees:
-        raise ValueError("schedule must contain at least one degree")
-    if any(n < 1 for n in degrees) or any(b <= a for a, b in zip(degrees, degrees[1:])):
-        raise ValueError("schedule degrees must be positive and strictly increasing")
+        if cap is not None and schedule.n_max > cap:
+            schedule = GrowthSchedule(min(schedule.n_start, cap), schedule.growth, cap)
+        degrees = list(schedule.degrees())
+    else:
+        degrees = [int(n) for n in schedule]
+        if not degrees:
+            raise ValueError("schedule must contain at least one degree")
+        if any(n < 1 for n in degrees) or any(b <= a for a, b in zip(degrees, degrees[1:])):
+            raise ValueError("schedule degrees must be positive and strictly increasing")
+        degrees = [n for n in degrees if cap is None or n <= cap]
+        if not degrees:
+            raise ValueError("schedule produced no degrees")
+    if degrees[0] < count:
+        raise ValueError(f"schedule degree {degrees[0]} is below the flow count {count}")
     return degrees
 
 
@@ -272,14 +270,6 @@ def _zeros_with_warm(
     return ZeroTableau(n=n, zeros=zeros)
 
 
-def _check_monotone(l: int, n_prev: int, x_prev: float, n_new: int, x_new: float) -> None:
-    slack = float(_bisect_tol(np.array([max(abs(x_prev), abs(x_new))]))[0])
-    if x_new > x_prev + slack:
-        raise NonMonotoneFlow(
-            f"flow l={l} increased from x_{{{n_prev}}}={x_prev!r} to x_{{{n_new}}}={x_new!r}"
-        )
-
-
 def _refuse_if_outside_class(rec: MonicRecurrence, override: bool) -> None:
     """The membership conditions are sufficient, not necessary, so the
     verdict is advisory: refuse only an explicit negative one, and let
@@ -297,78 +287,73 @@ def _refuse_if_outside_class(rec: MonicRecurrence, override: bool) -> None:
 
 
 def _track_flows(
-    rec: MonicRecurrence, count: int, tol: float, schedule: ScheduleLike, watch: int
-) -> tuple[list[list[tuple[int, float]]], np.ndarray]:
-    """Histories of the first `count` zero flows over the schedule and the
-    degree at which each converged (0 if it did not), as run_flows defines
-    convergence.  Stops once every flow from index `watch` on has converged."""
-    histories: list[list[tuple[int, float]]] = [[] for _ in range(count)]
+    rec: MonicRecurrence,
+    count: int,
+    tol: float,
+    schedule: Optional[ScheduleLike],
+    watch: int,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The degrees visited, the tableaux of the first `count` zero flows at
+    those degrees (one row per degree), and the degree at which each flow
+    converged (0 if it did not), as run_flows defines convergence.  Stops
+    once every flow from index `watch` on has converged."""
+    degrees = _degrees(rec, count, schedule)
+    rows: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
-    warm = None
-    for n in _schedule_degrees(_cap_schedule(schedule, rec.n_cap)):
-        if rec.n_cap is not None and n > rec.n_cap:
-            break
-        if n < count:
-            raise ValueError(f"schedule degree {n} is below the flow count {count}")
-        tab = _zeros_with_warm(rec, n, count, warm)
-        for i, hist in enumerate(histories):
-            x = float(tab.zeros[i])
-            if hist:
-                _check_monotone(i + 1, hist[-1][0], hist[-1][1], n, x)
-            hist.append((n, x))
-            if not n_conv[i] and len(hist) >= 3:
-                d1 = hist[-3][1] - hist[-2][1]
-                d2 = hist[-2][1] - hist[-1][1]
-                if d1 < tol and d2 < tol:
-                    n_conv[i] = n
-        warm = tab.zeros
+    for n in degrees:
+        x = _zeros_with_warm(rec, n, count, rows[-1] if rows else None).zeros
+        if rows:
+            prev = rows[-1]
+            up = np.flatnonzero(x > prev + _bisect_tol(np.maximum(np.abs(prev), np.abs(x))))
+            if up.size:
+                i = int(up[0])
+                raise NonMonotoneFlow(
+                    f"flow l={i + 1} increased from x_{{{degrees[len(rows) - 1]}}}="
+                    f"{float(prev[i])!r} to x_{{{n}}}={float(x[i])!r}"
+                )
+        rows.append(x)
+        if len(rows) >= 3:
+            decrements = -np.diff(rows[-3:], axis=0)
+            n_conv[(decrements < tol).all(axis=0) & (n_conv == 0)] = n
         if n_conv[watch:].all():
             break
-    if not histories[0]:
-        raise ValueError("schedule produced no degrees")
-    return histories, n_conv
+    return degrees[: len(rows)], np.array(rows), n_conv
 
 
 def run_flows(
     rec: MonicRecurrence,
     n_levels: int,
     tol: float = 1e-8,
-    n_start: Optional[int] = None,
     schedule: Optional[ScheduleLike] = None,
     override: bool = False,
 ) -> SpectrumResult:
     """Track the first n_levels zero flows until each has converged.
 
-    A flow converges once two successive schedule decrements are both below
-    tol (one small decrement can be a slow flow, not a converged one).  If
-    the schedule is exhausted first, the partial result is returned with the
-    affected levels flagged converged=False.
+    The cut-offs follow `schedule`, by default a growth schedule starting at
+    n_levels + 20.  A flow converges once two successive schedule decrements
+    are both below tol (one small decrement can be a slow flow, not a
+    converged one).  If the schedule is exhausted first, the partial result
+    is returned with the affected levels flagged converged=False.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     if not (tol > 0.0):
         raise ValueError("tol must be > 0")
     _refuse_if_outside_class(rec, override)
-    if schedule is None:
-        schedule = _default_schedule(rec, n_levels, n_start)
-    elif n_start is not None:
-        raise ValueError("pass either n_start or an explicit schedule, not both")
-    histories, n_conv = _track_flows(rec, n_levels, tol, schedule, watch=0)
-
-    levels = []
-    for i, hist in enumerate(histories):
-        dec = hist[-2][1] - hist[-1][1] if len(hist) >= 2 else math.nan
-        levels.append(
+    degrees, tableaux, n_conv = _track_flows(rec, n_levels, tol, schedule, watch=0)
+    xi = tableaux[-1].tolist()
+    dec = (tableaux[-2] - tableaux[-1]).tolist() if len(degrees) >= 2 else [math.nan] * n_levels
+    return SpectrumResult(
+        levels=tuple(
             LevelResult(
                 l=i + 1,
-                xi=hist[-1][1],
-                n_converged=int(n_conv[i]) or hist[-1][0],
-                last_decrement=dec,
+                xi=xi[i],
+                n_converged=int(n_conv[i]) or degrees[-1],
+                last_decrement=dec[i],
                 converged=bool(n_conv[i]),
             )
-        )
-    return SpectrumResult(
-        levels=tuple(levels),
+            for i in range(n_levels)
+        ),
         model_descriptor=rec.description,
         tolerance=float(tol),
     )
@@ -386,8 +371,8 @@ def flow_trace(
     if l < 1:
         raise ValueError("l must be >= 1")
     _refuse_if_outside_class(rec, override)
-    histories, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)
-    history = tuple(histories[l - 1])
+    degrees, tableaux, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)
+    history = tuple(zip(degrees, tableaux[:, l - 1].tolist()))
     converged = bool(n_conv[l - 1])
     return ZeroFlow(
         l=l, history=history, converged=converged, xi=history[-1][1] if converged else None

@@ -53,6 +53,22 @@ _SEED = 2.0**-64
 # component without disagreeing: rounding noise in a vanishing component.
 _NOISE = 2.0**-40
 
+# reconstruct_eigenvector accepts xi when the two-term residual changes sign
+# within this many ulps of max(1, |xi|) on either side: the bisection
+# resolution of the zeros that xi comes from.
+_LEVEL_ULPS = 4
+
+# spectral_mass: a sum is divergent once it exceeds _DIVERGENCE_THRESHOLD
+# times its first term while its terms rose _DIVERGENCE_RUN times in a row
+# past the dominance index, and saturated after _TAIL_RUN terms in a row
+# below _TAIL_RTOL of the sum, or at a turnaround where two consecutive terms
+# fell below _SATURATE_RTOL of it.
+_DIVERGENCE_THRESHOLD = 1e12
+_DIVERGENCE_RUN = 100
+_TAIL_RTOL = 1e-13
+_TAIL_RUN = 12
+_SATURATE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -233,26 +249,7 @@ def _christoffel_sums(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndar
     return sums
 
 
-def _derivative_weights(rec: MonicRecurrence, n: int, nodes: np.ndarray) -> np.ndarray:
-    """Residue form M_{n,k} = -1/F'(x_k), F' from the derivative of the same
-    backward fraction; kept as an independent cross-check route for degrees
-    low enough that the associated zeros have not yet coagulated with the
-    nodes."""
-    c, lam = rec.coeff_arrays(n)
-    _, df = _backward_fraction(c, lam, nodes, derivative=True)
-    return -1.0 / df
-
-
-def spectral_mass(
-    rec: MonicRecurrence,
-    xi: float,
-    l_max: int = 1000,
-    divergence_threshold: float = 1e12,
-    divergence_run: int = 100,
-    tail_rtol: float = 1e-13,
-    tail_run: int = 12,
-    saturate_rtol: float = 1e-12,
-) -> SpectralMass:
+def spectral_mass(rec: MonicRecurrence, xi: float, l_max: int = 1000) -> SpectralMass:
     """Mass of the limiting measure at a converged spectral point xi.
 
     Accumulates S_L = sum_{l<=L} P_l(xi)^2 / n_l, forward in plain doubles
@@ -267,21 +264,25 @@ def spectral_mass(
     candidate so the sum is cut at the turnaround, exactly like an
     asymptotic series.  Two consecutive small terms fix the whole minimal
     tail, while one term alone can be small by accident at an isolated zero
-    of P_l(xi) and is no candidate.  Divergence is declared heuristically
-    (thresholds exposed): S above divergence_threshold, terms rising over
-    divergence_run consecutive l, and no saturation candidate better than
-    saturate_rtol.  Spectral points deeper than about divergence_run levels
-    need divergence_run raised, as their sums legitimately climb for that
-    long before saturating.
+    of P_l(xi) and is no candidate.  Divergence is declared heuristically:
+    S above _DIVERGENCE_THRESHOLD, terms rising over _DIVERGENCE_RUN
+    consecutive l, and no saturation candidate better than _SATURATE_RTOL.
+    Rising terms count only past the Gershgorin dominance index M(xi), the
+    first k from which c_k - xi >= sqrt(lambda_k) + sqrt(lambda_{k+1}) holds
+    for every materialised coefficient: before it the terms of a deep level
+    legitimately climb through the range where the level lives.
     """
-    if l_max < tail_run + 2:
+    if l_max < _TAIL_RUN + 2:
         raise ValueError("l_max too small to certify anything")
     xi = float(xi)
     c, lam = rec.coeff_arrays(l_max + 1)
+    root = np.sqrt(lam)
+    loose = np.flatnonzero(c[:-1] - xi < root[:-1] + root[1:])
+    dominance = int(loose[-1]) + 1 if loose.size else 0
     terms = (p * p for p in _orthonormal(c, lam, xi))
 
     total = next(terms)  # l = 0 term: p~_0^2 = 2**-128 stands for P_0^2 / n_0 = 1
-    threshold = divergence_threshold * total
+    threshold = _DIVERGENCE_THRESHOLD * total
     small_run = 0
     rise_run = 0
     prev_term = total
@@ -297,7 +298,7 @@ def spectral_mass(
 
     for l, term in enumerate(terms, start=1):
         if not math.isfinite(total + term):
-            if best_ratio <= saturate_rtol:
+            if best_ratio <= _SATURATE_RTOL:
                 return saturated(best_total, best_tail)
             raise Divergent(f"partial sums overflow at l={l}: {xi!r} is not a spectral point")
         total += term
@@ -305,21 +306,21 @@ def spectral_mass(
         if ratio < best_ratio:
             best_ratio, best_total, best_tail = ratio, total, term + ratio * total
 
-        if term <= tail_rtol * total:
+        if term <= _TAIL_RTOL * total:
             small_run += 1
-            if small_run >= tail_run:
+            if small_run >= _TAIL_RUN:
                 return saturated(total, 2.0 * term)
         else:
             small_run = 0
-        rise_run = rise_run + 1 if term > prev_term else 0
+        rise_run = rise_run + 1 if term > prev_term and l > dominance else 0
         prev_term = term
-        if rise_run >= divergence_run and total > threshold and best_ratio > saturate_rtol:
+        if rise_run >= _DIVERGENCE_RUN and total > threshold and best_ratio > _SATURATE_RTOL:
             raise Divergent(
-                f"partial sums exceed {divergence_threshold:g} and grew over the last "
-                f"{divergence_run} terms: {xi!r} is not a spectral point"
+                f"partial sums exceed {_DIVERGENCE_THRESHOLD:g} and grew over the last "
+                f"{_DIVERGENCE_RUN} terms: {xi!r} is not a spectral point"
             )
 
-    if best_ratio <= saturate_rtol:
+    if best_ratio <= _SATURATE_RTOL:
         return saturated(best_total, best_tail)
     raise ValueError(
         f"sum neither saturated nor certified divergent by l_max={l_max}; increase l_max"
@@ -332,7 +333,6 @@ def reconstruct_eigenvector(
     xi: float,
     n_max: int,
     match_rtol: float = 1e-8,
-    residual_tol: float = 1e-6,
 ) -> EigenvectorResult:
     """Expansion coefficients phi_0..phi_{n_max} of the state at energy xi.
 
@@ -340,13 +340,16 @@ def reconstruct_eigenvector(
     far and compared) isolate the minimal solution; the result is normalized
     to phi_0 = 1.  The solution is a physical eigenvector only if (a) the
     Bargmann partial sums sum |phi_n|^2 n! saturate and (b) the two-term
-    condition phi_1 + a_0(xi) phi_0 = 0 holds; off the spectrum the unique
+    condition phi_1 + a_0(xi) phi_0 = 0 holds.  Off the spectrum the unique
     solution with the two-term initial condition is dominant and (b) fails by
-    an O(1) residual.  NotMinimal is raised in either case, and when the two
-    tail runs disagree (no minimal/dominant separation at xi).  The runs are
-    compared component by component to match_rtol, except that a difference
-    within rounding of the largest |phi_j| is never a disagreement: a
-    component that vanishes at xi holds only rounding noise in either run.
+    an O(1) residual; at a level the residual is the distance from xi to the
+    level magnified by 1/mass, so (b) is judged at xi's own resolution: the
+    residual must change sign between xi -+ _LEVEL_ULPS ulps of max(1, |xi|).
+    NotMinimal is raised if (a) or (b) fails, and when the two tail runs
+    disagree (no minimal/dominant separation at xi).  The runs are compared
+    component by component to match_rtol, except that a difference within
+    rounding of the largest |phi_j| is never a disagreement: a component that
+    vanishes at xi holds only rounding noise in either run.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -375,25 +378,31 @@ def reconstruct_eigenvector(
     saturated = bool(
         np.isfinite(sums[-1]) and head > 0.0 and (sums[-1] - head) <= 1e-10 * sums[-1]
     )
-
-    a0 = float(np.asarray(raw.a(np.array([0]), xi), dtype=float)[0])
-    phi1 = phi[1]
-    residual = abs(phi1 + a0) / max(1.0, abs(phi1), abs(a0))
-
     if not saturated:
         raise NotMinimal(
             f"Bargmann partial sums did not saturate by n_max={n_max} at {xi!r}"
         )
-    if residual > residual_tol:
+
+    def residual(x: float, phi_1: float) -> float:
+        """(phi_1 + a_0(x) phi_0) / max(1, |phi_1|, |a_0(x)|), with its sign."""
+        a0 = float(np.asarray(raw.a(np.array([0]), x), dtype=float)[0])
+        return (phi_1 + a0) / max(1.0, abs(phi_1), abs(a0))
+
+    h = _LEVEL_ULPS * math.ulp(max(1.0, abs(xi)))
+    below = residual(xi - h, _backward_minimal(raw, xi - h, 1, start, seed=1234)[0])
+    above = residual(xi + h, _backward_minimal(raw, xi + h, 1, start, seed=1234)[0])
+    at_xi = abs(residual(xi, phi[1]))
+    if below * above > 0.0:
         raise NotMinimal(
-            f"two-term condition violated at {xi!r} (residual {residual:.3e}): the physical "
-            "solution there is dominant, so xi is not a spectral point"
+            f"two-term condition violated at {xi!r} (residual {at_xi:.3e}, same sign at "
+            f"xi -+ {h:.1e}): the physical solution there is dominant, so xi is not a "
+            "spectral point"
         )
     return EigenvectorResult(
         phi=phi,
         bargmann_partial_sums=sums,
         bargmann_saturated=saturated,
-        two_term_residual=float(residual),
+        two_term_residual=at_xi,
     )
 
 

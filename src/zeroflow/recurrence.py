@@ -327,9 +327,7 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return c.shape[0] - n_low
 
 
-def _backward_fraction(
-    c: np.ndarray, lam: np.ndarray, xs: np.ndarray, derivative: bool = False
-):
+def _backward_fraction(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """F(x) = -P_n(x) / P^(1)_{n-1}(x), n = len(c), at each x in xs.
 
     Backward evaluation of the n-term continued fraction: t = x - c_{n-1},
@@ -337,30 +335,17 @@ def _backward_fraction(
     Each t is a ratio of associated polynomials, so nothing overflows and no
     rescaling is needed.  An exact hit t = 0 gives lambda/0 = inf and the next
     step's lambda/inf = 0, which is the correct limit; a final t = 0 leaves F
-    at +-inf, the pole.  With derivative=True, (F, F') is returned, F'
-    following t' <- 1 + lambda_{k+1} t' / t**2 (undefined after an exact
-    hit).
+    at +-inf, the pole.
     """
     xs = np.asarray(xs, dtype=float)
     t = np.full(xs.shape, np.inf)  # lambda / inf = 0 starts t = x - c_{n-1}
     u = np.empty_like(t)
-    steps = zip(c[::-1].tolist(), [1.0] + lam[:0:-1].tolist())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if not derivative:
-            for ck, lk in steps:
-                np.divide(lk, t, out=t)
-                np.subtract(xs, ck, out=u)
-                np.subtract(u, t, out=t)
-            return np.negative(t, out=t)
-        dt = np.zeros_like(t)
-        for ck, lk in steps:
-            np.divide(lk, t, out=u)
-            np.divide(u, t, out=t)  # lambda / t**2
-            dt *= t
-            dt += 1.0
-            np.subtract(xs, ck, out=t)
-            t -= u
-    return -t, -dt
+        for ck, lk in zip(c[::-1].tolist(), [1.0] + lam[:0:-1].tolist()):
+            np.divide(lk, t, out=t)
+            np.subtract(xs, ck, out=u)
+            np.subtract(u, t, out=t)
+    return np.negative(t, out=t)
 
 
 def _zero_bounds(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:

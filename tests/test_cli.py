@@ -179,6 +179,87 @@ def test_cf_compare_takes_schedule_flags(capsys):
     assert run_cli(capsys, *base, "--n-start", "26", "--n-max", "26")[0] == 2
 
 
+def test_cf_compare_default_depth_fits_the_table(capsys, tmp_path):
+    # total + 60 would pass the end of the 25-entry table; the default depth
+    # stops at the table length, which an explicit --depth 25 reproduces
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"c": list(range(25)), "lam": [0.3] * 24}))
+    argv = (
+        "cf-compare", "--model", "tabulated", "--table", str(path),
+        "--x-min", "-1", "--x-max", "10", "--points", "2001",
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2  # ten flows cannot converge within 25 degrees
+    assert err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    # the Sturm count puts eleven zeros below 10 at degree 25; the eleventh
+    # rounds to 10.0, outside the half-open range
+    expect = run_flows(tabulated_recurrence(load_tabulated(path)), 11)
+    assert [float(r["xi"]) for r in rows] == expect.xi[:10].tolist()
+    assert run_cli(capsys, *argv, "--depth", "25") == (code, out, err)
+
+
+_LAYOUTS = {
+    "spectrum": (
+        ("spectrum", "--model", "displaced", "--kappa", "0.2", "--levels", "3", "--schedule", "30"),
+        ("model", "tolerance", "omega", "complete"),
+        "levels",
+        {"l": "int", "xi": "float", "n_converged": "int", "last_decrement": "float",
+         "converged": "bool"},
+    ),
+    "flow": (
+        ("flow", "--model", "displaced", "--kappa", "0.2", "--level", "1",
+         "--schedule", "2,4,8,16"),
+        ("model", "l", "converged", "xi"),
+        "history",
+        {"n": "int", "x": "float"},
+    ),
+    "cf-compare": (
+        ("cf-compare", "--model", "displaced", "--kappa", "0.5", "--x-min", "-0.3",
+         "--x-max", "5", "--points", "2001"),
+        ("model", "x_min", "x_max", "points", "true_levels", "detected_levels"),
+        "intervals",
+        {"interval": "int", "x_lo": "float", "x_hi": "float", "xi": "float",
+         "f_sign_changes": "int", "true_levels": "int", "detected": "bool"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LAYOUTS))
+def test_output_layout(capsys, command):
+    argv, header, key, columns = _LAYOUTS[command]
+    code, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    assert lines[0] == ",".join(columns)
+    assert len(lines) > 1
+    cells = []
+    for line in lines[1:]:
+        for kind, cell in zip(columns.values(), line.split(",")):
+            if kind == "int":
+                assert cell.isdigit()
+            elif kind == "float":  # 17 significant digits, nan when missing
+                assert cell == format(float(cell), ".17g")
+            else:
+                assert cell in ("true", "false")
+            cells.append(cell)
+    if command == "spectrum":  # one degree: no decrement, nothing converged
+        assert {"nan", "false"} <= set(cells)
+    if command == "cf-compare":
+        assert "true" in cells
+
+    _, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+
+    def reject(token):
+        raise ValueError(f"non-standard json constant {token}")
+
+    payload = json.loads(out_json, parse_constant=reject)
+    assert list(payload) == [*header, key]
+    assert [list(row) for row in payload[key]] == [list(columns)] * (len(lines) - 1)
+    for line, row in zip(lines[1:], payload[key]):
+        for cell, value in zip(line.split(","), row.values()):
+            assert value is None if cell == "nan" else cell in (str(value), format(value, ".17g"), str(value).lower())
+
+
 def test_classify_rabi_case_a(capsys):
     code, out, err = run_cli(
         capsys, "classify", "--alpha", "0", "--beta", "-1", "--a", "5", "--b", "1"

@@ -18,7 +18,7 @@ from zeroflow import (
     zeros_of,
 )
 from zeroflow import flows
-from zeroflow.flows import _bisect_tol, _check_monotone, _zeros_with_warm
+from zeroflow.flows import ZeroTableau, _bisect_tol, _zeros_with_warm
 
 from conftest import (
     hermite_recurrence,
@@ -252,9 +252,7 @@ def test_run_flows_rejects_bad_args():
     with pytest.raises(ValueError):
         run_flows(rec, 3, tol=0.0)
     with pytest.raises(ValueError):
-        run_flows(rec, 10, tol=1e-8, n_start=5)
-    with pytest.raises(ValueError):
-        run_flows(rec, 3, tol=1e-8, n_start=30, schedule=[40, 50, 60])
+        run_flows(rec, 10, tol=1e-8, schedule=GrowthSchedule(5))
 
 
 # -- flow_trace --------------------------------------------------------------
@@ -341,11 +339,23 @@ def test_unclassified_models_run_without_override():
 # -- monotony guard ----------------------------------------------------------
 
 
-def test_monotone_guard_triggers_on_real_increase():
-    with pytest.raises(NonMonotoneFlow):
-        _check_monotone(1, 10, 1.0, 15, 1.0 + 1e-6)
-    # sub-tolerance wiggle is allowed
-    _check_monotone(1, 10, 1.0, 15, 1.0 + 2.0**-52)
+def test_monotone_guard_triggers_on_real_increase(monkeypatch):
+    # flow 2 sits at 1.0 and its second tableau rises by `rise`: 1e-6 is far
+    # beyond the bisection slack, one ulp of 1.0 is within it
+    def rising(rise):
+        def tableau(rec, n, count, warm):
+            zeros = np.array([0.5, 1.0, 1.5])
+            zeros[1] += 0.0 if warm is None else rise
+            return ZeroTableau(n=n, zeros=zeros)
+
+        return tableau
+
+    rec = displaced_recurrence(0.2)
+    monkeypatch.setattr(flows, "_zeros_with_warm", rising(1e-6))
+    with pytest.raises(NonMonotoneFlow, match=r"flow l=2 increased from x_\{10\}=1\.0 to x_\{15\}"):
+        run_flows(rec, 3, schedule=[10, 15])
+    monkeypatch.setattr(flows, "_zeros_with_warm", rising(2.0**-52))
+    assert run_flows(rec, 3, schedule=[10, 15]).xi[1] == 1.0 + 2.0**-52
 
 
 # -- schedules ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from zeroflow import (
     DiscreteMeasure,
@@ -24,7 +25,6 @@ from zeroflow import (
     spectral_mass,
     zeros_of,
 )
-from zeroflow.measure import _derivative_weights
 from zeroflow.recurrence import _sturm_counts
 
 from conftest import hermite_recurrence
@@ -218,14 +218,17 @@ def test_partial_fractions_weights_concentrate_at_weak_coupling():
     assert abs(m.weights.sum() - 1.0) < 64 * np.finfo(float).eps * 8
 
 
-def test_partial_fractions_agrees_with_residue_route():
-    # the residue form is numerically healthy before coagulation sets in
-    rec = displaced_recurrence(4.0)
-    n = 12
-    nodes = zeros_of(rec, n, n).zeros
-    w_residue = _derivative_weights(rec, n, nodes)
-    w_christoffel = partial_fractions(rec, n).weights
-    np.testing.assert_allclose(w_christoffel, w_residue, rtol=1e-6)
+def test_partial_fractions_agrees_with_golub_welsch():
+    # Golub-Welsch: the weights are the squared first components of the
+    # normalized eigenvectors of the Jacobi matrix.  LAPACK resolves them to
+    # about eps absolutely, which is also relative where none is tiny (n = 12).
+    for kappa, n in ((4.0, 12), (1.0, 12), (4.0, 60)):
+        rec = displaced_recurrence(kappa)
+        c, lam = rec.coeff_arrays(n)
+        nodes, vectors = eigh_tridiagonal(c, np.sqrt(lam[1:]))
+        m = partial_fractions(rec, n)
+        np.testing.assert_allclose(m.nodes, nodes, rtol=0, atol=1e-12 * n)
+        np.testing.assert_allclose(m.weights, vectors[0] ** 2, rtol=1e-12, atol=1e-15)
 
 
 def _mp_christoffel_weights(rec, nodes, n):
@@ -319,6 +322,15 @@ def test_poisson_ladder_where_P1_vanishes(kappa, k):
     assert spectral_mass(rec, k - float(k)).mass == pytest.approx(expect, rel=1e-10)
 
 
+@pytest.mark.parametrize("kappa, k", [(1.0, 150), (2.0, 150), (4.0, 200), (16.0, 10)])
+def test_deep_displaced_levels_match_poisson(kappa, k):
+    # the terms climb through the range where level k lives for longer than
+    # the divergence run, yet only rises past the dominance index count
+    expect = mpmath.exp(-kappa**2) * mpmath.mpf(kappa**2) ** k / mpmath.factorial(k)
+    mass = spectral_mass(displaced_recurrence(kappa), k - kappa**2).mass
+    assert mass == pytest.approx(float(expect), rel=1e-10)
+
+
 def test_masses_sum_below_one_and_approach_it():
     rec = displaced_recurrence(0.2)
     partial = [sum(spectral_mass(rec, l - 0.04).mass for l in range(k)) for k in (3, 6, 10)]
@@ -353,6 +365,31 @@ def test_displaced_eigenvector_is_coherent_state():
     assert res.bargmann_saturated
     assert res.bargmann_partial_sums[-1] == pytest.approx(math.exp(0.04), rel=1e-10)
     assert res.two_term_residual < 1e-10
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_displaced_eigenvector_of_small_mass_level(k):
+    # xi = k - 0.04 is the level to rounding, but the small mass 0.04**k/k!
+    # magnifies the two-term residual to 1.7e-6 and 3.8e-4, which a fixed
+    # bound rejected.  The state is ill-conditioned in xi by 1/sqrt(mass):
+    # the Fock-normalized vector matches to the coherent-state test's 1e-15
+    # times that, and phi_0 (the normalization) carries the residual itself.
+    kappa = 0.2
+    mass = math.exp(-kappa**2) * kappa ** (2 * k) / math.factorial(k)
+    raw = rabi_raw_recurrence(RabiParams(kappa=kappa, delta=0.0))
+    res = reconstruct_eigenvector(displaced_recurrence(kappa), raw, k - kappa**2, 40)
+    expect = _displaced_eigenvector(kappa, k, 40)
+    root_fact = np.sqrt([float(math.factorial(n)) for n in range(41)])
+
+    def unit(phi):
+        v = phi * root_fact
+        return v / np.linalg.norm(v)
+
+    np.testing.assert_allclose(unit(res.phi), unit(expect), rtol=0, atol=1e-15 / math.sqrt(mass))
+    assert res.bargmann_saturated
+    assert res.bargmann_partial_sums[-1] == pytest.approx(
+        1.0 / mass, rel=4.0 * res.two_term_residual
+    )
 
 
 def _displaced_eigenvector(kappa, k, n_max):
