@@ -34,12 +34,11 @@ def main():
     depth = total + 60
     grid = np.linspace(-args.kappa**2 - 0.2, args.x_max, args.points)
     f = _eval_F_many(rec, grid, depth)
-    s = np.sign(f)
-    ok = s != 0
-    flip_pos = grid[:-1][(s[:-1] != s[1:]) & ok[:-1] & ok[1:]]
+    # F falls through its zeros (+ to -) and jumps from - to + at its poles
+    flip_pos = grid[:-1][(f[:-1] > 0.0) & (f[1:] < 0.0)]
 
     print(f"levels below {args.x_max}: {total} (all converged: {result.complete})")
-    print(f"F sign changes on a {args.points}-point grid at depth {depth}: {flip_pos.size}")
+    print(f"F zero crossings (+ to -) on a {args.points}-point grid at depth {depth}: {flip_pos.size}")
     print()
     print(" level range   true   detected")
     edges = list(range(0, total, 10)) + [total]

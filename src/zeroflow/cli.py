@@ -4,8 +4,8 @@ Subcommands:
 
     spectrum          converged levels of a model (csv or json)
     flow              single zero-flow trace (n, x_{n,l}) for plotting
-    cf-compare        sign changes of the quantization function F on a grid
-                      versus the true level count per interval
+    cf-compare        zero crossings (+ to -) of the quantization function F
+                      on a grid versus the true level count per interval
     classify          growth-exponent membership test (case a-d)
     classify-spectrum lattice-family fit of a spectrum file
 
@@ -205,10 +205,9 @@ def cmd_cf_compare(args) -> int:
 
         grid = np.linspace(args.x_min, args.x_max, args.points)
         f_vals = _eval_F_many(rec, grid, depth)
-        sign = np.sign(f_vals)
-        ok = sign != 0
-        flips = (sign[:-1] != sign[1:]) & ok[:-1] & ok[1:]
-        flip_pos = grid[:-1][flips]
+        # F = -1/E falls through each zero (+ to -) and jumps from - to + at
+        # each pole, so only + to - changes mark levels
+        flip_pos = grid[:-1][(f_vals[:-1] > 0.0) & (f_vals[1:] < 0.0)]
 
         # one interval per true level, split at midpoints between levels
         bounds = [args.x_min]

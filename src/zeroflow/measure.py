@@ -15,9 +15,10 @@ F is evaluated as the backward continued fraction
 (c_0 - x) + lambda_1/((x - c_1) - lambda_2/(...)), innermost term first, and
 E = -1/F, so E*F = -1 holds to one rounding.  Every partial tail is a ratio
 of associated polynomials, so the evaluation never overflows at any depth.
-Measure weights and spectral masses sum squares of orthonormal polynomials
-forward, and eigenvectors come from backward ratios of the minimal
-solution; neither needs rescaling either.
+Measure weights sum squares of orthonormal polynomials forward.  Spectral
+masses and eigenvectors share one minimal solution, forward up to the
+Gershgorin dominance index and backward ratios past it; none of these needs
+rescaling either.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
 import numpy as np
 
 from .errors import Divergent, NotMinimal, PoleHit
-from .flows import zeros_of
-from .recurrence import MonicRecurrence, RawRecurrence, _backward_fraction
+from .flows import _bisect_tol, zeros_of
+from .recurrence import MonicRecurrence, RawRecurrence, _backward_fraction, _sturm_counts
 
 __all__ = [
     "DiscreteMeasure",
@@ -49,25 +49,9 @@ _EPS = float(np.finfo(float).eps)
 # 2**-128, so a sum stays finite for every weight 2**-128 / S above underflow.
 _SEED = 2.0**-64
 
-# Two backward runs may differ by this much relative to the largest
-# component without disagreeing: rounding noise in a vanishing component.
-_NOISE = 2.0**-40
-
-# reconstruct_eigenvector accepts xi when the two-term residual changes sign
-# within this many ulps of max(1, |xi|) on either side: the bisection
-# resolution of the zeros that xi comes from.
+# _minimal_solution accepts xi as a level when the Sturm count steps between
+# xi -+ this many ulps of the scale of the rows the solution lives on.
 _LEVEL_ULPS = 4
-
-# spectral_mass: a sum is divergent once it exceeds _DIVERGENCE_THRESHOLD
-# times its first term while its terms rose _DIVERGENCE_RUN times in a row
-# past the dominance index, and saturated after _TAIL_RUN terms in a row
-# below _TAIL_RTOL of the sum, or at a turnaround where two consecutive terms
-# fell below _SATURATE_RTOL of it.
-_DIVERGENCE_THRESHOLD = 1e12
-_DIVERGENCE_RUN = 100
-_TAIL_RTOL = 1e-13
-_TAIL_RUN = 12
-_SATURATE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,8 +92,9 @@ class SpectralMass:
     """Jump of the limiting measure at a spectral point xi:
     mass = 1 / sum_l P_l(xi)^2 / n_l, with n_l = lambda_1 ... lambda_l.
 
-    tail_estimate bounds the truncated remainder of the (un-inverted) sum;
-    the relative error of mass is about mass * tail_estimate.
+    tail_estimate is the last term summed, P_K(xi)^2 / n_K, where the
+    minimal solution was cut below one rounding; every later term is
+    smaller, and the relative error of mass is about mass * tail_estimate.
     """
 
     xi: float
@@ -197,7 +182,7 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
     # one node-location ulp and the finite-degree weight is no longer encoded
     # in double precision at all.  Detect that by re-evaluating the sums a few
     # node tolerances away: in the stable regime they barely move.
-    h = 8.0 * 2.0**-50 * np.maximum(1.0, np.abs(nodes))
+    h = 8.0 * _bisect_tol(nodes)
     probe = _christoffel_sums(c, lam, nodes + h)
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = np.abs(np.log2(probe / sums))
@@ -249,166 +234,133 @@ def _christoffel_sums(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndar
     return sums
 
 
-def spectral_mass(rec: MonicRecurrence, xi: float, l_max: int = 1000) -> SpectralMass:
-    """Mass of the limiting measure at a converged spectral point xi.
+def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0):
+    """Minimal solution p~_0 .. p~_K (K >= keep) of the orthonormal recurrence
+    at a level xi, scaled like _orthonormal; None when xi is not a level.
 
-    Accumulates S_L = sum_{l<=L} P_l(xi)^2 / n_l, forward in plain doubles
-    over the orthonormal values of _orthonormal.  At a spectral point the
-    terms decay superexponentially once l passes the resonant range, so S
-    saturates and mass = 1/S; off the spectrum only a dominant solution
-    exists, the terms grow without bound, and Divergent is raised.
+    Olver's forward-backward scheme (J. Res. NBS 71B, 1967) on the first
+    `depth` coefficients, clamped to a table's length.  The dominance index m
+    is the first k from which |c_k - xi| >= sqrt(lambda_k) + sqrt(lambda_{k+1})
+    holds for every materialised row.  The head p~_0 .. p~_m runs forward
+    from the two-term condition.  Past m the ratios p_k / p_{k-1} =
+    sqrt(lambda_k) / t_k, with t_k = (xi - c_k) - lambda_{k+1} / t_{k+1}
+    (Gautschi, SIAM Rev. 9, 1967), are bounded by sqrt(lambda_k) /
+    (|c_k - xi| - sqrt(lambda_{k+1})) <= 1, and the backward run starts at
+    the first K >= keep where the product of these bounds is below eps;
+    ValueError is raised when depth holds no such K.
 
-    Because xi carries rounding error, the terms of a saturated sum
-    eventually turn around and grow again like (dominant * error)^2; the
-    running minimum of (two consecutive terms)/S is kept as a saturation
-    candidate so the sum is cut at the turnaround, exactly like an
-    asymptotic series.  Two consecutive small terms fix the whole minimal
-    tail, while one term alone can be small by accident at an isolated zero
-    of P_l(xi) and is no candidate.  Divergence is declared heuristically:
-    S above _DIVERGENCE_THRESHOLD, terms rising over _DIVERGENCE_RUN
-    consecutive l, and no saturation candidate better than _SATURATE_RTOL.
-    Rising terms count only past the Gershgorin dominance index M(xi), the
-    first k from which c_k - xi >= sqrt(lambda_k) + sqrt(lambda_{k+1}) holds
-    for every materialised coefficient: before it the terms of a deep level
-    legitimately climb through the range where the level lives.
+    The verdict: the rows past m freeze the Sturm count, so xi is a level
+    when the count of P_{K+1} steps between xi -+ h.  h is _LEVEL_ULPS ulps
+    of max(1, |xi|, the Gershgorin extent of rows 0 .. m+1 about xi), since
+    the count's rounding scales with those rows (as in LAPACK dstebz).
     """
-    if l_max < _TAIL_RUN + 2:
-        raise ValueError("l_max too small to certify anything")
-    xi = float(xi)
-    c, lam = rec.coeff_arrays(l_max + 1)
+    if rec.n_cap is not None:
+        depth = min(depth, rec.n_cap)
+    c, lam = rec.coeff_arrays(depth)
     root = np.sqrt(lam)
-    loose = np.flatnonzero(c[:-1] - xi < root[:-1] + root[1:])
-    dominance = int(loose[-1]) + 1 if loose.size else 0
-    terms = (p * p for p in _orthonormal(c, lam, xi))
-
-    total = next(terms)  # l = 0 term: p~_0^2 = 2**-128 stands for P_0^2 / n_0 = 1
-    threshold = _DIVERGENCE_THRESHOLD * total
-    small_run = 0
-    rise_run = 0
-    prev_term = total
-    best_ratio = 1.0
-    best_total = total
-    best_tail = total
-
-    def saturated(total_at: float, tail_at: float) -> SpectralMass:
-        # undo the 2**-128 scale of the orthonormal seed
-        return SpectralMass(
-            xi=xi, mass=math.ldexp(1.0 / total_at, -128), tail_estimate=tail_at * 2.0**128
+    gap = np.abs(c - xi)
+    radius = root[:-1] + root[1:]
+    loose = np.flatnonzero(gap[:-1] < radius)
+    m = int(loose[-1]) + 1 if loose.size else 0
+    shrink = np.cumsum(np.log2(root[m + 1 : -1] / (gap[m + 1 : -1] - root[m + 2 :])))
+    start = np.flatnonzero((shrink < math.log2(_EPS)) & (np.arange(m + 1, depth - 1) >= keep))
+    if not start.size:
+        raise ValueError(
+            f"the minimal solution at {xi!r} does not fall below rounding within depth "
+            f"{depth}; raise l_max (masses) or n_max (eigenvectors)"
         )
+    top = m + 1 + int(start[0])
 
-    for l, term in enumerate(terms, start=1):
-        if not math.isfinite(total + term):
-            if best_ratio <= _SATURATE_RTOL:
-                return saturated(best_total, best_tail)
-            raise Divergent(f"partial sums overflow at l={l}: {xi!r} is not a spectral point")
-        total += term
-        ratio = (prev_term + term) / total
-        if ratio < best_ratio:
-            best_ratio, best_total, best_tail = ratio, total, term + ratio * total
+    h = _LEVEL_ULPS * math.ulp(max(1.0, abs(xi), float(np.max(gap[: m + 2] + radius[: m + 2]))))
+    below, above = _sturm_counts(c[: top + 1], lam[: top + 1], np.array([xi - h, xi + h]))
+    if above == below:
+        return None
 
-        if term <= _TAIL_RTOL * total:
-            small_run += 1
-            if small_run >= _TAIL_RUN:
-                return saturated(total, 2.0 * term)
-        else:
-            small_run = 0
-        rise_run = rise_run + 1 if term > prev_term and l > dominance else 0
-        prev_term = term
-        if rise_run >= _DIVERGENCE_RUN and total > threshold and best_ratio > _SATURATE_RTOL:
-            raise Divergent(
-                f"partial sums exceed {_DIVERGENCE_THRESHOLD:g} and grew over the last "
-                f"{_DIVERGENCE_RUN} terms: {xi!r} is not a spectral point"
-            )
+    cs, ls, rs = c[: top + 2].tolist(), lam[: top + 2].tolist(), root[: top + 2].tolist()
+    ratios, t = [], math.inf  # lambda_{K+1} / inf = 0 starts t_K = xi - c_K
+    for k in range(top, m, -1):
+        t = (xi - cs[k]) - ls[k + 1] / t
+        ratios.append(rs[k] / t)
+    head = np.fromiter(_orthonormal(c[: m + 1], lam[: m + 1], xi), float, m + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate((head, head[-1] * np.cumprod(ratios[::-1])))
 
-    if best_ratio <= _SATURATE_RTOL:
-        return saturated(best_total, best_tail)
-    raise ValueError(
-        f"sum neither saturated nor certified divergent by l_max={l_max}; increase l_max"
-    )
+
+def spectral_mass(rec: MonicRecurrence, xi: float, l_max: int = 1000) -> SpectralMass:
+    """Mass of the limiting measure at a spectral point xi,
+    mass = 1 / sum_l P_l(xi)^2 / n_l, with n_l = lambda_1 ... lambda_l.
+
+    The sum runs over _minimal_solution on the first l_max + 1 coefficients,
+    clamped to a table's length.  Divergent is raised when its Sturm-count
+    verdict finds no level at xi.  ValueError is raised when the solution's
+    tail does not fall below rounding within l_max (displaced kappa = 16,
+    level 300, needs a larger l_max) and when the mass is below the double
+    range.
+    """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    xi = float(xi)
+    p = _minimal_solution(rec, xi, l_max + 1)
+    if p is None:
+        raise Divergent(f"{xi!r} is not a spectral point: the zero count does not step across it")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(p * p))
+    mass = math.ldexp(1.0 / total, -128)  # undo the 2**-128 scale of the seed
+    if not mass > 0.0:
+        raise ValueError(f"the mass at {xi!r} lies below the double range")
+    return SpectralMass(xi=xi, mass=mass, tail_estimate=float(p[-1]) ** 2 * 2.0**128)
 
 
 def reconstruct_eigenvector(
-    rec: MonicRecurrence,
-    raw: RawRecurrence,
-    xi: float,
-    n_max: int,
-    match_rtol: float = 1e-8,
+    rec: MonicRecurrence, raw: RawRecurrence, xi: float, n_max: int
 ) -> EigenvectorResult:
-    """Expansion coefficients phi_0..phi_{n_max} of the state at energy xi.
+    """Expansion coefficients phi_0..phi_{n_max} of the state at a level xi,
+    normalized to phi_0 = 1.
 
-    Backward ratios from a far tail (start >= 2*n_max, re-run from twice as
-    far and compared) isolate the minimal solution; the result is normalized
-    to phi_0 = 1.  The solution is a physical eigenvector only if (a) the
-    Bargmann partial sums sum |phi_n|^2 n! saturate and (b) the two-term
-    condition phi_1 + a_0(xi) phi_0 = 0 holds.  Off the spectrum the unique
-    solution with the two-term initial condition is dominant and (b) fails by
-    an O(1) residual; at a level the residual is the distance from xi to the
-    level magnified by 1/mass, so (b) is judged at xi's own resolution: the
-    residual must change sign between xi -+ _LEVEL_ULPS ulps of max(1, |xi|).
-    NotMinimal is raised if (a) or (b) fails, and when the two tail runs
-    disagree (no minimal/dominant separation at xi).  The runs are compared
-    component by component to match_rtol, except that a difference within
-    rounding of the largest |phi_j| is never a disagreement: a component that
-    vanishes at xi holds only rounding noise in either run.
+    _minimal_solution runs on the first max(2 n_max, n_max + 32)
+    coefficients with its backward run started past n_max, and its p maps to
+    the raw basis by the rescaling of to_monic: phi_n / phi_{n-1} =
+    alpha_{n-1} sqrt(lambda_n) p_n / p_{n-1}, alpha_k = a_k(0) - a_k(1).
+    NotMinimal is raised when the Sturm-count verdict finds no level at xi,
+    when no tail falls below rounding within that depth, and when the
+    Bargmann partial sums sum |phi_n|^2 n! do not saturate by n_max.  The
+    head runs forward from the two-term condition phi_1 + a_0(xi) phi_0 = 0,
+    so two_term_residual, its relative size, is at rounding.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     xi = float(xi)
     _check_same_model(rec, raw)
-    start = max(2 * n_max, n_max + 32)
-    rho = _backward_minimal(raw, xi, n_max, start, seed=1234)
-    rho_b = _backward_minimal(raw, xi, n_max, 2 * start, seed=987654321)
-
+    try:
+        p = _minimal_solution(rec, xi, max(2 * n_max, n_max + 32), keep=n_max + 1)
+    except ValueError as exc:
+        raise NotMinimal(str(exc)) from exc
+    if p is None:
+        raise NotMinimal(f"{xi!r} is not a level: the zero count does not step across it")
+    n = np.arange(n_max + 1)
+    alpha = np.asarray(raw.a(n, 0.0), dtype=float) - np.asarray(raw.a(n, 1.0), dtype=float)
+    step = alpha[:-1] * np.sqrt(rec.coeff_arrays(n_max + 1)[1][1:])
+    ratio = p[: n_max + 1] / p[0]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        phi = np.cumprod(np.r_[1.0, rho])
-        phi_b = np.cumprod(np.r_[1.0, rho_b])
-        # Bargmann terms |phi_k|^2 k! = |phi_{k-1}|^2 (k-1)! * rho_k^2 * k
-        sums = np.cumsum(np.cumprod(np.r_[1.0, rho * rho * np.arange(1, n_max + 1)]))
-        diff = np.abs(phi - phi_b)
-        mag = np.maximum(np.abs(phi), np.abs(phi_b))
-        bad = np.flatnonzero(diff > np.maximum(match_rtol * mag, _NOISE * mag.max()))
-    if bad.size:
-        raise NotMinimal(
-            f"backward runs from tails {start} and {2 * start} disagree at n={int(bad[0])}; "
-            f"no stable minimal solution at {xi!r}"
-        )
+        phi = ratio * np.cumprod(np.r_[1.0, step])
+        sums = np.cumsum((ratio * np.cumprod(np.r_[1.0, step * np.sqrt(n[1:])])) ** 2)
 
-    window = min(max(4, n_max // 8), n_max)
-    head = sums[-window - 1]
-    saturated = bool(
-        np.isfinite(sums[-1]) and head > 0.0 and (sums[-1] - head) <= 1e-10 * sums[-1]
-    )
-    if not saturated:
-        raise NotMinimal(
-            f"Bargmann partial sums did not saturate by n_max={n_max} at {xi!r}"
-        )
-
-    def residual(x: float, phi_1: float) -> float:
-        """(phi_1 + a_0(x) phi_0) / max(1, |phi_1|, |a_0(x)|), with its sign."""
-        a0 = float(np.asarray(raw.a(np.array([0]), x), dtype=float)[0])
-        return (phi_1 + a0) / max(1.0, abs(phi_1), abs(a0))
-
-    h = _LEVEL_ULPS * math.ulp(max(1.0, abs(xi)))
-    below = residual(xi - h, _backward_minimal(raw, xi - h, 1, start, seed=1234)[0])
-    above = residual(xi + h, _backward_minimal(raw, xi + h, 1, start, seed=1234)[0])
-    at_xi = abs(residual(xi, phi[1]))
-    if below * above > 0.0:
-        raise NotMinimal(
-            f"two-term condition violated at {xi!r} (residual {at_xi:.3e}, same sign at "
-            f"xi -+ {h:.1e}): the physical solution there is dominant, so xi is not a "
-            "spectral point"
-        )
+    head = sums[-min(max(4, n_max // 8), n_max) - 1]
+    if not (np.isfinite(sums[-1]) and head > 0.0 and sums[-1] - head <= 1e-10 * sums[-1]):
+        raise NotMinimal(f"Bargmann partial sums did not saturate by n_max={n_max} at {xi!r}")
+    a0 = float(np.asarray(raw.a(np.array([0]), xi), dtype=float)[0])
     return EigenvectorResult(
         phi=phi,
         bargmann_partial_sums=sums,
-        bargmann_saturated=saturated,
-        two_term_residual=at_xi,
+        bargmann_saturated=True,
+        two_term_residual=abs(phi[1] + a0) / max(1.0, abs(phi[1]), abs(a0)),
     )
 
 
 def _check_same_model(rec: MonicRecurrence, raw: RawRecurrence) -> None:
-    """rec must be the monic form of raw; a coefficient-prefix comparison
-    catches mismatched pairs before they produce silent nonsense."""
+    """rec must be the monic form of raw: the eigenvector takes lambda from
+    rec and alpha from raw, so a coefficient-prefix comparison catches
+    mismatched pairs before they produce silent nonsense."""
     from .recurrence import to_monic
 
     derived = to_monic(raw, probe_terms=8)
@@ -421,29 +373,3 @@ def _check_same_model(rec: MonicRecurrence, raw: RawRecurrence) -> None:
         np.abs(lam_a - lam_b) > 1e-6 * scale_l
     ):
         raise ValueError("rec is not the monic form of raw: coefficient prefixes disagree")
-
-
-def _backward_minimal(
-    raw: RawRecurrence, xi: float, n_max: int, start: int, seed: int
-) -> np.ndarray:
-    """Ratios rho_n = phi_n / phi_{n-1}, n = 1..n_max, of the minimal solution,
-    by the continued fraction rho_n = -b_n / (a_n + rho_{n+1}) (Gautschi,
-    SIAM Rev. 9, 1967) run down from a random tail ratio at `start`.  Each
-    rho is a plain double: no rescaling, at any depth.  An exact zero
-    denominator (phi_{n-1} = 0) is stepped past by one ulp."""
-    rng = np.random.default_rng(seed)
-    idx = np.arange(start + 1, dtype=np.int64)
-    a_vals = np.asarray(raw.a(idx, xi), dtype=float)
-    b_vals = np.asarray(raw.b(np.maximum(idx, 1)), dtype=float)
-    if np.any(b_vals[1:] == 0.0):
-        raise ValueError("b_n must be nonzero for n >= 1")
-
-    hi, cur = float(rng.uniform(0.25, 1.0)), float(rng.uniform(0.25, 1.0))
-    rho = hi / cur  # phi_{start+1} / phi_start
-    out = np.empty(n_max)
-    for n, a_n, b_n in zip(range(start, 0, -1), a_vals[:0:-1].tolist(), b_vals[:0:-1].tolist()):
-        denom = a_n + rho
-        rho = -b_n / (denom if denom != 0.0 else math.ulp(a_n))
-        if n <= n_max:
-            out[n - 1] = rho
-    return out

@@ -157,10 +157,6 @@ class TabulatedModel:
             i = int(bad[0])
             raise NonPositiveLambda(i + 1, float(lam[i]))
 
-    @property
-    def n_max(self) -> int:
-        return min(self.c.shape[0], self.lam.shape[0] + 1)
-
 
 def load_tabulated(path: Union[str, Path]) -> TabulatedModel:
     """Load a tabulated model from JSON:

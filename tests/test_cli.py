@@ -164,6 +164,20 @@ def test_cf_compare_low_levels_detected(capsys):
     assert payload["detected_levels"] == 3  # low levels are all visible
 
 
+def test_cf_compare_counts_zeros_not_poles(capsys):
+    # F = -1/E falls through each zero (+ to -) and jumps from - to + at each
+    # pole; counting the poles as well gave 1, 2, 2, 2, 2, 0, 0, 0, 0 here
+    code, out, err = run_cli(
+        capsys,
+        "cf-compare", "--model", "displaced", "--kappa", "0.5",
+        "--x-min", "-0.3", "--x-max", "8", "--points", "20001",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["f_sign_changes"]) for r in rows] == [1, 1, 1, 1, 1, 0, 0, 0, 0]
+    assert [r["detected"] for r in rows] == ["true"] * 5 + ["false"] * 4
+
+
 def test_cf_compare_takes_schedule_flags(capsys):
     base = (
         "cf-compare", "--model", "displaced", "--kappa", "0.5",

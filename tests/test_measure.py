@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -322,10 +323,13 @@ def test_poisson_ladder_where_P1_vanishes(kappa, k):
     assert spectral_mass(rec, k - float(k)).mass == pytest.approx(expect, rel=1e-10)
 
 
-@pytest.mark.parametrize("kappa, k", [(1.0, 150), (2.0, 150), (4.0, 200), (16.0, 10)])
+@pytest.mark.parametrize(
+    "kappa, k", [(1.0, 150), (2.0, 150), (4.0, 200), (16.0, 10), (4.0, 15), (10.0, 100)]
+)
 def test_deep_displaced_levels_match_poisson(kappa, k):
-    # the terms climb through the range where level k lives for longer than
-    # the divergence run, yet only rises past the dominance index count
+    # the terms climb through the rows where level k lives; at kappa = 4 and
+    # 10, xi = -1 and 0 sit deep inside Gershgorin discs of radius about
+    # 2 kappa sqrt(k), whose rows set the rounding of the level count
     expect = mpmath.exp(-kappa**2) * mpmath.mpf(kappa**2) ** k / mpmath.factorial(k)
     mass = spectral_mass(displaced_recurrence(kappa), k - kappa**2).mass
     assert mass == pytest.approx(float(expect), rel=1e-10)
@@ -353,6 +357,17 @@ def test_rabi_masses_sum_to_one():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_mass_on_a_short_table_matches_golub_welsch():
+    # l_max + 1 = 1001 is clamped to the 25-entry table, whose Jacobi matrix
+    # is the whole model: its masses are squared first eigenvector components
+    c, lam = np.arange(25.0), np.full(24, 0.3)
+    rec = MonicRecurrence.from_arrays(c, lam)
+    nodes, vectors = eigh_tridiagonal(c, np.sqrt(lam))
+    for k in (0, 1):
+        mass = spectral_mass(rec, float(nodes[k])).mass
+        assert mass == pytest.approx(vectors[0, k] ** 2, rel=1e-12)
+
+
 # -- eigenvector reconstruction ----------------------------------------------
 
 
@@ -370,10 +385,10 @@ def test_displaced_eigenvector_is_coherent_state():
 @pytest.mark.parametrize("k", [6, 7])
 def test_displaced_eigenvector_of_small_mass_level(k):
     # xi = k - 0.04 is the level to rounding, but the small mass 0.04**k/k!
-    # magnifies the two-term residual to 1.7e-6 and 3.8e-4, which a fixed
-    # bound rejected.  The state is ill-conditioned in xi by 1/sqrt(mass):
-    # the Fock-normalized vector matches to the coherent-state test's 1e-15
-    # times that, and phi_0 (the normalization) carries the residual itself.
+    # magnifies the two-term residual of a solution run backward through the
+    # head to 1.7e-6 and 3.8e-4.  The state is ill-conditioned in xi by
+    # 1/sqrt(mass): the Fock-normalized vector matches to the coherent-state
+    # test's 1e-15 times that, and the Bargmann norm is 1/mass.
     kappa = 0.2
     mass = math.exp(-kappa**2) * kappa ** (2 * k) / math.factorial(k)
     raw = rabi_raw_recurrence(RabiParams(kappa=kappa, delta=0.0))
@@ -387,21 +402,58 @@ def test_displaced_eigenvector_of_small_mass_level(k):
 
     np.testing.assert_allclose(unit(res.phi), unit(expect), rtol=0, atol=1e-15 / math.sqrt(mass))
     assert res.bargmann_saturated
-    assert res.bargmann_partial_sums[-1] == pytest.approx(
-        1.0 / mass, rel=4.0 * res.two_term_residual
-    )
+    assert res.bargmann_partial_sums[-1] == pytest.approx(1.0 / mass, rel=1e-13)
 
 
 def _displaced_eigenvector(kappa, k, n_max):
     """phi_n of (z + kappa)**k exp(-kappa z), the displaced number state k,
-    normalized to phi_0 = 1."""
+    normalized to phi_0 = 1, in exact rational arithmetic."""
+    kappa = Fraction(kappa)
     return np.array([
-        sum(
+        float(sum(
             math.comb(k, j) * kappa ** -j * (-kappa) ** (n - j) / math.factorial(n - j)
             for j in range(min(k, n) + 1)
-        )
+        ))
         for n in range(n_max + 1)
     ])
+
+
+@pytest.mark.parametrize(
+    "kappa, k",
+    [(0.2, 7), (0.2, 8), (0.2, 9), (0.5, 11), (0.5, 12), (0.5, 13),
+     (1.0, 17), (1.0, 18), (1.0, 19), (4.0, 13), (4.0, 15), (4.0, 17)],
+)
+def test_displaced_eigenvector_matches_taylor_coefficients(kappa, k):
+    # the state grows through the head rows, where a solution run backward
+    # loses it; forward up to the dominance index and backward past it, it
+    # matches the exact coefficients to rounding of the largest one
+    n_max = int(4 * (k + kappa**2)) + 40
+    raw = rabi_raw_recurrence(RabiParams(kappa=kappa, delta=0.0))
+    res = reconstruct_eigenvector(displaced_recurrence(kappa), raw, k - kappa**2, n_max)
+    expect = _displaced_eigenvector(kappa, k, n_max)
+    assert np.max(np.abs(res.phi - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.0, 4.0])
+def test_masses_and_eigenvectors_judge_alike(kappa):
+    # both run the same minimal solution and the same count: they accept every
+    # level and reject every midgap point together
+    rec = displaced_recurrence(kappa)
+    raw = rabi_raw_recurrence(RabiParams(kappa=kappa, delta=0.0))
+    for k in range(21):
+        for xi, level in ((k - kappa**2, True), (k + 0.5 - kappa**2, False)):
+            n_max = int(4 * (k + kappa**2)) + 40
+            verdicts = []
+            for call, error in (
+                (lambda: spectral_mass(rec, xi), Divergent),
+                (lambda: reconstruct_eigenvector(rec, raw, xi, n_max), NotMinimal),
+            ):
+                try:
+                    call()
+                    verdicts.append(True)
+                except error:
+                    verdicts.append(False)
+            assert verdicts == [level, level], (k, xi)
 
 
 def test_eigenvector_with_vanishing_component():
@@ -418,44 +470,17 @@ def test_eigenvector_with_vanishing_component():
     np.testing.assert_allclose(res.phi, _displaced_eigenvector(kappa, 2, 30), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("nudge, disagree", [(1e-16, False), (1e-6, True)])
-def test_backward_runs_compared_above_rounding_noise(monkeypatch, nudge, disagree):
-    # kappa = 1, xi = 0 has phi_1 = 0: a difference of 1e-16 between the two
-    # runs there is rounding noise against max |phi_j| = 1, while 1e-6 is not.
-    # The second run's phi_1 = rho_1 is moved by the nudge, phi_2 = rho_1 rho_2
-    # is kept.
-    from zeroflow import measure
-
-    inner = measure._backward_minimal
-
-    def nudged(raw, xi, n_max, start, seed):
-        rho = inner(raw, xi, n_max, start, seed)
-        if seed != 1234:
-            phi_2 = rho[0] * rho[1]
-            rho[0] += nudge
-            rho[1] = phi_2 / rho[0]
-        return rho
-
-    monkeypatch.setattr(measure, "_backward_minimal", nudged)
-    raw = rabi_raw_recurrence(RabiParams(kappa=1.0, delta=0.0))
-    if disagree:
-        with pytest.raises(NotMinimal, match="disagree at n=1"):
-            reconstruct_eigenvector(displaced_recurrence(1.0), raw, 0.0, 30)
-    else:
-        reconstruct_eigenvector(displaced_recurrence(1.0), raw, 0.0, 30)
-
-
 def test_backward_runs_disagree_without_minimal_solution():
     # a_n = -x, b_n = 1 (monic c = 0, lambda = 1): at x = 0.5 both solutions
-    # of t**2 - x t + 1 = 0 have modulus one, so no solution is minimal and
-    # the runs from two random tails differ at O(1)
+    # of t**2 - x t + 1 = 0 have modulus one, so no solution is minimal: no
+    # row is Gershgorin dominated and no tail falls below rounding
     raw = RawRecurrence.from_affine(
         alpha=lambda n: np.ones(np.shape(n)),
         c=lambda n: np.zeros(np.shape(n)),
         b=lambda n: np.ones(np.shape(n)),
     )
     rec = MonicRecurrence(c=lambda n: np.zeros(np.shape(n)), lam=lambda n: np.ones(np.shape(n)))
-    with pytest.raises(NotMinimal, match="disagree"):
+    with pytest.raises(NotMinimal, match="does not fall below rounding"):
         reconstruct_eigenvector(rec, raw, 0.5, 30)
 
 

@@ -69,8 +69,8 @@ def test_load_tabulated_roundtrip(tmp_path):
     path.write_text(json.dumps({"description": "demo", "c": [0, 1, 2], "lam": [1, 2]}))
     model = load_tabulated(path)
     assert model.description == "demo"
-    assert model.n_max >= 2  # usable at least to degree 2
     rec = tabulated_recurrence(model)
+    assert rec.n_cap == 3  # min(len(c), len(lam) + 1)
     c, lam = rec.coeff_arrays(2)
     np.testing.assert_array_equal(c, [0.0, 1.0])
     assert lam[1] == 1.0
