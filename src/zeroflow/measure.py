@@ -246,8 +246,10 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
     sqrt(lambda_k) / t_k, with t_k = (xi - c_k) - lambda_{k+1} / t_{k+1}
     (Gautschi, SIAM Rev. 9, 1967), are bounded by sqrt(lambda_k) /
     (|c_k - xi| - sqrt(lambda_{k+1})) <= 1, and the backward run starts at
-    the first K >= keep where the product of these bounds is below eps;
-    ValueError is raised when depth holds no such K.
+    the first K >= keep where the product of these bounds is below eps.
+    ValueError is raised when depth holds no such K.  Its message advises a
+    larger depth only when some row is dominated; where none is (c = 0,
+    lambda = 1 on its continuous spectrum), it says so instead.
 
     The verdict: the rows past m freeze the Sturm count, so xi is a level
     when the count of P_{K+1} steps between xi -+ h.  h is _LEVEL_ULPS ulps
@@ -265,6 +267,11 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
     shrink = np.cumsum(np.log2(root[m + 1 : -1] / (gap[m + 1 : -1] - root[m + 2 :])))
     start = np.flatnonzero((shrink < math.log2(_EPS)) & (np.arange(m + 1, depth - 1) >= keep))
     if not start.size:
+        if loose.size == radius.size:
+            raise ValueError(
+                f"the minimal solution at {xi!r} does not fall below rounding: no row within "
+                f"depth {depth} is Gershgorin dominated at {xi!r}"
+            )
         raise ValueError(
             f"the minimal solution at {xi!r} does not fall below rounding within depth "
             f"{depth}; raise l_max (masses) or n_max (eigenvectors)"

@@ -292,8 +292,9 @@ def count_zeros_below(rec: MonicRecurrence, x: float, n: int) -> int:
     Sturm property of OPS: the count equals the number of sign agreements
     between consecutive members of (P_0(x), ..., P_n(x)), i.e. the number of
     positive pivots q_k = P_k(x) / P_{k-1}(x).  An exact hit P_j(x) = 0 takes
-    the sign of -P_{j-1}(x) (the pivot becomes -pivmin), which keeps the
-    chain consistent with P_{j+1} = -lambda_j P_{j-1}.
+    the sign of -P_{j-1}(x): the pivot is +0 in the negated form of
+    _sturm_counts, not counted, and the next one is -inf, counted, which keeps
+    the chain consistent with P_{j+1} = -lambda_j P_{j-1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -301,30 +302,55 @@ def count_zeros_below(rec: MonicRecurrence, x: float, n: int) -> int:
     return int(_sturm_counts(c, lam, np.array([float(x)]))[0])
 
 
+# _sturm_counts runs its recurrence over one reused block of at most
+# _BLOCK_ROWS rows and at most _BLOCK_SIZE elements (one row where the batch
+# alone is larger), so a large batch adds little memory to the count.
+_BLOCK_ROWS = 256
+_BLOCK_SIZE = 2**15
+
+
 def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs.
 
-    Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz:
-    q_1 = x - c_0, q_k = (x - c_{k-1}) - lambda_{k-1} / q_{k-1}, and the count
-    is #{k : q_k > 0}.  A pivot with |q_k| < pivmin = tiny * max(1, max
-    lambda) becomes -pivmin, so lambda / q stays below 1/tiny and no
-    rescaling is needed.  The count is monotone in x in floating point
-    (Demmel, Dhillon & Ren, ETNA 3, 1995).
+    Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz, run on the
+    negated pivots v_k = -q_k = -P_k(x) / P_{k-1}(x):
+    v_0 = +inf, v_k = (c_{k-1} - x) - lambda_{k-1} / v_{k-1}, and the count
+    is #{k : v_k < 0}.  No pivmin guards the division; IEEE infinities carry
+    exact hits instead (Demmel & Li, "Faster numerical algorithms via
+    exception handling", IEEE Trans. Comput. 43(8), 1994).  A hit gives
+    v_j = +0, not counted; then lambda / +0 = +inf, v_{j+1} = -inf is counted,
+    and lambda / -inf = -0 leaves v_{j+2} = c_{j+1} - x, the limit as the hit
+    is approached from above.  A difference c_k - x = -0.0 (c_k = -0.0 at
+    x = +0.0) would give v_j = -0 and flip that chain, so the block of
+    differences is canonicalized to +0.0 first.  The count is monotone in x
+    in floating point (Demmel, Dhillon & Ren, ETNA 3, 1995).
+
+    Each step is two in-place ufuncs over a row of the block
+    D = c[k0:k1, None] - xs; the signs are counted once per block of rows,
+    and the last row carries into the next block.
     """
     xs = np.asarray(xs, dtype=float)
-    pivmin = np.finfo(float).tiny * max(1.0, float(lam.max()))
-    q = np.full(xs.shape, np.inf)  # lambda_0 / inf = 0 starts q_1 = x - c_0
-    ratio = np.empty_like(q)
-    low = np.empty(xs.shape, dtype=bool)
-    n_low = np.zeros(xs.shape, dtype=np.int64)
-    for ck, lk in zip(c.tolist(), lam.tolist()):
-        np.divide(lk, q, out=ratio)
-        np.subtract(xs, ck, out=q)
-        q -= ratio
-        np.less(q, pivmin, out=low)
-        np.minimum(q, -pivmin, out=q, where=low)
-        n_low += low
-    return c.shape[0] - n_low
+    lam = lam.tolist()
+    n = c.shape[0]
+    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // max(xs.size, 1)))
+    block = np.empty((rows,) + xs.shape)
+    views = list(block)
+    ratio = np.empty(xs.shape)
+    carry = np.full(xs.shape, np.inf)  # lambda_0 / inf = 0 starts v_1 = c_0 - x
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for k0 in range(0, n, rows):
+            d = block[: min(rows, n - k0)]
+            np.subtract(c[k0 : k0 + d.shape[0], None], xs, out=d)
+            d += 0.0  # -0.0 + 0.0 = +0.0
+            prev = carry
+            for lk, v in zip(lam[k0 : k0 + d.shape[0]], views):
+                np.divide(lk, prev, out=ratio)
+                np.subtract(v, ratio, out=v)
+                prev = v
+            counts += np.count_nonzero(d < 0.0, axis=0)
+            np.copyto(carry, prev)
+    return counts
 
 
 def _backward_fraction(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:

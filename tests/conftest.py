@@ -24,19 +24,18 @@ def hermite_recurrence() -> MonicRecurrence:
     )
 
 
-def random_recurrence(rng: np.random.Generator) -> MonicRecurrence:
+def random_recurrence(rng: np.random.Generator, n: int = 64) -> MonicRecurrence:
     """Random valid model: c_n in [-1, 1] plus a linear drift, lambda_n in
-    (0, 2], tabulated to degree 64."""
+    (0, 2], tabulated to degree n."""
     slope = rng.uniform(0.0, 2.0)
-    c = rng.uniform(-1.0, 1.0, size=64) + slope * np.arange(64)
-    lam = rng.uniform(0.0, 2.0, size=63)
+    c = rng.uniform(-1.0, 1.0, size=n) + slope * np.arange(n)
+    lam = rng.uniform(0.0, 2.0, size=n - 1)
     lam[lam == 0.0] = 1.0
     return MonicRecurrence.from_arrays(c, lam, description="random")
 
 
-def wide_range_recurrence(rng: np.random.Generator) -> MonicRecurrence:
-    """c_n ~ n**3 and lambda_n spread over 1e-12 ... 1e6, tabulated to degree 64."""
-    n = 64
+def wide_range_recurrence(rng: np.random.Generator, n: int = 64) -> MonicRecurrence:
+    """c_n ~ n**3 and lambda_n spread over 1e-12 ... 1e6, tabulated to degree n."""
     c = rng.uniform(1e-3, 1.0) * np.arange(n) ** 3 + rng.uniform(-1.0, 1.0, size=n)
     lam = 10.0 ** rng.uniform(-12.0, 6.0, size=n - 1)
     return MonicRecurrence.from_arrays(c, lam, description="wide-range")

@@ -484,6 +484,17 @@ def test_backward_runs_disagree_without_minimal_solution():
         reconstruct_eigenvector(rec, raw, 0.5, 30)
 
 
+def test_undominated_rows_are_reported_without_depth_advice():
+    # c = 0, lambda = 1: |0 - 0.5| < 2 at every row, which no depth changes
+    rec = MonicRecurrence(c=lambda n: np.zeros(np.shape(n)), lam=lambda n: np.ones(np.shape(n)))
+    with pytest.raises(ValueError, match="no row within depth 1001 is Gershgorin dominated at 0.5") as exc:
+        spectral_mass(rec, 0.5)
+    assert "raise" not in str(exc.value)
+    # displaced kappa = 16, level 300: rows are dominated, the tail needs depth
+    with pytest.raises(ValueError, match="raise l_max"):
+        spectral_mass(displaced_recurrence(16.0), 300 - 256.0)
+
+
 def test_rabi_eigenvector_two_term_residual():
     p = RabiParams(kappa=0.2, delta=0.4, parity="+")
     rec = rabi_recurrence(p)

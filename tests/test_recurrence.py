@@ -1,4 +1,6 @@
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from zeroflow import (
     rabi_recurrence,
     to_monic,
 )
+
+from zeroflow.recurrence import _BLOCK_ROWS, _BLOCK_SIZE, _sturm_counts
 
 from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
 
@@ -178,6 +182,80 @@ def test_count_equals_n_above_all_zeros():
     c, lam = rec.coeff_arrays(30)
     hi = float(np.max(c) + 2.0 * np.sqrt(np.max(lam)) * 30)
     assert count_zeros_below(rec, hi, 30) == 30
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0])
+@pytest.mark.parametrize("c", [[-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]])
+def test_signed_zero_diagonal_counts_like_positive_zero(c, x):
+    # to_monic gives c_k = -0.0 where c~_k = 0 and alpha_k < 0.  With lambda = 1
+    # P_2 = x**2 - 1 and P_3 = x**3 - 2x, each with one zero strictly below 0;
+    # the exact hit P_1(0) = 0 must count the same whatever the signs of zero
+    lam = np.ones(len(c))
+    assert _sturm_counts(np.array(c), lam, np.array([x])).tolist() == [1]
+    assert _sturm_counts(np.zeros(len(c)), lam, np.array([x])).tolist() == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([255, 256, 257, 513]),
+    st.sampled_from([1, 20, 240, 5000]),
+    st.booleans(),
+)
+def test_block_counts_match_lapack_across_chunk_edges(seed, n, batch, wide):
+    # whole probe arrays, so the recurrence crosses block boundaries at every
+    # block height and at the element cap
+    rng = np.random.default_rng(seed)
+    c, lam = (wide_range_recurrence if wide else random_recurrence)(rng, n).coeff_arrays(n)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    span = eig[-1] - eig[0] + scale
+    xs = np.empty(0)
+    while xs.size < batch:
+        draw = rng.uniform(eig[0] - 0.1 * span, eig[-1] + 0.1 * span, size=batch)
+        i = np.clip(np.searchsorted(eig, draw), 1, n - 1)
+        gap = np.minimum(np.abs(draw - eig[i - 1]), np.abs(draw - eig[i]))
+        xs = np.concatenate((xs, draw[gap > 1e-8 * scale]))[:batch]
+    np.testing.assert_array_equal(_sturm_counts(c, lam, xs), np.searchsorted(eig, xs))
+    # monotone in x also at the eigenvalues, where rounding decides the count
+    grid = np.sort(np.concatenate((xs, eig)))
+    assert np.all(np.diff(_sturm_counts(c, lam, grid)) >= 0)
+
+
+def _exact_count(c, lam, x):
+    """Zeros of P_n strictly below x in rational arithmetic: the sign
+    agreements of consecutive P_j(x), where a zero P_j takes the sign of
+    -P_{j-1}(x)."""
+    x = Fraction(x)
+    p_prev, p, sign, count = Fraction(0), Fraction(1), 1, 0
+    for ck, lk in zip(c, lam):
+        p_prev, p = p, (x - Fraction(ck)) * p - Fraction(lk) * p_prev
+        new = (p > 0) - (p < 0) or -sign
+        count += new == sign
+        sign = new
+    return count
+
+
+def _integer_tables(n):
+    rng = np.random.default_rng(n)
+    yield np.zeros(n), np.ones(n)  # P_j(0) = 0 for every odd j
+    yield rng.integers(-2, 3, n).astype(float), 2.0 ** rng.integers(0, 3, n)
+    yield np.arange(n) + rng.integers(-3, 4, n).astype(float), rng.integers(1, 5, n).astype(float)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 513])
+@pytest.mark.parametrize("batch", [1, 20, 240, 5000])
+def test_integer_tables_probed_at_diagonal_match_exact_count(n, batch):
+    # x = c_k makes row k of the block exactly zero; with k on either side of
+    # every block edge, and small integer tables, the pivots hit 0 and +-inf
+    # exactly there and carry them into the next block
+    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // batch))
+    edges = [k for e in range(rows, n + 1, rows) for k in (e - 2, e - 1, e, e + 1) if 0 <= k < n]
+    for c, lam in _integer_tables(n):
+        lam[0] = 1.0
+        xs = c[np.resize(edges, batch)]
+        exact = {x: _exact_count(c, lam, x) for x in set(xs.tolist())}
+        assert _sturm_counts(c, lam, xs).tolist() == [exact[x] for x in xs.tolist()]
 
 
 # -- associated recurrences --------------------------------------------------
