@@ -9,11 +9,15 @@ four lattice families in the level index n = 1..K:
     q-quadratic   u2*q**(-n) + u1*q**n + u0
 
 The linear families are the u2 = 0 constraints of the other two.  Polynomial
-families solve a linear least-squares problem; q families run a bounded
-search for q (coarse log-grid scan, then golden section) with the linear
-solve inside.  The reported residual is the plain RMS deviation over all
-supplied levels; no normalization is applied, so residuals from different
-spectra are comparable only at the same energy scale.
+families solve a linear least-squares problem.  For fixed q the q families
+are linear too, so their search for q evaluates the RMS residual on a whole
+grid of log q at once (_rms_profile): a coarse 257-point grid over
+q in (1e-6, 1 - 1e-6), then 33-point grids nested on the two steps around
+each minimum until the bracket is 1e-14 wide in log q.  The coefficients and
+residual at the chosen q come from the same least-squares solve as the
+polynomial families.  The reported residual is the plain RMS deviation over
+all supplied levels; no normalization is applied, so residuals from
+different spectra are comparable only at the same energy scale.
 
 Any origin shift of the level index is absorbed by the u parameters (a
 rescaling of u1, u2 for the q families), so fixing n to start at 1 loses no
@@ -35,9 +39,16 @@ __all__ = ["LatticeFit", "FAMILIES", "fit_lattice", "best_lattice_fit", "solvabi
 FAMILIES = ("linear", "quadratic", "linear-q", "q-quadratic")
 
 _Q_EDGE = 1e-6           # q confined to (1e-6, 1 - 1e-6)
-_SCAN_POINTS = 257
-_GOLDEN_TOL = 1e-14
+_SCAN_POINTS = 257       # coarse log q grid
+_ZOOM_POINTS = 33        # each finer grid spans the two steps around the last minimum
+_BRACKET_TOL = 1e-14     # relative bracket width in log q at which the zoom stops
+_PROFILE_ELEMENTS = 2**13  # grid points x levels per block of _rms_profile
 _RANK_RTOL = 1e-13
+# best_lattice_fit ties: exact lattices fit to a few eps * max|y| in every
+# family that contains them, and near q = 1 the q-family coefficients cancel
+# (+-4e7 on a spectrum of size 50), which moves a residual by ~1e-9 of itself
+_TIE_RTOL = 1e-8
+_TIE_ATOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,7 @@ def _design_poly(n: np.ndarray, quadratic: bool) -> np.ndarray:
 
 
 def _design_q(n: np.ndarray, q: float, quadratic: bool) -> np.ndarray:
-    # q**(-n) may overflow to inf; rms_at rejects a non-finite design
+    # q**(-n) may overflow to inf; _rms_profile rejects such a q
     with np.errstate(over="ignore"):
         cols = [np.ones_like(n), q**n]
         if quadratic:
@@ -106,6 +117,8 @@ def fit_lattice(spectrum: Sequence[float], family: str) -> LatticeFit:
         raise ValueError("spectrum must be a flat sequence")
     if y.size < 4:
         raise TooFewLevels(f"need at least 4 levels, got {y.size}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("spectrum must be finite")
     if np.any(np.diff(y) < 0):
         raise ValueError("spectrum must be sorted ascending")
     n = np.arange(1, y.size + 1, dtype=float)
@@ -120,22 +133,15 @@ def fit_lattice(spectrum: Sequence[float], family: str) -> LatticeFit:
         return LatticeFit(family, u0, u1, u2, None, rms, y.size)
 
     quadratic = family == "q-quadratic"
-
-    def rms_at(logq: float) -> float:
-        design = _design_q(n, math.exp(logq), quadratic)
-        if not np.all(np.isfinite(design)):
-            return math.inf  # q**(-n) overflowed: reject this q
-        _, rms, _ = _solve(design, y)
-        return rms
-
     lo, hi = math.log(_Q_EDGE), math.log(1.0 - _Q_EDGE)
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([rms_at(t) for t in grid])
-    k = int(np.argmin(vals))
-    bl = grid[max(k - 1, 0)]
-    bh = grid[min(k + 1, _SCAN_POINTS - 1)]
-    logq = _golden_min(rms_at, bl, bh)
-    q = math.exp(logq)
+    for _ in range(64):
+        k = int(np.argmin(_rms_profile(grid, y, quadratic)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        if hi - lo <= _BRACKET_TOL * (1.0 + abs(lo) + abs(hi)):
+            break
+        grid = np.linspace(lo, hi, _ZOOM_POINTS)
+    q = math.exp((lo + hi) / 2.0)
 
     design = _design_q(n, q, quadratic)
     coef, rms, rank_ratio = _solve(design, y)
@@ -146,45 +152,60 @@ def fit_lattice(spectrum: Sequence[float], family: str) -> LatticeFit:
     return LatticeFit(family, u0, u1, u2, q, rms, y.size)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
-    """Golden-section minimum of f on [lo, hi]; robust for the V-shaped
-    residual profiles of exact-fit data."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(256):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
+def _rms_profile(logq: np.ndarray, y: np.ndarray, quadratic: bool) -> np.ndarray:
+    """RMS residual of the q-family least-squares fit at every log q of a grid.
+
+    For fixed q the fit is linear (variable projection, Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 1973), so one pass serves the whole grid.  Row
+    g holds the columns q**n and q**(-n) scaled by their maxima, which are
+    exp((n - 1) log q) and its reversal exp((K - n) log q): neither can
+    overflow.  The ones column is projected out by centring, then the q
+    columns and y go through modified Gram-Schmidt with a second pass, which
+    is stable for least squares (Bjorck, BIT 7, 1967).  A q at which
+    q**(-K) overflows, where _design_q cannot be solved, gives inf.
+    """
+    size = y.size
+    out = np.empty(logq.size)
+    rows = max(1, _PROFILE_ELEMENTS // size)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for s in range(0, logq.size, rows):
+            t = logq[s : s + rows]
+            u = np.exp(np.multiply.outer(t, np.arange(size, dtype=float)))
+            basis = []
+            for col in ([u, u[:, ::-1]] if quadratic else [u]) + [np.broadcast_to(y, u.shape)]:
+                w = np.array(col)
+                for _ in range(2):
+                    w -= w.mean(axis=1, keepdims=True)
+                    for b in basis:
+                        w -= np.einsum("ij,ij->i", b, w)[:, None] * b
+                norm = np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
+                w /= np.where(norm > 0.0, norm, np.inf)
+                basis.append(w)
+            rms = norm[:, 0] / math.sqrt(size)  # of what y leaves outside the span
+            if quadratic:
+                rms[~np.isfinite(np.exp(t) ** -float(size))] = math.inf
+            out[s : s + rows] = rms
+    return out
 
 
 def best_lattice_fit(spectrum: Sequence[float]) -> LatticeFit:
-    """Minimum-residual fit over all four families.  A family whose design
-    degenerates numerically is skipped; only if all four fail is the
-    degeneracy reraised."""
-    best: Optional[LatticeFit] = None
+    """Minimum-residual fit over all four families.  Residuals that agree
+    to within rounding tie, and a tie goes to the earliest (simplest) family
+    in FAMILIES.  A family whose design degenerates numerically is skipped;
+    only if all four fail is the degeneracy reraised."""
+    fits = []
     failures = []
     for family in FAMILIES:
         try:
-            fit = fit_lattice(spectrum, family)
+            fits.append(fit_lattice(spectrum, family))
         except DegenerateFit as exc:
             failures.append(str(exc))
-            continue
-        if best is None or fit.residual < best.residual:
-            best = fit
-    if best is None:
+    if not fits:
         raise DegenerateFit("; ".join(failures))
-    return best
+    least = min(fit.residual for fit in fits)
+    scale = float(np.max(np.abs(np.asarray(spectrum, dtype=float))))
+    cut = least * (1.0 + _TIE_RTOL) + _TIE_ATOL * scale
+    return next(fit for fit in fits if fit.residual <= cut)
 
 
 def solvability_distance(spectrum: Sequence[float]) -> tuple[str, float]:

@@ -95,6 +95,7 @@ class SpectralMass:
     tail_estimate is the last term summed, P_K(xi)^2 / n_K, where the
     minimal solution was cut below one rounding; every later term is
     smaller, and the relative error of mass is about mass * tail_estimate.
+    On a whole table nothing is cut: K is its last row.
     """
 
     xi: float
@@ -246,7 +247,10 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
     sqrt(lambda_k) / t_k, with t_k = (xi - c_k) - lambda_{k+1} / t_{k+1}
     (Gautschi, SIAM Rev. 9, 1967), are bounded by sqrt(lambda_k) /
     (|c_k - xi| - sqrt(lambda_{k+1})) <= 1, and the backward run starts at
-    the first K >= keep where the product of these bounds is below eps.
+    the first K >= keep where the product of these bounds is below eps.  A
+    whole table (depth reaching its length) is a finite Jacobi matrix with
+    lambda_depth = 0 and no tail: its last row is judged like the others and
+    the backward run starts there, at K = depth - 1.
     ValueError is raised when depth holds no such K.  Its message advises a
     larger depth only when some row is dominated; where none is (c = 0,
     lambda = 1 on its continuous spectrum), it says so instead.
@@ -256,17 +260,23 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
     of max(1, |xi|, the Gershgorin extent of rows 0 .. m+1 about xi), since
     the count's rounding scales with those rows (as in LAPACK dstebz).
     """
-    if rec.n_cap is not None:
-        depth = min(depth, rec.n_cap)
+    whole = rec.n_cap is not None and depth >= rec.n_cap
+    if whole:
+        depth = rec.n_cap
     c, lam = rec.coeff_arrays(depth)
     root = np.sqrt(lam)
     gap = np.abs(c - xi)
     radius = root[:-1] + root[1:]
-    loose = np.flatnonzero(gap[:-1] < radius)
+    if whole:  # lambda_depth = 0 past the table's end, so its last row is judged too
+        radius = np.append(radius, root[-1])
+    loose = np.flatnonzero(gap[: radius.size] < radius)
     m = int(loose[-1]) + 1 if loose.size else 0
     shrink = np.cumsum(np.log2(root[m + 1 : -1] / (gap[m + 1 : -1] - root[m + 2 :])))
     start = np.flatnonzero((shrink < math.log2(_EPS)) & (np.arange(m + 1, depth - 1) >= keep))
-    if not start.size:
+    if whole and depth > keep:
+        top = depth - 1  # a finite Jacobi matrix has no tail to bound
+        m = min(m, top)
+    elif not start.size:
         if loose.size == radius.size:
             raise ValueError(
                 f"the minimal solution at {xi!r} does not fall below rounding: no row within "
@@ -276,15 +286,16 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
             f"the minimal solution at {xi!r} does not fall below rounding within depth "
             f"{depth}; raise l_max (masses) or n_max (eigenvectors)"
         )
-    top = m + 1 + int(start[0])
+    else:
+        top = m + 1 + int(start[0])
 
     h = _LEVEL_ULPS * math.ulp(max(1.0, abs(xi), float(np.max(gap[: m + 2] + radius[: m + 2]))))
     below, above = _sturm_counts(c[: top + 1], lam[: top + 1], np.array([xi - h, xi + h]))
     if above == below:
         return None
 
-    cs, ls, rs = c[: top + 2].tolist(), lam[: top + 2].tolist(), root[: top + 2].tolist()
-    ratios, t = [], math.inf  # lambda_{K+1} / inf = 0 starts t_K = xi - c_K
+    cs, ls, rs = c[: top + 1].tolist(), lam[: top + 1].tolist() + [0.0], root[: top + 1].tolist()
+    ratios, t = [], math.inf  # 0 / inf starts t_K = xi - c_K: the tail past K is cut
     for k in range(top, m, -1):
         t = (xi - cs[k]) - ls[k + 1] / t
         ratios.append(rs[k] / t)

@@ -368,6 +368,21 @@ def test_mass_on_a_short_table_matches_golub_welsch():
         assert mass == pytest.approx(vectors[0, k] ** 2, rel=1e-12)
 
 
+def test_every_mass_of_a_six_row_table():
+    # six rows hold no tail below rounding at any level; the whole Jacobi
+    # matrix needs none, so every level has its mass whatever l_max is
+    c, lam = np.arange(6.0), np.full(5, 0.3)
+    rec = MonicRecurrence.from_arrays(c, lam)
+    nodes, vectors = eigh_tridiagonal(c, np.sqrt(lam))
+    for k in range(6):
+        for l_max in (5, 1000):
+            mass = spectral_mass(rec, float(nodes[k]), l_max=l_max).mass
+            assert mass == pytest.approx(vectors[0, k] ** 2, rel=1e-12)
+    for x in (-3.0, 0.5, 2.5, 4.5, 9.0):
+        with pytest.raises(Divergent):
+            spectral_mass(rec, x)
+
+
 # -- eigenvector reconstruction ----------------------------------------------
 
 
