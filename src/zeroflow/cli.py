@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .errors import Divergent, NonMonotoneFlow, ZeroCoagulation, ZeroflowError
+from .errors import Divergent, NonMonotoneFlow, ParseError, ZeroCoagulation, ZeroflowError
 from .flows import GrowthSchedule, ScheduleLike, _default_schedule, _degrees, flow_trace, run_flows
 from .lattice import FAMILIES, best_lattice_fit, fit_lattice
 from .measure import _eval_F_many
@@ -258,23 +258,24 @@ def _read_spectrum(path: str) -> np.ndarray:
     'levels' list) or a bare one-column csv of energies."""
     text = Path(path).read_text()
     stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        payload = json.loads(text)
-        if isinstance(payload, dict):
-            levels = payload.get("levels")
-            _require(isinstance(levels, list), f"{path}: json has no 'levels' list")
-            return np.array([float(lv["xi"]) for lv in levels])
-        return np.array([float(v) for v in payload])
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    _require(bool(rows), f"{path}: empty spectrum file")
-    header = rows[0]
-    if "xi" in header:
-        col = header.index("xi")
-        return np.array([float(r[col]) for r in rows[1:]])
     try:
+        if stripped.startswith("{") or stripped.startswith("["):
+            payload = json.loads(text)
+            if isinstance(payload, dict):
+                levels = payload.get("levels")
+                _require(isinstance(levels, list), f"{path}: json has no 'levels' list")
+                return np.array([float(lv["xi"]) for lv in levels])
+            return np.array([float(v) for v in payload])
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        _require(bool(rows), f"{path}: empty spectrum file")
+        header = rows[0]
+        if "xi" in header:
+            col = header.index("xi")
+            return np.array([float(r[col]) for r in rows[1:]])
         return np.array([float(r[0]) for r in rows])
-    except ValueError as exc:
-        raise ZeroflowError(f"{path}: not a spectrum csv ({exc})")
+    except (TypeError, KeyError, IndexError, ValueError) as exc:
+        # a level that is missing, null, not a number, or a row too short
+        raise ParseError(f"{path}: not a spectrum file ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_classify_spectrum(args) -> int:

@@ -8,16 +8,18 @@ four lattice families in the level index n = 1..K:
     linear-q      u1*q**n + u0             (0 < q < 1)
     q-quadratic   u2*q**(-n) + u1*q**n + u0
 
-The linear families are the u2 = 0 constraints of the other two.  Polynomial
-families solve a linear least-squares problem.  For fixed q the q families
-are linear too, so their search for q evaluates the RMS residual on a whole
-grid of log q at once (_rms_profile): a coarse 257-point grid over
-q in (1e-6, 1 - 1e-6), then 33-point grids nested on the two steps around
-each minimum until the bracket is 1e-14 wide in log q.  The coefficients and
-residual at the chosen q come from the same least-squares solve as the
-polynomial families.  The reported residual is the plain RMS deviation over
-all supplied levels; no normalization is applied, so residuals from
-different spectra are comparable only at the same energy scale.
+The linear families are the u2 = 0 constraints of the other two.  For fixed
+q every family is a linear least-squares problem, and one routine
+(_least_squares) solves all four: centred modified Gram-Schmidt on columns
+scaled to max 1, back-substitution on its R factor for the coefficients, and
+R's diagonal for the rank check.  A polynomial fit is one solve.  A q family
+evaluates the RMS residual on a whole grid of log q at once: a coarse
+257-point grid over q in (1e-6, 1 - 1e-6), then 33-point grids nested on the
+two steps around each minimum until the bracket is 1e-14 wide in log q; the
+coefficients come from the R of the grid point with the least residual.
+The reported residual is the plain RMS deviation over all supplied levels;
+no normalization is applied, so residuals from different spectra are
+comparable only at the same energy scale.
 
 Any origin shift of the level index is absorbed by the u parameters (a
 rescaling of u1, u2 for the q families), so fixing n to start at 1 loses no
@@ -42,7 +44,7 @@ _Q_EDGE = 1e-6           # q confined to (1e-6, 1 - 1e-6)
 _SCAN_POINTS = 257       # coarse log q grid
 _ZOOM_POINTS = 33        # each finer grid spans the two steps around the last minimum
 _BRACKET_TOL = 1e-14     # relative bracket width in log q at which the zoom stops
-_PROFILE_ELEMENTS = 2**13  # grid points x levels per block of _rms_profile
+_PROFILE_ELEMENTS = 2**13  # grid points x levels per block of _least_squares
 _RANK_RTOL = 1e-13
 # best_lattice_fit ties: exact lattices fit to a few eps * max|y| in every
 # family that contains them, and near q = 1 the q-family coefficients cancel
@@ -77,37 +79,6 @@ class LatticeFit:
         return out
 
 
-def _design_poly(n: np.ndarray, quadratic: bool) -> np.ndarray:
-    cols = [np.ones_like(n), n]
-    if quadratic:
-        cols.append(n * n)
-    return np.column_stack(cols)
-
-
-def _design_q(n: np.ndarray, q: float, quadratic: bool) -> np.ndarray:
-    # q**(-n) may overflow to inf; _rms_profile rejects such a q
-    with np.errstate(over="ignore"):
-        cols = [np.ones_like(n), q**n]
-        if quadratic:
-            cols.append(q ** (-n))
-    return np.column_stack(cols)
-
-
-def _solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Column-scaled least squares; returns (coeffs, rms, rank_ratio).
-
-    Columns are scaled by their max magnitude (the q**(-n) column can span
-    hundreds of orders, and an L2 norm of it would overflow)."""
-    scale = np.max(np.abs(design), axis=0)
-    scale[scale == 0.0] = 1.0
-    coef, _, _, sv = np.linalg.lstsq(design / scale, y, rcond=None)
-    coef = coef / scale
-    res = design @ coef - y
-    rms = float(np.sqrt(np.mean(res * res)))
-    rank_ratio = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0.0 else 0.0
-    return coef, rms, rank_ratio
-
-
 def fit_lattice(spectrum: Sequence[float], family: str) -> LatticeFit:
     """Least-squares fit of one lattice family to a sorted spectrum."""
     if family not in FAMILIES:
@@ -121,71 +92,97 @@ def fit_lattice(spectrum: Sequence[float], family: str) -> LatticeFit:
         raise ValueError("spectrum must be finite")
     if np.any(np.diff(y) < 0):
         raise ValueError("spectrum must be sorted ascending")
-    n = np.arange(1, y.size + 1, dtype=float)
+    size = y.size
+    # dividing by the power of two just above max|y| is exact, and keeps the
+    # MGS norms of a spectrum near the double range from overflowing
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(y))))[1])
+    y = y / scale
+    quadratic = family in ("quadratic", "q-quadratic")
 
+    grid, k = None, 0
     if family in ("linear", "quadratic"):
-        design = _design_poly(n, quadratic=family == "quadratic")
-        coef, rms, rank_ratio = _solve(design, y)
-        if rank_ratio < _RANK_RTOL:
-            raise DegenerateFit(f"{family} design matrix is numerically rank-deficient")
-        u0, u1 = float(coef[0]), float(coef[1])
-        u2 = float(coef[2]) if family == "quadratic" else 0.0
-        return LatticeFit(family, u0, u1, u2, None, rms, y.size)
+        rms, r = _least_squares(None, y, quadratic)
+    else:
+        lo, hi = math.log(_Q_EDGE), math.log(1.0 - _Q_EDGE)
+        grid = np.linspace(lo, hi, _SCAN_POINTS)
+        for _ in range(64):
+            rms, r = _least_squares(grid, y, quadratic)
+            k = int(np.argmin(rms))
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+            if hi - lo <= _BRACKET_TOL * (1.0 + abs(lo) + abs(hi)):
+                break
+            grid = np.linspace(lo, hi, _ZOOM_POINTS)
 
-    quadratic = family == "q-quadratic"
-    lo, hi = math.log(_Q_EDGE), math.log(1.0 - _Q_EDGE)
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    for _ in range(64):
-        k = int(np.argmin(_rms_profile(grid, y, quadratic)))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-        if hi - lo <= _BRACKET_TOL * (1.0 + abs(lo) + abs(hi)):
-            break
-        grid = np.linspace(lo, hi, _ZOOM_POINTS)
-    q = math.exp((lo + hi) / 2.0)
-
-    design = _design_q(n, q, quadratic)
-    coef, rms, rank_ratio = _solve(design, y)
-    if rank_ratio < _RANK_RTOL:
-        raise DegenerateFit(f"{family} design matrix is numerically rank-deficient at q={q:g}")
-    u0, u1 = float(coef[0]), float(coef[1])
-    u2 = float(coef[2]) if quadratic else 0.0
-    return LatticeFit(family, u0, u1, u2, q, rms, y.size)
+    r = r[:, :, k].tolist()
+    m = len(r) - 1  # unknowns: u0 and one or two column coefficients
+    if min(r[j][j] for j in range(1, m)) < _RANK_RTOL * math.sqrt(size):
+        at = "" if grid is None else f" at q={math.exp(grid[k]):g}"
+        raise DegenerateFit(f"{family} design matrix is numerically rank-deficient{at}")
+    u = [0.0, 0.0, 0.0]
+    for i in reversed(range(m)):
+        u[i] = (r[i][m] - sum(r[i][j] * u[j] for j in range(i + 1, m))) / r[i][i]
+    if grid is None:
+        q, u1, u2 = None, u[1] / size, u[2] / size**2
+    else:
+        t = float(grid[k])
+        q, u1, u2 = math.exp(t), u[1] * math.exp(-t), u[2] * math.exp(size * t)
+    return LatticeFit(family, u[0] * scale, u1 * scale, u2 * scale, q, float(rms[k]) * scale, size)
 
 
-def _rms_profile(logq: np.ndarray, y: np.ndarray, quadratic: bool) -> np.ndarray:
-    """RMS residual of the q-family least-squares fit at every log q of a grid.
+def _least_squares(
+    logq: Optional[np.ndarray], y: np.ndarray, quadratic: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits of y on 1 and one or two columns scaled to max 1:
+    one per log q of a grid, or for logq None one of the polynomial columns
+    n/K and (n/K)**2.
 
-    For fixed q the fit is linear (variable projection, Golub & Pereyra,
-    SIAM J. Numer. Anal. 10, 1973), so one pass serves the whole grid.  Row
-    g holds the columns q**n and q**(-n) scaled by their maxima, which are
-    exp((n - 1) log q) and its reversal exp((K - n) log q): neither can
-    overflow.  The ones column is projected out by centring, then the q
-    columns and y go through modified Gram-Schmidt with a second pass, which
-    is stable for least squares (Bjorck, BIT 7, 1967).  A q at which
-    q**(-K) overflows, where _design_q cannot be solved, gives inf.
+    For fixed q the q fit is linear (variable projection, Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 1973), so one pass serves the whole grid.  The
+    q columns, q**n and q**(-n) over their maxima, are exp((n - 1) log q)
+    and its reversal exp((K - n) log q): neither can overflow.  Centring
+    removes the ones column, then the columns and y go through modified
+    Gram-Schmidt with a second sweep (Bjorck, BIT 7, 1967).
+
+    Returns the RMS residual of each row (inf for a q-quadratic q at which
+    q**(-K) overflows) and R[:, :, g], the triangular factor of
+    [1, columns, y]: means in row 0, first-sweep projections above the
+    diagonal, final norms on it.  As every column has max 1,
+    min R[j, j] / sqrt(K) stands in for sigma_min / sigma_max.
     """
     size = y.size
-    out = np.empty(logq.size)
-    rows = max(1, _PROFILE_ELEMENTS // size)
+    rows = 1 if logq is None else logq.size
+    cols = 2 if quadratic else 1
+    r = np.zeros((cols + 2, cols + 2, rows))
+    r[0, 0] = 1.0
+    block = max(1, _PROFILE_ELEMENTS // size)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for s in range(0, logq.size, rows):
-            t = logq[s : s + rows]
-            u = np.exp(np.multiply.outer(t, np.arange(size, dtype=float)))
+        for s in range(0, rows, block):
+            rb = r[:, :, s : s + block]
+            if logq is None:
+                x = np.arange(1, size + 1, dtype=float)[None, :] / size
+                design = [x, x * x]
+            else:
+                x = np.exp(np.multiply.outer(logq[s : s + block], np.arange(size, dtype=float)))
+                design = [x, x[:, ::-1]]
             basis = []
-            for col in ([u, u[:, ::-1]] if quadratic else [u]) + [np.broadcast_to(y, u.shape)]:
+            for j, col in enumerate(design[:cols] + [np.broadcast_to(y, x.shape)], 1):
                 w = np.array(col)
-                for _ in range(2):
-                    w -= w.mean(axis=1, keepdims=True)
+                for sweep in range(2):
+                    proj = [w.sum(axis=1) / size]  # np.mean, bitwise, with less overhead
+                    w -= proj[0][:, None]
                     for b in basis:
-                        w -= np.einsum("ij,ij->i", b, w)[:, None] * b
-                norm = np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
-                w /= np.where(norm > 0.0, norm, np.inf)
-                basis.append(w)
-            rms = norm[:, 0] / math.sqrt(size)  # of what y leaves outside the span
-            if quadratic:
-                rms[~np.isfinite(np.exp(t) ** -float(size))] = math.inf
-            out[s : s + rows] = rms
-    return out
+                        proj.append(np.einsum("ij,ij->i", b, w))
+                        w -= proj[-1][:, None] * b
+                    if sweep == 0:
+                        rb[:j, j] = proj
+                rb[j, j] = np.sqrt(np.einsum("ij,ij->i", w, w))
+                if j <= cols:
+                    w /= np.where(rb[j, j] > 0.0, rb[j, j], np.inf)[:, None]
+                    basis.append(w)
+        rms = r[-1, -1] / math.sqrt(size)
+        if quadratic and logq is not None:
+            rms[~np.isfinite(np.exp(logq) ** -float(size))] = math.inf
+    return rms, r
 
 
 def best_lattice_fit(spectrum: Sequence[float]) -> LatticeFit:

@@ -325,6 +325,21 @@ def test_classify_spectrum_too_few_levels(capsys, tmp_path):
     assert "levels" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"levels":[{"xi":null}]}', '{"levels":[{"l":1}]}', '{"levels":[1,2,3,4]}', "l,xi\n1\n"],
+    ids=["null-xi", "missing-xi", "bare-numbers", "short-row"],
+)
+def test_classify_spectrum_malformed_file_is_error(capsys, tmp_path, text):
+    path = tmp_path / "levels"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "classify-spectrum", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 def test_classify_spectrum_round_trips_spectrum_output(capsys, tmp_path):
     for fmt in ("csv", "json"):
         out_path = tmp_path / f"spectrum.{fmt}"

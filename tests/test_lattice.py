@@ -145,6 +145,17 @@ def test_long_ladder_q_scan_is_silent():
     assert fit.family == "linear"
 
 
+def test_ladder_near_the_double_range_fits_linear():
+    # y is scaled by a power of two before the solve, so squares and norms of
+    # levels near 1e302 neither overflow nor warn
+    spectrum = 1e300 * np.arange(1, 51.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = best_lattice_fit(spectrum)
+    assert fit.family == "linear"
+    assert fit.residual <= 1e-12 * np.max(np.abs(spectrum))
+
+
 # -- batched q search ----------------------------------------------------------
 
 
@@ -154,37 +165,57 @@ _LOGQ_RANGE = (math.log(1e-6), math.log(1.0 - 1e-6))
 @pytest.mark.parametrize("size", [4, 50, 300])
 @pytest.mark.parametrize("family", ["linear-q", "q-quadratic"])
 def test_profile_matches_scalar_solve(size, family):
-    # the vectorised profile against one column-scaled lstsq per q
+    # the batched MGS residuals against one column-scaled lstsq per q
     rng = np.random.default_rng([size, len(family)])
     y = np.sort(rng.normal(size=size)) * 10.0 ** rng.uniform(-3, 3)
     n = np.arange(1, size + 1, dtype=float)
     quadratic = family == "q-quadratic"
     logq = rng.uniform(*_LOGQ_RANGE, size=64)
-    profile = lattice._rms_profile(logq, y, quadratic)
+    profile = lattice._least_squares(logq, y, quadratic)[0]
     for t, got in zip(logq.tolist(), profile.tolist()):
-        design = lattice._design_q(n, math.exp(t), quadratic)
+        q = math.exp(t)
+        with np.errstate(over="ignore"):
+            design = np.column_stack([np.ones(size), q**n] + ([q ** (-n)] if quadratic else []))
         if not np.all(np.isfinite(design)):
             assert got == math.inf
             continue
-        want = lattice._solve(design, y)[1]
+        # columns scaled by their max magnitude, as an L2 norm of q**(-n) overflows
+        scale = np.max(np.abs(design), axis=0)
+        coef = np.linalg.lstsq(design / scale, y, rcond=None)[0] / scale
+        res = design @ coef - y
+        want = float(np.sqrt(np.mean(res * res)))
         assert abs(got - want) <= max(1e-10 * want, 1e-13 * np.max(np.abs(y)))
+
+
+def _mpmath_rms(y, q):
+    """60-digit RMS residual of the q-quadratic fit at q (an mpf)."""
+    with mpmath.workdps(60):
+        a = mpmath.matrix([[1, q**k, q ** (-k)] for k in range(1, y.size + 1)])
+        b = mpmath.matrix(y.tolist())
+        r = a * mpmath.lu_solve(a.T * a, a.T * b) - b
+        return float(mpmath.sqrt(sum(v * v for v in r) / y.size))
 
 
 @pytest.mark.parametrize("size", [4, 50])
 @pytest.mark.parametrize("t", [-1e-6, -1e-5, -1e-3])
 def test_profile_near_q_one_matches_mpmath(size, t):
     # as q -> 1 the q-quadratic design approaches [1, n, n**2] and its
-    # condition grows like 1/t**2; the profile keeps to the 60-digit residual
-    # where lstsq on the scaled design loses up to 1e-4 of it at 4 levels
+    # condition grows like 1/t**2; MGS keeps to the 60-digit residual where
+    # lstsq on the scaled design loses up to 1e-4 of it at 4 levels
     y = np.sort(np.random.default_rng(size).normal(size=size))
     with mpmath.workdps(60):
-        q = mpmath.exp(mpmath.mpf(t))
-        a = mpmath.matrix([[1, q**k, q ** (-k)] for k in range(1, size + 1)])
-        b = mpmath.matrix(y.tolist())
-        r = a * mpmath.lu_solve(a.T * a, a.T * b) - b
-        want = float(mpmath.sqrt(sum(v * v for v in r) / size))
-    got = float(lattice._rms_profile(np.array([t]), y, True)[0])
+        want = _mpmath_rms(y, mpmath.exp(mpmath.mpf(t)))
+    got = float(lattice._least_squares(np.array([t]), y, True)[0][0])
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_reported_residual_near_q_one_matches_mpmath():
+    # the residual a fit reports comes from the same MGS as the q search, so
+    # it keeps to the 60-digit value at the q the fit returns (0.9999985 on
+    # these 4 levels, where the design's condition is about 1/log(q)**2)
+    y = np.sort(np.random.default_rng(4).normal(size=4))
+    fit = fit_lattice(y, "q-quadratic")
+    assert fit.residual == pytest.approx(_mpmath_rms(y, mpmath.mpf(fit.q)), rel=1e-8)
 
 
 def test_profile_rejects_overflowing_q_silently():
@@ -194,8 +225,8 @@ def test_profile_rejects_overflowing_q_silently():
     logq = np.log(np.array([1e-6, 2e-6, 1e-3, 0.05]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        quad = lattice._rms_profile(logq, y, True)
-        lin = lattice._rms_profile(logq, y, False)
+        quad = lattice._least_squares(logq, y, True)[0]
+        lin = lattice._least_squares(logq, y, False)[0]
     assert np.all(quad == math.inf)
     assert np.all(np.isfinite(lin))
 
@@ -241,8 +272,9 @@ def test_every_family_round_trips(family, u0, u1, u2, q, size):
 
 def test_q_search_takes_few_profile_calls(monkeypatch):
     # one coarse grid, then zoom rounds that shrink the bracket 16-fold: a
-    # repeatable count of batched profile calls per q-family fit, not a time
-    profile = lattice._rms_profile
+    # repeatable count of batched least-squares calls per q-family fit, not
+    # a time; the coefficients need no further call
+    profile = lattice._least_squares
     budget = [0]
 
     def counting(logq, y, quadratic):
@@ -250,7 +282,7 @@ def test_q_search_takes_few_profile_calls(monkeypatch):
         assert budget[0] >= 0, "more profile calls than budgeted"
         return profile(logq, y, quadratic)
 
-    monkeypatch.setattr(lattice, "_rms_profile", counting)
+    monkeypatch.setattr(lattice, "_least_squares", counting)
     rng = np.random.default_rng(50)
     for spectrum in (
         _exact_lattice("linear-q", 2.0, 1.0, 0.0, 0.9, 50),
