@@ -16,7 +16,7 @@ import numpy as np
 
 from zeroflow import displaced_recurrence, run_flows
 from zeroflow.measure import _eval_F_many
-from zeroflow.recurrence import count_zeros_below
+from zeroflow.recurrence import _frozen_counts
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     args = ap.parse_args()
 
     rec = displaced_recurrence(args.kappa)
-    total = count_zeros_below(rec, args.x_max, 4096)
+    total = int(_frozen_counts(rec, np.array([args.x_max]))[0])
     result = run_flows(rec, total, tol=1e-8)
     xi = result.xi
 

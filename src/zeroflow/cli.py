@@ -17,10 +17,10 @@ _emit_rows writes every csv or json result.
 
 Exit codes: 0 success, 1 usage/config error, 2 partial result (budget hit
 before convergence), 3 numerical fault (NonMonotoneFlow, ZeroCoagulation,
-Divergent).  Outputs are deterministic: identical configurations produce
-byte-identical files.  CSV numbers carry 17 significant digits and JSON uses
-shortest round-trip floats, so either format reparses losslessly; a missing
-number is nan in csv and null in json.
+Divergent, PrecisionExhausted).  Outputs are deterministic: identical
+configurations produce byte-identical files.  CSV numbers carry 17
+significant digits and JSON uses shortest round-trip floats, so either
+format reparses losslessly; a missing number is nan in csv and null in json.
 """
 
 from __future__ import annotations
@@ -37,8 +37,15 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .errors import Divergent, NonMonotoneFlow, ParseError, ZeroCoagulation, ZeroflowError
-from .flows import GrowthSchedule, ScheduleLike, _default_schedule, _degrees, flow_trace, run_flows
+from .errors import (
+    Divergent,
+    NonMonotoneFlow,
+    ParseError,
+    PrecisionExhausted,
+    ZeroCoagulation,
+    ZeroflowError,
+)
+from .flows import GrowthSchedule, ScheduleLike, _default_schedule, flow_trace, run_flows
 from .lattice import FAMILIES, best_lattice_fit, fit_lattice
 from .measure import _eval_F_many
 from .models import (
@@ -48,7 +55,7 @@ from .models import (
     rabi_recurrence,
     tabulated_recurrence,
 )
-from .recurrence import MonicRecurrence, RecurrenceAsymptotics, count_zeros_below
+from .recurrence import MonicRecurrence, RecurrenceAsymptotics, _frozen_counts
 
 _DEFAULT_POINTS = 200_001
 
@@ -138,10 +145,10 @@ def cmd_spectrum(args) -> int:
         "complete": result.complete,
     }
     rows = [
-        (lv.l, lv.xi * omega, lv.n_converged, lv.last_decrement * omega, lv.converged)
+        (lv.l, lv.xi * omega, lv.n_converged, lv.last_decrement * omega, lv.converged, lv.certified)
         for lv in result.levels
     ]
-    columns = ("l", "xi", "n_converged", "last_decrement", "converged")
+    columns = ("l", "xi", "n_converged", "last_decrement", "converged", "certified")
     _emit_rows(args, header, "levels", columns, rows)
     return 0 if result.complete else 2
 
@@ -169,26 +176,16 @@ def cmd_flow(args) -> int:
 # -- cf-compare --------------------------------------------------------------
 
 
-def _stable_level_count(rec: MonicRecurrence, x_max: float) -> int:
-    """Number of spectral points below x_max: the Sturm count at degree n is
-    nondecreasing in n and reaches the true count once the relevant flows
-    have crossed x_max, so grow n until the count repeats."""
-    prev = -1
-    for n in _degrees(rec, 1, GrowthSchedule(64)):
-        cnt = count_zeros_below(rec, x_max, n)
-        if cnt == prev:
-            break
-        prev = cnt
-    return cnt
-
-
 def cmd_cf_compare(args) -> int:
     rec = _recurrence(
         args,
         (args.x_max > args.x_min, "--x-max must exceed --x-min"),
         (args.points >= 2, "--points must be >= 2"),
     )
-    total = _stable_level_count(rec, args.x_max)
+    # every CLI model has a table length or a dominance index, so the count
+    # of spectral points below x_max is the Sturm count frozen at degree
+    # infinity
+    total = int(_frozen_counts(rec, np.array([args.x_max]))[0])
     rows = []
     complete = True
     if total > 0:
@@ -304,7 +301,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-8, help="absolute convergence tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-8,
+        help="enclosure width: a certified level lies in [xi - tol, xi]",
+    )
     p.add_argument(
         "--override",
         action="store_true",
@@ -389,7 +391,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (NonMonotoneFlow, ZeroCoagulation, Divergent) as exc:
+    except (NonMonotoneFlow, ZeroCoagulation, Divergent, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ZeroflowError, ValueError, OSError) as exc:

@@ -66,6 +66,14 @@ class ZeroCoagulation(ZeroflowError):
     working precision is exhausted at the requested degree."""
 
 
+class PrecisionExhausted(ZeroflowError):
+    """The quantity asked for is not resolvable in double precision at this
+    input: a finite-degree weight that underflows or varies across one node
+    ulp, a spectral mass below the double range, or a zeros-below count that
+    does not freeze past the model's dominance index.  A larger budget does
+    not help."""
+
+
 class TooFewLevels(ZeroflowError):
     """Not enough spectrum levels supplied for the requested lattice fit."""
 

@@ -5,15 +5,20 @@ For a monic OPS the zeros interlace across degree,
     x_{n+1,l} < x_{n,l} < x_{n+1,l+1},
 
 so for fixed l the sequence x_{n,l} decreases strictly in n and converges to
-a limit xi_l; the set of limits is the point spectrum.  The solver computes
-the first `count` zeros of P_n on brackets of the pivot-form Sturm count,
-which is monotone in x in floating point (each zero is individually
-bracketed, so no zero can be skipped silently), drives n upward along a
-growth schedule, and declares a flow converged when two successive
-decrements fall below the requested tolerance.  At a new degree a bracket
-gallops down from its flow's previous zero (Bentley & Yao, IPL 5, 1976), and
-brackets shrink by multisection, few brackets taking many probes per batched
-count (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).
+a limit xi_l <= x_{n,l}; the set of limits is the point spectrum.  The
+solver computes the first `count` zeros of P_n on brackets of the pivot-form
+Sturm count, which is monotone in x in floating point (each zero is
+individually bracketed, so no zero can be skipped silently), and drives n
+upward along a growth schedule.  A flow stops at the first degree where the
+Sturm count frozen at degree infinity (recurrence._frozen_counts: exact at a
+table's length, or past a model's dominance index) finds at most l - 1
+spectral points below x_{n,l} - tol, which proves xi_l in
+[x_{n,l} - tol, x_{n,l}].  A model with neither falls back to two
+successive decrements below tol, a heuristic that certifies nothing.  At a
+new degree a bracket gallops down from its flow's previous zero (Bentley &
+Yao, IPL 5, 1976), and brackets shrink by multisection, few brackets taking
+many probes per batched count (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
+Comput. 8, 1987).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import NonMonotoneFlow, ZeroCoagulation
-from .recurrence import MonicRecurrence, _sturm_counts, _zero_bounds
+from .recurrence import MonicRecurrence, _frozen_counts, _sturm_counts, _zero_bounds
 
 __all__ = [
     "GrowthSchedule",
@@ -157,11 +162,17 @@ class ZeroFlow:
 
 @dataclass(frozen=True)
 class LevelResult:
+    """Level l: xi = x_{n,l} at the last degree n visited.  A certified
+    level has the true level in [xi - tol, xi], up to the bisection
+    resolution of xi; a level converged without a certificate passed the
+    two-decrement heuristic only."""
+
     l: int
     xi: float
     n_converged: int
     last_decrement: float
     converged: bool
+    certified: bool
 
 
 @dataclass(frozen=True)
@@ -292,11 +303,12 @@ def _track_flows(
     tol: float,
     schedule: Optional[ScheduleLike],
     watch: int,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
     """The degrees visited, the tableaux of the first `count` zero flows at
-    those degrees (one row per degree), and the degree at which each flow
-    converged (0 if it did not), as run_flows defines convergence.  Stops
-    once every flow from index `watch` on has converged."""
+    those degrees (one row per degree), the degree at which each flow
+    converged (0 if it did not), and whether convergence was certified, as
+    run_flows defines them.  Stops once every flow from index `watch` on has
+    converged."""
     degrees = _degrees(rec, count, schedule)
     rows: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
@@ -312,12 +324,18 @@ def _track_flows(
                     f"{float(prev[i])!r} to x_{{{n}}}={float(x[i])!r}"
                 )
         rows.append(x)
-        if len(rows) >= 3:
+        # open flows l (index l - 1) whose points x_{n,l} - tol have at most
+        # l - 1 spectral points below them: xi_l lies in [x - tol, x]
+        open_ = np.flatnonzero(n_conv == 0)
+        below = _frozen_counts(rec, x[open_] - tol)
+        if below is not None:
+            n_conv[open_[below <= open_]] = n
+        elif len(rows) >= 3:  # no frozen count: two decrements below tol
             decrements = -np.diff(rows[-3:], axis=0)
             n_conv[(decrements < tol).all(axis=0) & (n_conv == 0)] = n
         if n_conv[watch:].all():
             break
-    return degrees[: len(rows)], np.array(rows), n_conv
+    return degrees[: len(rows)], np.array(rows), n_conv, below is not None
 
 
 def run_flows(
@@ -330,17 +348,21 @@ def run_flows(
     """Track the first n_levels zero flows until each has converged.
 
     The cut-offs follow `schedule`, by default a growth schedule starting at
-    n_levels + 20.  A flow converges once two successive schedule decrements
-    are both below tol (one small decrement can be a slow flow, not a
-    converged one).  If the schedule is exhausted first, the partial result
-    is returned with the affected levels flagged converged=False.
+    n_levels + 20.  tol is the width of the enclosure: on a table or a model
+    with a dominance index, a flow converges, certified, at the first degree
+    n where the frozen Sturm count proves xi_l >= x_{n,l} - tol, which with
+    xi_l <= x_{n,l} encloses the level.  Other models fall back to two
+    successive schedule decrements below tol (one small decrement can be a
+    slow flow, not a converged one) and report certified=False.  If the
+    schedule is exhausted first, the partial result is returned with the
+    affected levels flagged converged=False.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     if not (tol > 0.0):
         raise ValueError("tol must be > 0")
     _refuse_if_outside_class(rec, override)
-    degrees, tableaux, n_conv = _track_flows(rec, n_levels, tol, schedule, watch=0)
+    degrees, tableaux, n_conv, certifies = _track_flows(rec, n_levels, tol, schedule, watch=0)
     xi = tableaux[-1].tolist()
     dec = (tableaux[-2] - tableaux[-1]).tolist() if len(degrees) >= 2 else [math.nan] * n_levels
     return SpectrumResult(
@@ -351,6 +373,7 @@ def run_flows(
                 n_converged=int(n_conv[i]) or degrees[-1],
                 last_decrement=dec[i],
                 converged=bool(n_conv[i]),
+                certified=certifies and bool(n_conv[i]),
             )
             for i in range(n_levels)
         ),
@@ -367,11 +390,11 @@ def flow_trace(
     override: bool = False,
 ) -> ZeroFlow:
     """Full history of the single flow x_{n,l} over the schedule, up to the
-    degree at which it converged."""
+    degree at which it converged, by the stop rule of run_flows."""
     if l < 1:
         raise ValueError("l must be >= 1")
     _refuse_if_outside_class(rec, override)
-    degrees, tableaux, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)
+    degrees, tableaux, n_conv, _ = _track_flows(rec, l, tol, schedule, watch=l - 1)
     history = tuple(zip(degrees, tableaux[:, l - 1].tolist()))
     converged = bool(n_conv[l - 1])
     return ZeroFlow(

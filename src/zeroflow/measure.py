@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergent, NotMinimal, PoleHit
+from .errors import Divergent, NotMinimal, PoleHit, PrecisionExhausted
 from .flows import _bisect_tol, zeros_of
 from .recurrence import MonicRecurrence, RawRecurrence, _backward_fraction, _sturm_counts
 
@@ -168,7 +168,8 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
     survives at every node whose weight is representable at all.  The
     orthonormal values are summed forward in plain doubles from the seed
     p~_0 = 2**-64 (see _orthonormal); a weight below the double underflow
-    threshold raises instead of flushing to zero.
+    threshold raises PrecisionExhausted instead of flushing to zero, as
+    does a degree past the coagulation horizon.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -189,7 +190,7 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
         drift = np.abs(np.log2(probe / sums))
     if np.any(drift > 0.07):  # log2(1.05)
         k = int(np.argmax(drift))
-        raise ValueError(
+        raise PrecisionExhausted(
             f"degree {n} is past the coagulation horizon (node {k + 1} weight varies "
             f"2**{float(drift[k]):.1f}-fold across one node ulp); the finite-degree "
             "measure is not resolvable in double precision here, reduce the degree"
@@ -200,7 +201,7 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
     dead = np.flatnonzero(~(weights > 0.0))
     if dead.size:
         k = int(dead[0])
-        raise ValueError(
+        raise PrecisionExhausted(
             f"weight M_{{{n},{k + 1}}} is below 2**-1074 and underflows double "
             "precision; reduce the degree or use a more strongly coupled model"
         )
@@ -312,8 +313,8 @@ def spectral_mass(rec: MonicRecurrence, xi: float, l_max: int = 1000) -> Spectra
     clamped to a table's length.  Divergent is raised when its Sturm-count
     verdict finds no level at xi.  ValueError is raised when the solution's
     tail does not fall below rounding within l_max (displaced kappa = 16,
-    level 300, needs a larger l_max) and when the mass is below the double
-    range.
+    level 300, needs a larger l_max), and PrecisionExhausted when the mass is
+    below the double range.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -325,7 +326,7 @@ def spectral_mass(rec: MonicRecurrence, xi: float, l_max: int = 1000) -> Spectra
         total = float(np.sum(p * p))
     mass = math.ldexp(1.0 / total, -128)  # undo the 2**-128 scale of the seed
     if not mass > 0.0:
-        raise ValueError(f"the mass at {xi!r} lies below the double range")
+        raise PrecisionExhausted(f"the mass at {xi!r} lies below the double range")
     return SpectralMass(xi=xi, mass=mass, tail_estimate=float(p[-1]) ** 2 * 2.0**128)
 
 

@@ -6,6 +6,7 @@ Energies are dimensionless throughout: eps = E / omega.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -62,10 +63,17 @@ def rabi_recurrence(p: RabiParams) -> MonicRecurrence:
     Comes from the raw subspace recurrence via phi_n = kappa^{-n} P_n / n!.
     lambda depends on kappa only through kappa**2, so +-kappa give identical
     spectra.
+
+    The dominance index at x is max(ceil(kappa**2), ceil(u**2 - 1)) with
+    u = kappa + sqrt(kappa**2 + x + 1 + |delta|) (the root clamped at 0):
+    sqrt(k) + sqrt(k+1) <= 2 sqrt(k+1), so row k is dominated once
+    k - |delta| - x >= 2 kappa sqrt(k+1), which holds for every k with
+    sqrt(k+1) >= u.
     """
     s = float(p.parity_sign)
     delta = float(p.delta)
-    kappa2 = float(p.kappa) ** 2
+    kappa = float(p.kappa)
+    kappa2 = kappa**2
 
     def c_fn(n):
         n = np.asarray(n, dtype=float)
@@ -74,9 +82,15 @@ def rabi_recurrence(p: RabiParams) -> MonicRecurrence:
     def lam_fn(n):
         return np.asarray(n, dtype=float) * kappa2
 
+    def m_fn(x):
+        u = kappa + np.sqrt(np.maximum(kappa2 + np.asarray(x, dtype=float) + 1.0 + abs(delta), 0.0))
+        return np.maximum(math.ceil(kappa2), np.ceil(u * u - 1.0)).astype(np.int64)
+
     desc = f"rabi(kappa={p.kappa!r}, delta={p.delta!r}, parity={p.parity})"
     asym = RecurrenceAsymptotics(alpha=Fraction(0), beta=Fraction(-1), a=1.0 / p.kappa, b=1.0)
-    return MonicRecurrence(c=c_fn, lam=lam_fn, description=desc, asymptotics=asym)
+    return MonicRecurrence(
+        c=c_fn, lam=lam_fn, description=desc, asymptotics=asym, dominance_index=m_fn
+    )
 
 
 def rabi_raw_recurrence(p: RabiParams) -> RawRecurrence:
@@ -113,6 +127,7 @@ def displaced_recurrence(kappa: float) -> MonicRecurrence:
         lam=rec.lam,
         description=f"displaced(kappa={kappa!r})",
         asymptotics=rec.asymptotics,
+        dominance_index=rec.dominance_index,
     )
 
 

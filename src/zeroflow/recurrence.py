@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NonlinearCoefficient, NonPositiveLambda
+from .errors import NonlinearCoefficient, NonPositiveLambda, PrecisionExhausted
 
 __all__ = [
     "RecurrenceAsymptotics",
@@ -125,6 +125,12 @@ class MonicRecurrence:
     coefficients (not of c, lambda) and are advisory metadata: the solver
     consults them for the class-membership test and refuses to run only on an
     explicit negative verdict without an override.
+
+    dominance_index, when present, maps an array of points x to integer
+    indices M such that every row k >= M is Gershgorin dominated at x,
+    c_k - x >= sqrt(lambda_k) + sqrt(lambda_{k+1}).  It is metadata of the
+    model, not a tuning option: it lets the zeros-below count freeze at a
+    finite degree (_frozen_counts), which certifies converged levels.
     """
 
     c: Callable[[np.ndarray], np.ndarray]
@@ -132,6 +138,7 @@ class MonicRecurrence:
     description: str = ""
     n_cap: Optional[int] = None
     asymptotics: Optional[RecurrenceAsymptotics] = None
+    dominance_index: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         probe = 64 if self.n_cap is None else min(64, self.n_cap)
@@ -195,7 +202,7 @@ class MonicRecurrence:
             raise ValueError("upsilon must be >= 0")
         if upsilon == 0:
             return self
-        base_c, base_lam = self.c, self.lam
+        base_c, base_lam, base_m = self.c, self.lam, self.dominance_index
         cap = None if self.n_cap is None else max(self.n_cap - upsilon, 0)
 
         def c_fn(n):
@@ -204,6 +211,9 @@ class MonicRecurrence:
         def lam_fn(n):
             return base_lam(np.asarray(n) + upsilon)
 
+        def m_fn(x):
+            return np.maximum(np.asarray(base_m(x)) - upsilon, 0)
+
         desc = f"{self.description}^({upsilon})" if self.description else f"associated({upsilon})"
         return MonicRecurrence(
             c=c_fn,
@@ -211,6 +221,7 @@ class MonicRecurrence:
             description=desc,
             n_cap=cap,
             asymptotics=self.asymptotics,  # index shifts do not change growth
+            dominance_index=None if base_m is None else m_fn,
         )
 
 
@@ -309,8 +320,9 @@ _BLOCK_ROWS = 256
 _BLOCK_SIZE = 2**15
 
 
-def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs.
+def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, last_pivot: bool = False):
+    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs,
+    and with last_pivot=True also the last negated pivot v_n (+inf at n = 0).
 
     Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz, run on the
     negated pivots v_k = -q_k = -P_k(x) / P_{k-1}(x):
@@ -350,7 +362,53 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
                 prev = v
             counts += np.count_nonzero(d < 0.0, axis=0)
             np.copyto(carry, prev)
-    return counts
+    return (counts, carry) if last_pivot else counts
+
+
+# _frozen_counts takes the count over rows 0..M once the negated pivot v_M is
+# at least _FROZEN_MARGIN * sqrt(lambda_M) (exact arithmetic needs a factor 1;
+# the rest absorbs rounding), and re-counts the points that fail with M
+# doubled, at most _FROZEN_ROUNDS times in all.
+_FROZEN_MARGIN = 2.0
+_FROZEN_ROUNDS = 8
+
+
+def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]:
+    """Number of spectral points strictly below each x in the 1-D array xs:
+    the zeros-below count of P_N as N -> infinity.  None when the model has
+    neither a table length nor a dominance index; PrecisionExhausted when a
+    count does not freeze within _FROZEN_ROUNDS doublings of M.
+
+    A table's count at n_cap is exact.  Otherwise, with v_k the negated
+    pivots of _sturm_counts: if every row k >= M is Gershgorin dominated at x,
+    c_k - x >= sqrt(lambda_k) + sqrt(lambda_{k+1}), and v_M >= sqrt(lambda_M),
+    then by induction v_{k+1} >= (sqrt(lambda_k) + sqrt(lambda_{k+1})) -
+    lambda_k / sqrt(lambda_k) = sqrt(lambda_{k+1}) > 0 for every k >= M.  No
+    row past M counts, so every P_N with N >= M has the count over rows
+    1..M.  M is the largest dominance index over the batch, which is valid
+    for every point in it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if rec.n_cap is not None:
+        return _sturm_counts(*rec.coeff_arrays(rec.n_cap), xs)
+    if rec.dominance_index is None:
+        return None
+    counts = np.empty(xs.shape, dtype=np.int64)
+    todo = np.arange(xs.size)
+    m = int(np.max(rec.dominance_index(xs), initial=0))
+    for _ in range(_FROZEN_ROUNDS):
+        c, lam = rec.coeff_arrays(m + 1)
+        cts, v = _sturm_counts(c[:m], lam[:m], xs[todo], last_pivot=True)
+        ok = v >= _FROZEN_MARGIN * np.sqrt(lam[m])
+        counts[todo[ok]] = cts[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return counts
+        m = 2 * m + 1
+    raise PrecisionExhausted(
+        f"the zeros-below count at x={float(xs[todo[0]])!r} of {rec.description or 'model'} "
+        f"does not freeze within {_FROZEN_ROUNDS} doublings of its dominance index"
+    )
 
 
 def _backward_fraction(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from zeroflow import ZeroCoagulation, load_tabulated, run_flows, tabulated_recurrence
+from scipy.linalg import eigvalsh_tridiagonal
+
+from zeroflow import (
+    ZeroCoagulation,
+    displaced_oscillator_spectrum,
+    load_tabulated,
+    run_flows,
+    tabulated_recurrence,
+)
 from zeroflow import cli
 from zeroflow.cli import main
 
@@ -77,14 +85,18 @@ def test_spectrum_output_is_deterministic(capsys):
 
 
 def test_spectrum_partial_budget_exits_2(capsys, tmp_path):
+    # at degree 8 the displaced kappa = 1 flows are 6e-5 to 3e-2 above their
+    # levels, so nothing can be certified within the default tol 1e-8
     code, out, err = run_cli(
         capsys,
-        "spectrum", "--model", "displaced", "--kappa", "0.2",
-        "--levels", "3", "--schedule", "23,30",
+        "spectrum", "--model", "displaced", "--kappa", "1",
+        "--levels", "3", "--schedule", "6,8",
     )
     assert code == 2
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert all(r["converged"] == "false" for r in rows)
+    assert all(r["converged"] == "false" and r["certified"] == "false" for r in rows)
+    error = np.array([float(r["xi"]) for r in rows]) - displaced_oscillator_spectrum(1.0, 3)
+    assert np.max(error) > 1e-8
 
 
 def test_spectrum_partial_json_is_strict(capsys):
@@ -92,8 +104,8 @@ def test_spectrum_partial_json_is_strict(capsys):
     # must say null, not the non-standard NaN token
     code, out, err = run_cli(
         capsys,
-        "spectrum", "--model", "displaced", "--kappa", "0.2",
-        "--levels", "3", "--schedule", "30", "--format", "json",
+        "spectrum", "--model", "displaced", "--kappa", "1",
+        "--levels", "3", "--schedule", "8", "--format", "json",
     )
     assert code == 2
 
@@ -103,17 +115,21 @@ def test_spectrum_partial_json_is_strict(capsys):
     payload = json.loads(out, parse_constant=reject)
     assert payload["complete"] is False
     assert [lv["last_decrement"] for lv in payload["levels"]] == [None, None, None]
+    error = np.array([lv["xi"] for lv in payload["levels"]]) - displaced_oscillator_spectrum(1.0, 3)
+    assert np.max(error) > payload["tolerance"]
 
 
 def test_spectrum_partial_csv_keeps_nan(capsys):
     code, out, err = run_cli(
         capsys,
-        "spectrum", "--model", "displaced", "--kappa", "0.2",
-        "--levels", "3", "--schedule", "30",
+        "spectrum", "--model", "displaced", "--kappa", "1",
+        "--levels", "3", "--schedule", "8",
     )
     assert code == 2
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["last_decrement"] for r in rows] == ["nan", "nan", "nan"]
+    error = np.array([float(r["xi"]) for r in rows]) - displaced_oscillator_spectrum(1.0, 3)
+    assert np.max(error) > 1e-8
 
 
 def test_flow_trace_csv(capsys):
@@ -132,12 +148,13 @@ def test_flow_trace_csv(capsys):
 def test_flow_partial_budget_exits_2(capsys):
     code, out, err = run_cli(
         capsys,
-        "flow", "--model", "displaced", "--kappa", "0.2", "--level", "1",
-        "--schedule", "12",
+        "flow", "--model", "displaced", "--kappa", "1", "--level", "1",
+        "--schedule", "8",
     )
     assert code == 2
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
+    assert float(rows[0]["x"]) - (-1.0) > 1e-8  # the ground state is -kappa**2
 
 
 def test_cf_compare_empty_range(capsys):
@@ -188,9 +205,14 @@ def test_cf_compare_takes_schedule_flags(capsys):
     assert json.loads(out)["true_levels"] == 6  # k - 0.25 for k = 0..5
     # the default schedule starts at levels + 20; naming it changes nothing
     assert run_cli(capsys, *base, "--n-start", "26")[:2] == (0, out)
-    # one degree cannot show two decrements: partial result
-    assert run_cli(capsys, *base, "--schedule", "7")[0] == 2
-    assert run_cli(capsys, *base, "--n-start", "26", "--n-max", "26")[0] == 2
+    # at degrees 7 and 8 the sixth flow is still 0.4 and 0.13 above k - 0.25:
+    # partial results, whichever flags give the short schedule
+    exact = np.arange(6) - 0.25
+    for flags in (("--schedule", "7"), ("--n-start", "7", "--n-max", "8")):
+        code, short, _ = run_cli(capsys, *base, *flags)
+        assert code == 2
+        xi = np.array([row["xi"] for row in json.loads(short)["intervals"]])
+        assert np.max(xi - exact[: xi.size]) > 1e-8
 
 
 def test_cf_compare_default_depth_fits_the_table(capsys, tmp_path):
@@ -200,26 +222,50 @@ def test_cf_compare_default_depth_fits_the_table(capsys, tmp_path):
     path.write_text(json.dumps({"c": list(range(25)), "lam": [0.3] * 24}))
     argv = (
         "cf-compare", "--model", "tabulated", "--table", str(path),
-        "--x-min", "-1", "--x-max", "10", "--points", "2001",
+        "--x-min", "-1", "--x-max", "10", "--points", "2001", "--schedule", "11,12",
     )
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2  # ten flows cannot converge within 25 degrees
+    assert code == 2  # at degree 12 the ninth to eleventh flows are 5e-5 to 3e-2 high
     assert err == ""
     rows = list(csv.DictReader(io.StringIO(out)))
     # the Sturm count puts eleven zeros below 10 at degree 25; the eleventh
-    # rounds to 10.0, outside the half-open range
-    expect = run_flows(tabulated_recurrence(load_tabulated(path)), 11)
+    # rounds to 10.0, and its flow at degree 12 lies above 10
+    rec = tabulated_recurrence(load_tabulated(path))
+    expect = run_flows(rec, 11, schedule=[11, 12])
     assert [float(r["xi"]) for r in rows] == expect.xi[:10].tolist()
+    c, lam = rec.coeff_arrays(25)
+    exact = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 9))
+    assert np.max(expect.xi[:10] - exact) > 1e-8
     assert run_cli(capsys, *argv, "--depth", "25") == (code, out, err)
+
+
+def test_cf_compare_counts_the_trap_tables_deep_level(capsys, tmp_path):
+    # a deep site at index 200: growing n until the count repeats stopped
+    # before the site and reported 11 levels below 10.5
+    c = np.arange(400.0)
+    c[200] = -5.0
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps({"c": c.tolist(), "lam": [0.04] * 399}))
+    code, out, err = run_cli(
+        capsys,
+        "cf-compare", "--model", "tabulated", "--table", str(path),
+        "--x-min", "-6", "--x-max", "10.5", "--points", "2001", "--format", "json",
+    )
+    assert code == 0
+    eig = eigvalsh_tridiagonal(c, np.full(399, 0.2))
+    payload = json.loads(out)
+    assert payload["true_levels"] == np.count_nonzero(eig < 10.5) == 12
+    xi = [row["xi"] for row in payload["intervals"]]
+    np.testing.assert_allclose(xi, eig[:12], rtol=0, atol=1e-8)
 
 
 _LAYOUTS = {
     "spectrum": (
-        ("spectrum", "--model", "displaced", "--kappa", "0.2", "--levels", "3", "--schedule", "30"),
+        ("spectrum", "--model", "displaced", "--kappa", "1", "--levels", "3", "--schedule", "8"),
         ("model", "tolerance", "omega", "complete"),
         "levels",
         {"l": "int", "xi": "float", "n_converged": "int", "last_decrement": "float",
-         "converged": "bool"},
+         "converged": "bool", "certified": "bool"},
     ),
     "flow": (
         ("flow", "--model", "displaced", "--kappa", "0.2", "--level", "1",
@@ -258,6 +304,8 @@ def test_output_layout(capsys, command):
             cells.append(cell)
     if command == "spectrum":  # one degree: no decrement, nothing converged
         assert {"nan", "false"} <= set(cells)
+        xi = np.array([float(line.split(",")[1]) for line in lines[1:]])
+        assert np.max(xi - displaced_oscillator_spectrum(1.0, 3)) > 1e-8
     if command == "cf-compare":
         assert "true" in cells
 
@@ -384,17 +432,28 @@ def test_numerical_fault_exits_3(capsys, monkeypatch):
 
 def test_short_table_default_schedule_matches_api(capsys, tmp_path):
     # the default n_start (levels + 20 = 30) exceeds the 25-entry table: the
-    # CLI clamps it like run_flows and reports the partial levels
+    # CLI clamps it like run_flows, to the table length, where every level
+    # is exact and certified
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"c": list(range(25)), "lam": [0.3] * 24}))
-    code, out, err = run_cli(
-        capsys, "spectrum", "--model", "tabulated", "--table", str(path), "--levels", "10"
-    )
+    argv = ("spectrum", "--model", "tabulated", "--table", str(path), "--levels", "10")
+    rec = tabulated_recurrence(load_tabulated(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(r["xi"]) for r in rows] == run_flows(rec, 10).xi.tolist()
+    assert all(r["certified"] == "true" for r in rows)
+    # a list schedule is clamped the same way: 30 is dropped, and at degree
+    # 12 the flows stop short of the table's eigenvalues
+    code, out, err = run_cli(capsys, *argv, "--schedule", "11,12,30")
     assert code == 2
     rows = list(csv.DictReader(io.StringIO(out)))
-    expect = run_flows(tabulated_recurrence(load_tabulated(path)), 10)
+    expect = run_flows(rec, 10, schedule=[11, 12, 30])
     assert [float(r["xi"]) for r in rows] == expect.xi.tolist()
-    assert all(r["converged"] == "false" for r in rows)
+    assert all(r["converged"] == "false" for r in rows[7:])
+    c, lam = rec.coeff_arrays(25)
+    exact = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 9))
+    assert np.max(expect.xi - exact) > 1e-8
 
 
 def test_tabulated_model_via_cli(capsys, tmp_path):

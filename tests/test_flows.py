@@ -214,12 +214,16 @@ def test_run_flows_histories_strictly_decrease():
 
 
 def test_run_flows_budget_exhaustion_returns_partial():
-    rec = displaced_recurrence(0.2)
-    res = run_flows(rec, 3, tol=1e-10, schedule=[23, 30])
+    # at degree 8 the displaced kappa = 1 flows are 6e-5 to 3e-2 above their
+    # levels: no certificate within tol
+    rec = displaced_recurrence(1.0)
+    res = run_flows(rec, 3, tol=1e-10, schedule=[6, 8])
     assert not res.complete
-    assert all(not lv.converged for lv in res.levels)
-    # the partial values are still the best tableau so far
-    np.testing.assert_allclose(res.xi, displaced_oscillator_spectrum(0.2, 3), atol=1e-6)
+    assert all(not lv.converged and not lv.certified for lv in res.levels)
+    # the partial values are still the best tableau so far: upper bounds
+    error = res.xi - displaced_oscillator_spectrum(1.0, 3)
+    assert np.all(error > 0.0) and np.all(error < 0.1)
+    assert np.max(error) > res.tolerance
 
 
 def test_run_flows_parity_swap_matches_delta_flip():
@@ -255,6 +259,112 @@ def test_run_flows_rejects_bad_args():
         run_flows(rec, 10, tol=1e-8, schedule=GrowthSchedule(5))
 
 
+# -- certified stop rule -----------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _assert_enclosed(res, exact, oracle_error=0.0):
+    # xi_l in [xi - tol, xi], up to the bisection resolution of xi and the
+    # oracle's own rounding
+    slack = 4.0 * _bisect_tol(res.xi) + oracle_error
+    assert all(lv.certified for lv in res.levels)
+    assert np.all(exact >= res.xi - res.tolerance - slack)
+    assert np.all(exact <= res.xi + slack)
+
+
+def test_trap_table_finds_the_deep_level():
+    # a deep site at index 200, far past the degree where the flows above it
+    # stop moving: nothing certifies before the cut-off includes the site
+    c = np.arange(400.0)
+    c[200] = -5.0
+    lam = np.full(399, 0.04)
+    res = run_flows(MonicRecurrence.from_arrays(c, lam), 20, tol=1e-10)
+    assert res.complete and all(lv.certified for lv in res.levels)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam), select="i", select_range=(0, 19))
+    assert abs(res.xi[0] - eig[0]) <= 1e-10
+    assert res.xi[0] < -5.0
+    assert min(lv.n_converged for lv in res.levels) > 200
+
+
+@pytest.mark.parametrize("kappa", [0.2, 1.0, 3.0])
+def test_displaced_enclosures_contain_the_exact_levels(kappa):
+    res = run_flows(displaced_recurrence(kappa), 50, tol=1e-10)
+    assert res.complete
+    _assert_enclosed(res, displaced_oscillator_spectrum(kappa, 50))
+
+
+def test_scan_grid_enclosures_contain_lapack():
+    # the benchmark's scan grid: both parities, kappa = 0.25 ... 3, 20 levels
+    for kappa in 0.25 * np.arange(1, 13):
+        for parity in "+-":
+            rec = rabi_recurrence(RabiParams(kappa=float(kappa), delta=0.4, parity=parity))
+            res = run_flows(rec, 20, tol=1e-10)
+            n_final = max(lv.n_converged for lv in res.levels)
+            c, lam = rec.coeff_arrays(3 * n_final)
+            norm = float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam)))
+            _assert_enclosed(res, jacobi_eigenvalues(rec, 3 * n_final, 20), 8 * _EPS * norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(80, 240))
+def test_deep_site_beyond_the_first_degree_is_found(seed, count, n):
+    # a table whose deep site lies past the first degree (count + 20): a
+    # stop rule that trusts slow flows misses it, the frozen count does not
+    rng = np.random.default_rng(seed)
+    c = np.arange(n, dtype=float) + rng.uniform(-0.3, 0.3, size=n)
+    site = int(rng.integers(count + 21, n))
+    c[site] = -float(rng.uniform(2.0, 6.0))
+    lam = rng.uniform(0.02, 0.5, size=n - 1)
+    res = run_flows(MonicRecurrence.from_arrays(c, lam), count, tol=1e-10)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam), select="i", select_range=(0, count - 1))
+    norm = float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam)))
+    _assert_enclosed(res, eig, 8 * _EPS * norm)
+    assert res.xi[0] < -1.0
+
+
+def test_models_without_a_frozen_count_use_decrements():
+    from zeroflow import rabi_raw_recurrence, to_monic
+
+    rec = to_monic(rabi_raw_recurrence(RabiParams(kappa=0.5, delta=0.4)))
+    assert rec.dominance_index is None and rec.n_cap is None
+    res = run_flows(rec, 5, tol=1e-10)
+    assert res.complete
+    assert not any(lv.certified for lv in res.levels)
+    expect = jacobi_eigenvalues(rabi_recurrence(RabiParams(kappa=0.5, delta=0.4)), 400, 5)
+    np.testing.assert_allclose(res.xi, expect, rtol=0, atol=1e-10)
+
+
+def test_deep_rabi_certifies_at_the_first_degree(monkeypatch):
+    # every one of the 1000 levels is certified at degree 1020, so no other
+    # degree is solved
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+    solved = []
+    zeros_with_warm = flows._zeros_with_warm
+
+    def counting(rec, n, count, warm):
+        solved.append(n)
+        return zeros_with_warm(rec, n, count, warm)
+
+    monkeypatch.setattr(flows, "_zeros_with_warm", counting)
+    res = run_flows(rec, 1000, tol=1e-6)
+    assert solved == [1020]
+    assert res.complete and all(lv.certified and lv.n_converged == 1020 for lv in res.levels)
+
+
+def test_dominance_index_of_associated_models():
+    rec = rabi_recurrence(RabiParams(kappa=2.0, delta=0.4))
+    xs = np.array([-10.0, 0.0, 50.0, 500.0])
+    m = rec.dominance_index(xs)
+    np.testing.assert_array_equal(rec.associated(30).dominance_index(xs), np.maximum(m - 30, 0))
+    # every row from the index on is Gershgorin dominated
+    c, lam = rec.coeff_arrays(int(m.max()) + 200)
+    root = np.sqrt(lam)
+    for x, mx in zip(xs, m):
+        k = np.arange(mx, c.size - 1)
+        assert np.all(c[k] - x >= root[k] + root[k + 1])
+
+
 # -- flow_trace --------------------------------------------------------------
 
 
@@ -268,11 +378,12 @@ def test_flow_trace_displaced_converges_to_ground():
 
 
 def test_flow_trace_single_point_schedule():
-    rec = displaced_recurrence(0.2)
-    trace = flow_trace(rec, 1, [12])
+    rec = displaced_recurrence(1.0)
+    trace = flow_trace(rec, 1, [8])
     assert len(trace.history) == 1
     assert not trace.converged
     assert trace.xi is None
+    assert trace.history[0][1] - (-1.0) > 1e-8  # 6e-5 above the ground state
 
 
 def test_flow_trace_hermite_strict_decrease():
@@ -286,8 +397,12 @@ def test_flow_trace_agrees_with_run_flows():
     # the two loops keep separate warm tableaux (count l versus n_levels),
     # so they agree within the bisection resolution, not bitwise
     rec = rabi_recurrence(RabiParams(kappa=1.0, delta=0.4))
-    schedule = [12, 18, 27, 40, 60]
+    schedule = [10, 11, 12, 13, 14]
     full = run_flows(rec, 10, tol=1e-12, schedule=schedule)
+    # short of every level: at degree 14, level 1 is 7e-11 and level 10 is
+    # 0.9 above LAPACK
+    error = full.xi - jacobi_eigenvalues(rec, 800, 10)
+    assert np.min(error) > 1e-12
     for l in (1, 5, 10):
         trace = flow_trace(rec, l, schedule, tol=1e-12)
         level = full.levels[l - 1]

@@ -13,6 +13,7 @@ from zeroflow import (
     MonicRecurrence,
     NotMinimal,
     PoleHit,
+    PrecisionExhausted,
     RabiParams,
     RawRecurrence,
     displaced_recurrence,
@@ -267,12 +268,12 @@ def test_partial_fractions_weights_match_mpmath(kappa, n):
 
 
 def test_partial_fractions_raises_on_underflowing_weight():
-    with pytest.raises(ValueError, match="underflows"):
+    with pytest.raises(PrecisionExhausted, match="underflows"):
         partial_fractions(displaced_recurrence(16.0), 400)
 
 
 def test_partial_fractions_raises_past_coagulation_horizon():
-    with pytest.raises(ValueError, match="coagulation"):
+    with pytest.raises(PrecisionExhausted, match="coagulation"):
         partial_fractions(displaced_recurrence(0.2), 40)
 
 

@@ -11,6 +11,7 @@ from zeroflow import (
     MonicRecurrence,
     NonlinearCoefficient,
     NonPositiveLambda,
+    PrecisionExhausted,
     RabiParams,
     RawRecurrence,
     count_zeros_below,
@@ -20,7 +21,7 @@ from zeroflow import (
     to_monic,
 )
 
-from zeroflow.recurrence import _BLOCK_ROWS, _BLOCK_SIZE, _sturm_counts
+from zeroflow.recurrence import _BLOCK_ROWS, _BLOCK_SIZE, _frozen_counts, _sturm_counts
 
 from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
 
@@ -301,3 +302,41 @@ def test_rabi_recurrence_always_positive_definite(kappa, delta, parity):
     rec = rabi_recurrence(RabiParams(kappa=kappa, delta=delta, parity=parity))
     _, lam = rec.coeff_arrays(40)
     assert np.all(lam[1:] > 0.0)
+
+
+# -- counts frozen at degree infinity ----------------------------------------
+
+
+@pytest.mark.parametrize("kappa, parity", [(0.2, "+"), (1.0, "-"), (3.0, "+"), (8.0, "-")])
+def test_frozen_counts_match_lapack(kappa, parity):
+    # points between the levels of a truncation far past every dominance
+    # index used; the last pivot also comes back from the one kernel
+    rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4, parity=parity))
+    c, lam = rec.coeff_arrays(1200)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 299))
+    xs = np.concatenate(([eig[0] - 5.0], 0.5 * (eig[:-1] + eig[1:])))
+    np.testing.assert_array_equal(_frozen_counts(rec, xs), np.arange(xs.size))
+    counts, pivot = _sturm_counts(c[:50], lam[:50], xs[:3], last_pivot=True)
+    np.testing.assert_array_equal(counts, _sturm_counts(c[:50], lam[:50], xs[:3]))
+    assert np.all(pivot > 0.0)
+
+
+def test_frozen_counts_need_a_table_or_an_index():
+    assert _frozen_counts(to_monic(rabi_raw_recurrence(RabiParams(0.5))), np.array([1.0])) is None
+    table = MonicRecurrence.from_arrays(np.arange(30.0), np.full(29, 0.3))
+    c, lam = table.coeff_arrays(30)
+    xs = np.linspace(-2.0, 40.0, 97)
+    np.testing.assert_array_equal(_frozen_counts(table, xs), _sturm_counts(c, lam, xs))
+
+
+def test_wrong_dominance_index_raises_instead_of_counting_on():
+    # c = 0, lambda = 1 is dominated nowhere in [-2, 2] nor above it, so a
+    # claimed index cannot freeze the count there
+    rec = MonicRecurrence(
+        c=lambda n: np.zeros(np.shape(n)),
+        lam=lambda n: np.ones(np.shape(n)),
+        dominance_index=lambda x: np.full(np.shape(x), 3),
+    )
+    with pytest.raises(PrecisionExhausted, match="does not freeze"):
+        _frozen_counts(rec, np.array([0.0, 5.0]))
+    np.testing.assert_array_equal(_frozen_counts(rec, np.array([-10.0])), [0])

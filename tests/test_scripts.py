@@ -1,7 +1,8 @@
 """Smoke tests: the example scripts run end to end on small inputs.
 
 The scripts import package internals (sign_scan_comparison.py uses the
-private measure._eval_F_many), so a rename there must fail here.
+private measure._eval_F_many and recurrence._frozen_counts), so a rename
+there must fail here.
 """
 
 import os
@@ -37,10 +38,16 @@ def test_sign_scan_comparison_script():
 
 
 def test_flow_convergence_script():
-    out = run_script("flow_convergence.py", "--levels", "1", "2", "--schedule", "8", "12", "18")
-    rows = out.splitlines()[1:]
-    assert [int(r.split()[0]) for r in rows] == [8, 12, 18]
-    assert float(rows[-1].split()[1]) == -0.04  # displaced ground state -kappa**2
+    # displaced kappa = 1: at degree 8 the ground flow is still 6e-5 above
+    # -kappa**2, so no flow stops early and every row is full
+    out = run_script(
+        "flow_convergence.py", "--kappa", "1", "--levels", "1", "2", "--schedule", "4", "6", "8"
+    )
+    rows = [r.split() for r in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [4, 6, 8]
+    assert all(len(r) == 3 for r in rows)
+    ground = [float(r[1]) for r in rows]
+    assert ground[0] > ground[1] > ground[2] > -1.0 + 1e-12
 
 
 def test_rabi_levels_script():
