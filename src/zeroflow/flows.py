@@ -18,7 +18,11 @@ successive decrements below tol, a heuristic that certifies nothing.  At a
 new degree a bracket gallops down from its flow's previous zero (Bentley &
 Yao, IPL 5, 1976), and brackets shrink by multisection, few brackets taking
 many probes per batched count (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
-Comput. 8, 1987).
+Comput. 8, 1987).  A cold solve of more than _PROBE_BATCH // 2 zeros, which
+would get one probe per bracket and pass, bisects only until each zero is
+alone in its bracket and then takes safeguarded Newton steps on P_n, with
+P_n'/P_n from the same forward sweep as the count; every polished zero is
+re-counted, and one that fails goes back to multisection.
 """
 
 from __future__ import annotations
@@ -30,7 +34,13 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import NonMonotoneFlow, ZeroCoagulation
-from .recurrence import MonicRecurrence, _frozen_counts, _sturm_counts, _zero_bounds
+from .recurrence import (
+    MonicRecurrence,
+    _frozen_counts,
+    _sturm_counts,
+    _sturm_newton,
+    _zero_bounds,
+)
 
 __all__ = [
     "GrowthSchedule",
@@ -53,6 +63,8 @@ _SIMPLE_FACTOR = 4.0
 _PROBE_BATCH = 256
 # Growth of the gallop distance below a warm zero, per probe.
 _GALLOP_GROWTH = 16.0
+# Newton sweeps per polished zero; one still moving after them multisects.
+_NEWTON_SWEEPS = 16
 _DEFAULT_N_MAX = 250_000
 
 
@@ -198,10 +210,13 @@ class SpectrumResult:
 def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     """The `count` smallest zeros of P_n by multisection on Sturm-count
     brackets (a warm start also gallops down from the previous zeros).
+    Above _PROBE_BATCH // 2 zeros the brackets are bisected only until each
+    holds one zero, which is then polished by safeguarded Newton steps.
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
-    from l-1 to l; the final brackets are re-counted, so an omission or a
-    collision is detected rather than silently absorbed.
+    from l-1 to l; every final bracket, or [x - tol/2, x + tol/2] about a
+    polished zero, is re-counted, so an omission or a collision is detected
+    rather than silently absorbed.
     """
     return _zeros_with_warm(rec, n, count, warm=None)
 
@@ -222,7 +237,8 @@ def _zeros_with_warm(
 
     # distance below hi of the first gallop probe; inf means plain multisection
     reach = np.full(count, np.inf)
-    if warm is not None and warm.size >= count:
+    cold = warm is None or warm.size < count
+    if not cold:
         # interlacing: zeros only drift down as n grows, so the previous
         # tableau gives upper brackets; previous lower neighbours are tried
         # as lower brackets and verified by an explicit count.
@@ -237,7 +253,46 @@ def _zeros_with_warm(
         # a converged flow barely moves: look just below the warm zero first
         reach = np.where(ok_hi, 2.0 * slack, np.inf)
 
-    active = np.arange(count)
+    zeros = np.full(count, np.nan)
+    if cold and count > _PROBE_BATCH // 2:
+        # one probe per bracket and pass would bisect down to the tolerance:
+        # bisect only until the zeros are alone, then polish them by Newton
+        iso = _isolate(c, lam, lo, hi, targets)
+        x = _polish(c, lam, lo, hi, targets, iso)
+        # a polished zero must pass the re-count of [x - tol/2, x + tol/2];
+        # one that fails multisects from its count-verified bracket below
+        half = 0.5 * _bisect_tol(x)
+        cts = _sturm_counts(c, lam, np.concatenate((x - half, x + half)))
+        ok = (cts[: iso.size] == targets[iso] - 1) & (cts[iso.size :] == targets[iso])
+        zeros[iso[ok]] = x[ok]  # NaN x fail the re-count
+    rest = np.flatnonzero(np.isnan(zeros))
+    _multisect(c, lam, lo, hi, targets, reach, rest)
+    zeros[rest] = 0.5 * (lo[rest] + hi[rest])
+
+    # no-skip verification: each final bracket must hold exactly one zero
+    if rest.size:
+        cts = _sturm_counts(c, lam, np.concatenate((lo[rest], hi[rest])))
+        if not (
+            np.array_equal(cts[: rest.size], targets[rest] - 1)
+            and np.array_equal(cts[rest.size :], targets[rest])
+        ):
+            raise ZeroCoagulation(
+                f"bracket counts inconsistent at n={n}: zeros closer than bisection resolution"
+            )
+    # simplicity: zeros are provably simple, so near-coincidence means the
+    # working precision is exhausted at this degree
+    if count > 1:
+        gap_tol = _SIMPLE_FACTOR * _bisect_tol(zeros[1:])
+        if np.any(np.diff(zeros) <= gap_tol):
+            raise ZeroCoagulation(f"adjacent zeros at n={n} closer than {_SIMPLE_FACTOR}x tolerance")
+    return ZeroTableau(n=n, zeros=zeros)
+
+
+def _multisect(c, lam, lo, hi, targets, reach, active) -> None:
+    """Shrink the brackets [lo, hi] of the zeros with indices `active`, in
+    place, to the bisection tolerance.  Each pass spends _PROBE_BATCH probes
+    over the active brackets: a bracket with a finite reach gallops down
+    from hi, any other one multisects."""
     while active.size:
         lo_a, hi_a = lo[active], hi[active]
         width = hi_a - lo_a
@@ -264,21 +319,65 @@ def _zeros_with_warm(
         keep = (new_hi - new_lo > _bisect_tol(0.5 * (new_lo + new_hi))) & moved
         active = active[keep]
 
-    zeros = 0.5 * (lo + hi)
 
-    # no-skip verification: each final bracket must hold exactly one zero
-    cts = _sturm_counts(c, lam, np.concatenate((lo, hi)))
-    if not (np.array_equal(cts[:count], targets - 1) and np.array_equal(cts[count:], targets)):
-        raise ZeroCoagulation(
-            f"bracket counts inconsistent at n={n}: zeros closer than bisection resolution"
-        )
-    # simplicity: zeros are provably simple, so near-coincidence means the
-    # working precision is exhausted at this degree
-    if count > 1:
-        gap_tol = _SIMPLE_FACTOR * _bisect_tol(zeros[1:])
-        if np.any(np.diff(zeros) <= gap_tol):
-            raise ZeroCoagulation(f"adjacent zeros at n={n} closer than {_SIMPLE_FACTOR}x tolerance")
-    return ZeroTableau(n=n, zeros=zeros)
+def _isolate(c, lam, lo, hi, targets) -> np.ndarray:
+    """Bisect the cold brackets [lo, hi], in place, until each holds its
+    zero alone, and return the indices of the isolated ones.  The bracket of
+    zero l is isolated when the count is l - 1 at lo and l at hi.  Brackets
+    that share their ends share their midpoint, which is counted once: all
+    start as the same Gershgorin bracket, so pass j counts at most 2^(j-1)
+    points.  A bracket that reaches the bisection tolerance first is left
+    to multisection."""
+    n_lo = np.zeros(targets.size, dtype=np.int64)
+    n_hi = np.full(targets.size, c.shape[0], dtype=np.int64)
+    active = np.arange(targets.size)
+    while active.size:
+        lo_a, hi_a = lo[active], hi[active]
+        mid = 0.5 * (lo_a + hi_a)
+        points, inverse = np.unique(mid, return_inverse=True)
+        cts = _sturm_counts(c, lam, points)[inverse.ravel()]
+        below = cts < targets[active]
+        lo[active] = np.where(below, mid, lo_a)
+        hi[active] = np.where(below, hi_a, mid)
+        n_lo[active] = np.where(below, cts, n_lo[active])
+        n_hi[active] = np.where(below, n_hi[active], cts)
+        alone = (n_lo[active] == targets[active] - 1) & (n_hi[active] == targets[active])
+        open_ = (hi[active] - lo[active] > _bisect_tol(mid)) & (mid > lo_a) & (mid < hi_a)
+        active = active[~alone & open_]
+    return np.flatnonzero((n_lo == targets - 1) & (n_hi == targets))
+
+
+def _polish(c, lam, lo, hi, targets, idx) -> np.ndarray:
+    """Safeguarded Newton iteration on P_n for the isolated zeros with
+    indices idx; returns their polished points, NaN where a zero did not
+    settle within _NEWTON_SWEEPS.  Each step takes the count and
+    s = P_n'/P_n from one _sturm_newton sweep; the count shrinks the bracket
+    [lo, hi] in place, and a Newton point that is not finite or leaves the
+    bracket is replaced by the bracket's midpoint.  A zero stops at a Newton
+    step no longer than the bisection tolerance, or when its bracket is
+    that narrow."""
+    out = np.full(idx.size, np.nan)
+    pos = np.arange(idx.size)
+    x = 0.5 * (lo[idx] + hi[idx])
+    for _ in range(_NEWTON_SWEEPS):
+        if not pos.size:
+            break
+        active = idx[pos]
+        cts, s = _sturm_newton(c, lam, x)
+        below = cts < targets[active]
+        lo_a = lo[active] = np.where(below, x, lo[active])
+        hi_a = hi[active] = np.where(below, hi[active], x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = x - 1.0 / s
+        step = np.abs(newton - x)
+        # s = inf is an exact zero at x, an end of the bracket; NaN is never ok
+        ok = ((newton > lo_a) & (newton < hi_a)) | (step == 0.0)
+        x = np.where(ok, newton, 0.5 * (lo_a + hi_a))
+        tol = _bisect_tol(x)
+        done = (ok & (step <= tol)) | (hi_a - lo_a <= tol)
+        out[pos[done]] = x[done]
+        pos, x = pos[~done], x[~done]
+    return out
 
 
 def _refuse_if_outside_class(rec: MonicRecurrence, override: bool) -> None:

@@ -320,9 +320,18 @@ _BLOCK_ROWS = 256
 _BLOCK_SIZE = 2**15
 
 
-def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, last_pivot: bool = False):
+def _sturm_counts(
+    c: np.ndarray,
+    lam: np.ndarray,
+    xs: np.ndarray,
+    last_pivot: bool = False,
+    start: Optional[np.ndarray] = None,
+):
     """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs,
     and with last_pivot=True also the last negated pivot v_n (+inf at n = 0).
+    With `start`, the negated pivots v_M at each x of rows already swept, c
+    and lam are rows M..M+n-1 and the count covers those rows only: added to
+    the count of the earlier rows it is, bitwise, the count of one sweep.
 
     Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz, run on the
     negated pivots v_k = -q_k = -P_k(x) / P_{k-1}(x):
@@ -348,7 +357,8 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, last_pivot: bo
     block = np.empty((rows,) + xs.shape)
     views = list(block)
     ratio = np.empty(xs.shape)
-    carry = np.full(xs.shape, np.inf)  # lambda_0 / inf = 0 starts v_1 = c_0 - x
+    # lambda_0 / inf = 0 starts v_1 = c_0 - x
+    carry = np.full(xs.shape, np.inf) if start is None else np.array(start, dtype=float)
     counts = np.zeros(xs.shape, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
         for k0 in range(0, n, rows):
@@ -365,10 +375,53 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, last_pivot: bo
     return (counts, carry) if last_pivot else counts
 
 
+def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros-below counts of _sturm_counts at each x in xs, bitwise, and
+    s = P_n'(x) / P_n(x) from the same forward sweep: the Newton step is -1/s.
+
+    P_n = (-1)^n prod v_k, so s = sum r_k with r_k = v_k' / v_k, and the
+    derivative of v_k = (c_{k-1} - x) - lambda_{k-1} / v_{k-1} is
+    v_k' = -1 + (lambda_{k-1} / v_{k-1}) r_{k-1} (r_0 = 0).  Only the
+    pivots and r of one block of rows are kept.  An exact hit carries
+    infinities into s and may leave it NaN; the caller falls back to
+    bisection there.
+    """
+    xs = np.asarray(xs, dtype=float)
+    lam = lam.tolist()
+    n = c.shape[0]
+    # two blocks, pivots and r, of _BLOCK_SIZE elements together
+    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // max(2 * xs.size, 1)))
+    block = np.empty((rows,) + xs.shape)
+    rblock = np.empty_like(block)
+    views, rviews = list(block), list(rblock)
+    ratio = np.empty(xs.shape)
+    carry = np.full(xs.shape, np.inf)
+    r = np.zeros(xs.shape)
+    s = np.zeros(xs.shape)
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k0 in range(0, n, rows):
+            d = block[: min(rows, n - k0)]
+            np.subtract(c[k0 : k0 + d.shape[0], None], xs, out=d)
+            d += 0.0  # -0.0 + 0.0 = +0.0
+            prev = carry
+            for lk, v, rk in zip(lam[k0 : k0 + d.shape[0]], views, rviews):
+                np.divide(lk, prev, out=ratio)
+                np.subtract(v, ratio, out=v)
+                np.multiply(ratio, r, out=rk)
+                rk -= 1.0
+                np.divide(rk, v, out=rk)
+                prev, r = v, rk
+            counts += np.count_nonzero(d < 0.0, axis=0)
+            s += rblock[: d.shape[0]].sum(axis=0)
+            np.copyto(carry, prev)
+    return counts, s
+
+
 # _frozen_counts takes the count over rows 0..M once the negated pivot v_M is
 # at least _FROZEN_MARGIN * sqrt(lambda_M) (exact arithmetic needs a factor 1;
-# the rest absorbs rounding), and re-counts the points that fail with M
-# doubled, at most _FROZEN_ROUNDS times in all.
+# the rest absorbs rounding), and carries the points that fail on from v_M
+# over the rows up to 2M + 1, at most _FROZEN_ROUNDS times in all.
 _FROZEN_MARGIN = 2.0
 _FROZEN_ROUNDS = 8
 
@@ -393,18 +446,19 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]
         return _sturm_counts(*rec.coeff_arrays(rec.n_cap), xs)
     if rec.dominance_index is None:
         return None
-    counts = np.empty(xs.shape, dtype=np.int64)
+    counts = np.zeros(xs.shape, dtype=np.int64)
     todo = np.arange(xs.size)
-    m = int(np.max(rec.dominance_index(xs), initial=0))
+    # the points in todo have been swept over rows 1..k, ending at pivots v
+    k, m, v = 0, int(np.max(rec.dominance_index(xs), initial=0)), None
     for _ in range(_FROZEN_ROUNDS):
         c, lam = rec.coeff_arrays(m + 1)
-        cts, v = _sturm_counts(c[:m], lam[:m], xs[todo], last_pivot=True)
-        ok = v >= _FROZEN_MARGIN * np.sqrt(lam[m])
-        counts[todo[ok]] = cts[ok]
-        todo = todo[~ok]
+        cts, v = _sturm_counts(c[k:m], lam[k:m], xs[todo], last_pivot=True, start=v)
+        counts[todo] += cts
+        fail = ~(v >= _FROZEN_MARGIN * np.sqrt(lam[m]))
+        todo, v = todo[fail], v[fail]
         if not todo.size:
             return counts
-        m = 2 * m + 1
+        k, m = m, 2 * m + 1
     raise PrecisionExhausted(
         f"the zeros-below count at x={float(xs[todo[0]])!r} of {rec.description or 'model'} "
         f"does not freeze within {_FROZEN_ROUNDS} doublings of its dominance index"

@@ -19,6 +19,7 @@ from zeroflow import (
 )
 from zeroflow import flows
 from zeroflow.flows import ZeroTableau, _bisect_tol, _zeros_with_warm
+from zeroflow.recurrence import _zero_bounds
 
 from conftest import (
     hermite_recurrence,
@@ -156,6 +157,123 @@ def test_warm_brackets_far_above_the_gershgorin_bound():
         got = _zeros_with_warm(rec, n, count, cold + shift).zeros
         assert np.all(np.abs(got - cold) <= 4.0 * _bisect_tol(cold))
         np.testing.assert_allclose(got, eig, rtol=0, atol=1e-12 * 2e6)
+
+
+# -- isolate, then Newton ------------------------------------------------------
+
+
+def _multisected(rec, n, count):
+    """The cold zeros by multisection alone, to the bisection tolerance."""
+    c, lam = rec.coeff_arrays(n)
+    lo_glob, hi_glob = _zero_bounds(c, lam)
+    lo, hi = np.full(count, lo_glob), np.full(count, hi_glob)
+    targets = np.arange(1, count + 1)
+    flows._multisect(c, lam, lo, hi, targets, np.full(count, np.inf), np.arange(count))
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(130, 400), st.booleans())
+def test_polished_zeros_match_multisection_and_lapack(seed, n, wide):
+    # more than 128 cold brackets: isolated by bisection, then polished by
+    # Newton steps; the result must be the multisection one
+    rng = np.random.default_rng(seed)
+    rec = (wide_range_recurrence if wide else random_recurrence)(rng, n)
+    count = int(rng.integers(129, n + 1))
+    sweeps = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        sturm_newton = flows._sturm_newton
+
+        def counting(c, lam, xs):
+            sweeps[0] += 1
+            return sturm_newton(c, lam, xs)
+
+        mp.setattr(flows, "_sturm_newton", counting)
+        got = zeros_of(rec, n, count).zeros
+    assert sweeps[0] > 0
+    ref = _multisected(rec, n, count)
+    assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
+    c, lam = rec.coeff_arrays(n)
+    norm = max(1.0, float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam))))
+    np.testing.assert_allclose(got, jacobi_eigenvalues(rec, n, count), rtol=0, atol=1e-12 * norm)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda x, s: -s,  # steps away from the zero
+        lambda x, s: 3.0 * s,  # a third of the step: slow and never within tol in time
+        lambda x, s: np.full_like(s, np.nan),  # every point an apparent exact hit
+        lambda x, s: 1.0 / (x - np.round(x, 3)),  # converges onto a wrong grid point
+        lambda x, s: s * (1.0 + 1e-3 * np.sign(np.sin(1e6 * x))),  # slightly off
+    ],
+)
+def test_wrong_newton_steps_cannot_pass_silently(monkeypatch, wrong):
+    # whatever the derivative sweep says, the count-verified brackets and the
+    # final re-count decide: every zero is right, or the solve raises
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+    ref = _multisected(rec, 300, 200)
+    sturm_newton = flows._sturm_newton
+
+    def lying(c, lam, xs):
+        counts, s = sturm_newton(c, lam, xs)
+        with np.errstate(divide="ignore"):
+            return counts, wrong(xs, s)
+
+    monkeypatch.setattr(flows, "_sturm_newton", lying)
+    try:
+        got = zeros_of(rec, 300, 200).zeros
+    except ZeroCoagulation:
+        return
+    assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
+
+
+def test_exact_hits_in_the_newton_sweep():
+    # c = 0, lambda = 1: 0 is a zero of every odd P_k and the zeros of P_6 and
+    # P_42 are zeros of P_300 (301 = 7 * 43), so sweeps meet exact hits; the
+    # suite turns any escaping RuntimeWarning into an error
+    rec = MonicRecurrence.from_arrays(np.zeros(300), np.ones(299))
+    nonfinite = [0]
+    sturm_newton = flows._sturm_newton
+
+    def watching(c, lam, xs):
+        counts, s = sturm_newton(c, lam, xs)
+        nonfinite[0] += int(np.count_nonzero(~np.isfinite(s)))
+        return counts, s
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_sturm_newton", watching)
+        got = zeros_of(rec, 300, 300).zeros
+    assert nonfinite[0] > 0
+    np.testing.assert_allclose(got, jacobi_eigenvalues(rec, 300, 300), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got, 2.0 * np.cos(np.arange(300, 0, -1) * np.pi / 301), atol=1e-14)
+
+
+def test_cold_degree_takes_few_kernel_calls(monkeypatch):
+    # rabi-deep's one solve: 1000 zeros at degree 1020 cost isolating counts,
+    # Newton sweeps and one re-count, not ~57 bisection passes
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+    ref = _multisected(rec, 1020, 1000)
+    calls = [0]
+    sturm_counts, sturm_newton = flows._sturm_counts, flows._sturm_newton
+
+    def counting(kernel):
+        def wrapped(c, lam, xs):
+            calls[0] += 1
+            return kernel(c, lam, xs)
+
+        return wrapped
+
+    monkeypatch.setattr(flows, "_sturm_counts", counting(sturm_counts))
+    monkeypatch.setattr(flows, "_sturm_newton", counting(sturm_newton))
+    got = zeros_of(rec, 1020, 1000).zeros
+    assert calls[0] <= 25
+    assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
+    # every returned zero passes the re-count of [x - tol/2, x + tol/2]
+    c, lam = rec.coeff_arrays(1020)
+    half = 0.5 * _bisect_tol(got)
+    np.testing.assert_array_equal(sturm_counts(c, lam, got - half), np.arange(1000))
+    np.testing.assert_array_equal(sturm_counts(c, lam, got + half), np.arange(1, 1001))
 
 
 # -- interlacing (property) --------------------------------------------------

@@ -21,7 +21,14 @@ from zeroflow import (
     to_monic,
 )
 
-from zeroflow.recurrence import _BLOCK_ROWS, _BLOCK_SIZE, _frozen_counts, _sturm_counts
+from zeroflow import recurrence
+from zeroflow.recurrence import (
+    _BLOCK_ROWS,
+    _BLOCK_SIZE,
+    _frozen_counts,
+    _sturm_counts,
+    _sturm_newton,
+)
 
 from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
 
@@ -257,6 +264,86 @@ def test_integer_tables_probed_at_diagonal_match_exact_count(n, batch):
         xs = c[np.resize(edges, batch)]
         exact = {x: _exact_count(c, lam, x) for x in set(xs.tolist())}
         assert _sturm_counts(c, lam, xs).tolist() == [exact[x] for x in xs.tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([255, 256, 257, 513]),
+    st.sampled_from([1, 20, 240, 5000]),
+    st.booleans(),
+)
+def test_newton_sweep_counts_and_log_derivative(seed, n, batch, wide):
+    # the sweep's counts are the kernel's, bitwise, across block edges, and
+    # s = P_n'/P_n = sum_j 1/(x - x_j) over LAPACK's eigenvalues
+    rng = np.random.default_rng(seed)
+    c, lam = (wide_range_recurrence if wide else random_recurrence)(rng, n).coeff_arrays(n)
+    eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    xs = rng.uniform(eig[0] - 1.0, eig[-1] + 1.0, size=batch)
+    counts, s = _sturm_newton(c, lam, xs)
+    np.testing.assert_array_equal(counts, _sturm_counts(c, lam, xs))
+    gap = np.min(np.abs(xs[:, None] - eig[None, :]), axis=1)
+    far = gap > 1e-3 * scale
+    expect = np.sum(1.0 / (xs[far, None] - eig[None, :]), axis=1)
+    bound = np.sum(1.0 / (xs[far, None] - eig[None, :]) ** 2, axis=1) * 1e-12 * scale
+    assert np.all(np.abs(s[far] - expect) <= bound)
+
+
+@pytest.mark.parametrize("n", [255, 513])
+@pytest.mark.parametrize("batch", [1, 240, 2000])
+def test_newton_sweep_counts_exact_hits(n, batch):
+    # probes at the diagonal of integer tables hit pivots 0 and +-inf; the
+    # counts stay exact, s may be inf or NaN there, and no warning escapes
+    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // (2 * batch)))
+    edges = [k for e in range(rows, n + 1, rows) for k in (e - 2, e - 1, e, e + 1) if 0 <= k < n]
+    for c, lam in _integer_tables(n):
+        lam[0] = 1.0
+        xs = c[np.resize(edges, batch)]
+        exact = {x: _exact_count(c, lam, x) for x in set(xs.tolist())}
+        assert _sturm_newton(c, lam, xs)[0].tolist() == [exact[x] for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("split", [0, 1, 37, 256, 300])
+def test_resumed_sweep_is_one_sweep_bitwise(split):
+    # counting rows 1..k, then resuming from v_k over rows k+1..n, gives the
+    # counts and the last pivot of one sweep, infinities from exact hits too
+    n = 513
+    for c, lam in _integer_tables(n):
+        lam[0] = 1.0
+        xs = np.concatenate((c[:64], np.linspace(-3.0, n + 3.0, 200)))
+        head, v = _sturm_counts(c[:split], lam[:split], xs, last_pivot=True)
+        tail, last = _sturm_counts(c[split:], lam[split:], xs, last_pivot=True, start=v)
+        whole, whole_last = _sturm_counts(c, lam, xs, last_pivot=True)
+        np.testing.assert_array_equal(head + tail, whole)
+        np.testing.assert_array_equal(last, whole_last)
+        assert np.array_equal(np.signbit(last), np.signbit(whole_last))
+
+
+def test_frozen_recount_resumes_from_the_carried_pivot(monkeypatch):
+    # points whose pivot misses the margin at M are carried on over rows
+    # M+1..2M+1 only, with the counts of a fresh sweep over rows 1..2M+1
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+    xs = np.linspace(0.0, 1000.0, 2001)
+    swept = []
+    sturm_counts = recurrence._sturm_counts
+
+    def recording(c, lam, xs, **kw):
+        swept.append((c.shape[0], xs.size))
+        return sturm_counts(c, lam, xs, **kw)
+
+    monkeypatch.setattr(recurrence, "_sturm_counts", recording)
+    got = _frozen_counts(rec, xs)
+    monkeypatch.undo()
+    m = int(np.max(rec.dominance_index(xs)))
+    c, lam = rec.coeff_arrays(2 * m + 2)
+    _, v = _sturm_counts(c[:m], lam[:m], xs, last_pivot=True)
+    carried = ~(v >= 2.0 * np.sqrt(lam[m]))
+    assert swept == [(m, xs.size), (m + 1, np.count_nonzero(carried))]
+    assert 0 < np.count_nonzero(carried) < xs.size
+    rows = 2 * m + 1
+    np.testing.assert_array_equal(got[carried], _sturm_counts(c[:rows], lam[:rows], xs[carried]))
+    np.testing.assert_array_equal(got[~carried], _sturm_counts(c[:m], lam[:m], xs[~carried]))
 
 
 # -- associated recurrences --------------------------------------------------
