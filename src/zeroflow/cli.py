@@ -10,10 +10,10 @@ Subcommands:
     classify-spectrum lattice-family fit of a spectrum file
 
 The computing subcommands pass the argparse values straight on: _recurrence
-validates the flags and builds the model, _schedule hands --schedule or the
-growth flags to the flows module, which alone clamps cut-offs to a tabulated
-model's length (cf-compare's default --depth is clamped the same way), and
-_emit_rows writes every csv or json result.
+validates the flags and builds the model, _schedule hands --schedule (or
+None, for run_flows's default schedule) to the flows module, which alone
+clamps cut-offs to a tabulated model's length (cf-compare's default --depth
+is clamped the same way), and _emit_rows writes every csv or json result.
 
 Exit codes: 0 success, 1 usage/config error, 2 partial result (budget hit
 before convergence), 3 numerical fault (NonMonotoneFlow, ZeroCoagulation,
@@ -45,7 +45,7 @@ from .errors import (
     ZeroCoagulation,
     ZeroflowError,
 )
-from .flows import GrowthSchedule, ScheduleLike, _default_schedule, flow_trace, run_flows
+from .flows import flow_trace, run_flows
 from .lattice import FAMILIES, best_lattice_fit, fit_lattice
 from .measure import _eval_F_many
 from .models import (
@@ -69,8 +69,6 @@ def _recurrence(args, *checks: tuple[bool, str]) -> MonicRecurrence:
     """The model named by the flags, after the shared model and solver flags
     and then the subcommand's own (condition, message) checks are validated."""
     _require(args.tol > 0.0, "--tol must be > 0")
-    _require(args.growth > 1.0, "--growth must be > 1")
-    _require(args.n_max >= 1, "--n-max must be >= 1")
     _require(args.omega > 0.0, "--omega must be > 0")
     if args.model == "tabulated":
         _require(args.table is not None, "--table is required for the tabulated model")
@@ -87,11 +85,10 @@ def _recurrence(args, *checks: tuple[bool, str]) -> MonicRecurrence:
     return tabulated_recurrence(load_tabulated(args.table))
 
 
-def _schedule(args, n_levels: int) -> ScheduleLike:
-    """The --schedule degrees, or else the default growth schedule for
-    n_levels flows with the --n-start, --growth and --n-max flags."""
+def _schedule(args) -> list[int] | None:
+    """The --schedule degrees, or None for the default schedule."""
     if args.schedule is None:
-        return _default_schedule(n_levels, args.n_start, args.growth, args.n_max)
+        return None
     try:
         return [int(tok) for tok in args.schedule.split(",")]
     except ValueError:
@@ -135,7 +132,7 @@ def _emit_rows(args, header: dict, key: str, columns: tuple[str, ...], rows) -> 
 def cmd_spectrum(args) -> int:
     rec = _recurrence(args, (args.levels >= 1, "--levels must be >= 1"))
     result = run_flows(
-        rec, args.levels, tol=args.tol, schedule=_schedule(args, args.levels), override=args.override
+        rec, args.levels, tol=args.tol, schedule=_schedule(args), override=args.override
     )
     omega = args.omega
     header = {
@@ -158,9 +155,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_flow(args) -> int:
     rec = _recurrence(args, (args.level >= 1, "--level must be >= 1"))
-    trace = flow_trace(
-        rec, args.level, _schedule(args, args.level), tol=args.tol, override=args.override
-    )
+    trace = flow_trace(rec, args.level, _schedule(args), tol=args.tol, override=args.override)
     omega = args.omega
     header = {
         "model": rec.description,
@@ -179,6 +174,7 @@ def cmd_flow(args) -> int:
 def cmd_cf_compare(args) -> int:
     rec = _recurrence(
         args,
+        (np.isfinite([args.x_min, args.x_max]).all(), "--x-min and --x-max must be finite"),
         (args.x_max > args.x_min, "--x-max must exceed --x-min"),
         (args.points >= 2, "--points must be >= 2"),
     )
@@ -190,7 +186,7 @@ def cmd_cf_compare(args) -> int:
     complete = True
     if total > 0:
         result = run_flows(
-            rec, total, tol=args.tol, schedule=_schedule(args, total), override=args.override
+            rec, total, tol=args.tol, schedule=_schedule(args), override=args.override
         )
         complete = result.complete
         xi = result.xi
@@ -312,14 +308,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="run even if the class-membership test is negative",
     )
-    p.add_argument("--n-start", type=int, default=None, help="initial cut-off degree")
-    p.add_argument(
-        "--growth", type=float, default=GrowthSchedule.growth, help="cut-off growth factor"
-    )
-    p.add_argument("--n-max", type=int, default=GrowthSchedule.n_max, help="cut-off budget")
-    p.add_argument(
-        "--schedule", default=None, help="explicit comma-separated cut-off degrees (overrides)"
-    )
+    p.add_argument("--schedule", default=None, help="comma-separated increasing cut-off degrees")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

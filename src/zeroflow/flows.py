@@ -90,57 +90,40 @@ class GrowthSchedule:
 
     def degrees(self) -> Iterable[int]:
         n = self.n_start
-        while n <= self.n_max:
+        yield n
+        while n < self.n_max:
+            # a step that would reach n_max spends the remaining budget at once
+            grown = self.growth * n
+            n = self.n_max if grown >= self.n_max else max(math.ceil(grown), n + 1)
             yield n
-            nxt = int(math.ceil(self.growth * n))
-            if nxt <= n:
-                nxt = n + 1
-            if nxt > self.n_max and n < self.n_max:
-                nxt = self.n_max  # spend the remaining budget on one last step
-            n = nxt
 
 
 ScheduleLike = Union[GrowthSchedule, Sequence[int]]
-
-
-def _default_schedule(
-    n_levels: int,
-    n_start: Optional[int] = None,
-    growth: float = GrowthSchedule.growth,
-    n_max: int = GrowthSchedule.n_max,
-) -> GrowthSchedule:
-    """Growth schedule for n_levels flows from n_start (default n_levels + 20)."""
-    start = n_levels + 20 if n_start is None else int(n_start)
-    if start < n_levels:
-        raise ValueError(f"n_start must be >= n_levels ({n_levels}), got {start}")
-    return GrowthSchedule(n_start=start, growth=growth, n_max=n_max)
 
 
 def _degrees(
     rec: MonicRecurrence, count: int, schedule: Optional[ScheduleLike] = None
 ) -> list[int]:
     """The cut-offs at which `count` flows are followed: a growth schedule
-    (by default _default_schedule) or an explicit increasing list, clamped to
-    a tabulated model's length.  A growth schedule that runs past the table
-    ends with one step at the table length; list degrees past it are dropped."""
+    (by default one starting at count + 20) or an explicit increasing list.
+    On a tabulated model the first degree at or past the table length
+    becomes the last one, at that length; later degrees are not read."""
     cap = rec.n_cap
     if cap is not None and cap < count:
         raise ValueError("tabulated model too short for the requested levels")
     if schedule is None:
-        schedule = _default_schedule(count)
+        schedule = GrowthSchedule(count + 20)
     if isinstance(schedule, GrowthSchedule):
-        if cap is not None and schedule.n_max > cap:
-            schedule = GrowthSchedule(min(schedule.n_start, cap), schedule.growth, cap)
-        degrees = list(schedule.degrees())
-    else:
-        degrees = [int(n) for n in schedule]
-        if not degrees:
-            raise ValueError("schedule must contain at least one degree")
-        if any(n < 1 for n in degrees) or any(b <= a for a, b in zip(degrees, degrees[1:])):
+        schedule = schedule.degrees()
+    degrees: list[int] = []
+    for n in map(int, schedule):
+        if n < 1 or (degrees and n <= degrees[-1]):
             raise ValueError("schedule degrees must be positive and strictly increasing")
-        degrees = [n for n in degrees if cap is None or n <= cap]
-        if not degrees:
-            raise ValueError("schedule produced no degrees")
+        degrees.append(n if cap is None or n < cap else cap)
+        if degrees[-1] == cap:
+            break
+    if not degrees:
+        raise ValueError("schedule must contain at least one degree")
     if degrees[0] < count:
         raise ValueError(f"schedule degree {degrees[0]} is below the flow count {count}")
     return degrees
@@ -484,12 +467,12 @@ def run_flows(
 def flow_trace(
     rec: MonicRecurrence,
     l: int,
-    schedule: ScheduleLike,
+    schedule: Optional[ScheduleLike] = None,
     tol: float = 1e-8,
     override: bool = False,
 ) -> ZeroFlow:
-    """Full history of the single flow x_{n,l} over the schedule, up to the
-    degree at which it converged, by the stop rule of run_flows."""
+    """Full history of the single flow x_{n,l} over the schedule (by default
+    run_flows's), up to the degree at which it converged by run_flows's rule."""
     if l < 1:
         raise ValueError("l must be >= 1")
     _refuse_if_outside_class(rec, override)

@@ -382,7 +382,7 @@ def _check_same_model(rec: MonicRecurrence, raw: RawRecurrence) -> None:
     mismatched pairs before they produce silent nonsense."""
     from .recurrence import to_monic
 
-    derived = to_monic(raw, probe_terms=8)
+    derived = to_monic(raw)
     probe = 8 if rec.n_cap is None else min(8, rec.n_cap)
     c_a, lam_a = rec.coeff_arrays(probe)
     c_b, lam_b = derived.coeff_arrays(probe)

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import KappaZero, NonPositiveLambda, ParseError
+from .errors import KappaZero, NonPositiveLambda, ParseError, PrecisionExhausted
 from .recurrence import MonicRecurrence, RawRecurrence, RecurrenceAsymptotics
 
 __all__ = [
@@ -84,7 +84,10 @@ def rabi_recurrence(p: RabiParams) -> MonicRecurrence:
 
     def m_fn(x):
         u = kappa + np.sqrt(np.maximum(kappa2 + np.asarray(x, dtype=float) + 1.0 + abs(delta), 0.0))
-        return np.maximum(math.ceil(kappa2), np.ceil(u * u - 1.0)).astype(np.int64)
+        m = np.maximum(math.ceil(kappa2), np.ceil(u * u - 1.0))
+        if not np.all(m < 2.0**63):  # the int64 cast would wrap
+            raise PrecisionExhausted(f"the dominance index of {desc} is past the int64 range")
+        return m.astype(np.int64)
 
     desc = f"rabi(kappa={p.kappa!r}, delta={p.delta!r}, parity={p.parity})"
     asym = RecurrenceAsymptotics(alpha=Fraction(0), beta=Fraction(-1), a=1.0 / p.kappa, b=1.0)

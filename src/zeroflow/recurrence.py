@@ -225,7 +225,7 @@ class MonicRecurrence:
         )
 
 
-def to_monic(raw: RawRecurrence, probe_terms: int = 64) -> MonicRecurrence:
+def to_monic(raw: RawRecurrence) -> MonicRecurrence:
     """Normalize a raw recurrence to monic OPS form.
 
     With a_n(x) = -(alpha_n x - ctilde_n) the rescaling phi_n = s_n P_n,
@@ -237,11 +237,11 @@ def to_monic(raw: RawRecurrence, probe_terms: int = 64) -> MonicRecurrence:
     so the zeros of P_n are exactly the energies where the truncated raw
     system admits a nontrivial solution with phi_n = 0.
 
-    Affinity of a_n in x is verified on probe points; NonlinearCoefficient
-    is raised on violation.  alpha_n must be nonzero for n >= 0 (n = 0 is
+    Affinity of a_n in x is verified for n = 0..64 and on every materialized
+    prefix; NonlinearCoefficient is raised on violation.  alpha_n must be nonzero for n >= 0 (n = 0 is
     needed to embed the two-term condition as P_1 = x - c_0).
     """
-    _check_affine(raw, np.arange(probe_terms + 1, dtype=np.int64))
+    _check_affine(raw, np.arange(65, dtype=np.int64))
 
     def alpha_of(idx):
         a0 = np.asarray(raw.a(idx, 0.0), dtype=float)
@@ -429,8 +429,9 @@ _FROZEN_ROUNDS = 8
 def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]:
     """Number of spectral points strictly below each x in the 1-D array xs:
     the zeros-below count of P_N as N -> infinity.  None when the model has
-    neither a table length nor a dominance index; PrecisionExhausted when a
-    count does not freeze within _FROZEN_ROUNDS doublings of M.
+    neither a table length nor a dominance index; ValueError at a non-finite
+    point; PrecisionExhausted when M would overflow int64 or a count does not
+    freeze within _FROZEN_ROUNDS doublings of M.
 
     A table's count at n_cap is exact.  Otherwise, with v_k the negated
     pivots of _sturm_counts: if every row k >= M is Gershgorin dominated at x,
@@ -442,6 +443,8 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]
     for every point in it.
     """
     xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("the zeros-below count needs finite points")
     if rec.n_cap is not None:
         return _sturm_counts(*rec.coeff_arrays(rec.n_cap), xs)
     if rec.dominance_index is None:

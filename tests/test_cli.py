@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from zeroflow import (
+    GrowthSchedule,
     ZeroCoagulation,
     displaced_oscillator_spectrum,
     load_tabulated,
@@ -16,6 +19,8 @@ from zeroflow import (
 )
 from zeroflow import cli
 from zeroflow.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -203,13 +208,14 @@ def test_cf_compare_takes_schedule_flags(capsys):
     code, out, _ = run_cli(capsys, *base)
     assert code == 0
     assert json.loads(out)["true_levels"] == 6  # k - 0.25 for k = 0..5
-    # the default schedule starts at levels + 20; naming it changes nothing
-    assert run_cli(capsys, *base, "--n-start", "26")[:2] == (0, out)
+    # the default schedule grows from levels + 20; naming it changes nothing
+    default = ",".join(map(str, GrowthSchedule(26).degrees()))
+    assert run_cli(capsys, *base, "--schedule", default)[:2] == (0, out)
     # at degrees 7 and 8 the sixth flow is still 0.4 and 0.13 above k - 0.25:
-    # partial results, whichever flags give the short schedule
+    # partial results
     exact = np.arange(6) - 0.25
-    for flags in (("--schedule", "7"), ("--n-start", "7", "--n-max", "8")):
-        code, short, _ = run_cli(capsys, *base, *flags)
+    for schedule in ("7", "7,8"):
+        code, short, _ = run_cli(capsys, *base, "--schedule", schedule)
         assert code == 2
         xi = np.array([row["xi"] for row in json.loads(short)["intervals"]])
         assert np.max(xi - exact[: xi.size]) > 1e-8
@@ -351,6 +357,71 @@ def test_usage_error_exits_1_not_2(capsys):
     assert code == 1
 
 
+_SOLVER_COMMANDS = {
+    "spectrum": ("spectrum", "--model", "displaced", "--kappa", "0.2", "--levels", "2"),
+    "flow": ("flow", "--model", "displaced", "--kappa", "0.2", "--level", "2"),
+    "cf-compare": (
+        "cf-compare", "--model", "displaced", "--kappa", "0.5",
+        "--x-min", "-0.3", "--x-max", "2", "--points", "201",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SOLVER_COMMANDS))
+@pytest.mark.parametrize("flag", [("--n-start", "30"), ("--growth", "2"), ("--n-max", "100")])
+def test_removed_cutoff_flags_are_usage_errors(capsys, command, flag):
+    # --schedule is the only cut-off flag
+    code, out, err = run_cli(capsys, *_SOLVER_COMMANDS[command], *flag)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+@pytest.mark.parametrize("schedule", ["5,", "", "x", "3,2"])
+def test_bad_schedule_is_one_line_usage_error(capsys, schedule):
+    code, out, err = run_cli(capsys, *_SOLVER_COMMANDS["spectrum"], "--schedule", schedule)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bounds", [("-0.3", "inf"), ("-inf", "2"), ("nan", "2"), ("-0.3", "nan")])
+def test_cf_compare_rejects_non_finite_range(capsys, bounds):
+    # at inf the int64 dominance index would wrap to -2^63, and a count
+    # over zero rows would print an empty table with exit 0
+    x_min, x_max = bounds
+    code, out, err = run_cli(
+        capsys,
+        "cf-compare", "--model", "displaced", "--kappa", "0.5",
+        f"--x-min={x_min}", f"--x-max={x_max}",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --x-min and --x-max must be finite\n"
+
+
+def test_cf_compare_past_the_dominance_range_is_a_numerical_fault(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "cf-compare", "--model", "displaced", "--kappa", "0.5",
+        "--x-min", "0", "--x-max", "1e19",
+    )
+    assert (code, out) == (3, "")
+    assert "int64" in err
+
+
+def _readme_cli_commands():
+    block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(cmd)[1:] for cmd in block.replace("\\\n", " ").splitlines() if cmd.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_parse(argv):
+    # a flag removed from the parser must not live on in the README
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
 def test_classify_spectrum_quadratic_csv(capsys, tmp_path):
     path = tmp_path / "quadratic.csv"
     path.write_text("".join(f"{(n - 1) ** 2}\n" for n in range(1, 9)))
@@ -443,17 +514,25 @@ def test_short_table_default_schedule_matches_api(capsys, tmp_path):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [float(r["xi"]) for r in rows] == run_flows(rec, 10).xi.tolist()
     assert all(r["certified"] == "true" for r in rows)
-    # a list schedule is clamped the same way: 30 is dropped, and at degree
-    # 12 the flows stop short of the table's eigenvalues
+    # a list schedule is clamped the same way: 30 becomes a last step at 25,
+    # where the levels still open at degree 12 certify
+    c, lam = rec.coeff_arrays(25)
+    exact = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 9))
     code, out, err = run_cli(capsys, *argv, "--schedule", "11,12,30")
-    assert code == 2
+    assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     expect = run_flows(rec, 10, schedule=[11, 12, 30])
     assert [float(r["xi"]) for r in rows] == expect.xi.tolist()
+    assert [r["n_converged"] for r in rows[7:]] == ["25"] * 3
+    assert all(r["certified"] == "true" for r in rows)
+    np.testing.assert_allclose(expect.xi, exact, atol=1e-8)
+    # a list that ends within the table stops there, short of its eigenvalues
+    code, out, err = run_cli(capsys, *argv, "--schedule", "11,12")
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(r["xi"]) for r in rows] == run_flows(rec, 10, schedule=[11, 12]).xi.tolist()
     assert all(r["converged"] == "false" for r in rows[7:])
-    c, lam = rec.coeff_arrays(25)
-    exact = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 9))
-    assert np.max(expect.xi - exact) > 1e-8
+    assert np.max(np.array([float(r["xi"]) for r in rows]) - exact) > 1e-8
 
 
 def test_tabulated_model_via_cli(capsys, tmp_path):

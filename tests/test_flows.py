@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -599,6 +601,12 @@ def test_growth_schedule_degrees():
     assert list(sched.degrees()) == [10, 15, 23, 35, 40]
 
 
+@pytest.mark.parametrize("growth", [math.inf, 1e308])
+def test_growth_past_the_float_range_steps_to_n_max(growth):
+    # ceil(growth * n) would raise OverflowError: the step goes to n_max
+    assert list(GrowthSchedule(5, growth=growth, n_max=40).degrees()) == [5, 40]
+
+
 def test_growth_schedule_validation():
     with pytest.raises(ValueError):
         GrowthSchedule(n_start=0)
@@ -606,6 +614,34 @@ def test_growth_schedule_validation():
         GrowthSchedule(n_start=10, growth=1.0)
     with pytest.raises(ValueError):
         GrowthSchedule(n_start=10, n_max=5)
+
+
+def test_list_schedule_past_a_table_ends_at_its_length():
+    # degrees past the 25-row table become one last step at 25, where the
+    # frozen count is the table's own and every level certifies
+    c = np.arange(25, dtype=float)
+    lam = np.full(24, 0.3)
+    rec = MonicRecurrence.from_arrays(c, lam)
+    assert flows._degrees(rec, 10, [11, 12, 30, 40]) == [11, 12, 25]
+    assert flows._degrees(rec, 10, [11, 25, 30]) == [11, 25]
+    assert flows._degrees(rec, 10, [11, 12]) == [11, 12]
+    res = run_flows(rec, 10, tol=1e-9, schedule=[11, 12, 30])
+    assert res.complete
+    assert all(lv.certified for lv in res.levels)
+    # levels 7 to 10 are still open at degree 12 and close at the table length
+    assert [lv.n_converged for lv in res.levels[6:]] == [25] * 4
+    exact = eigvalsh_tridiagonal(c, np.sqrt(lam), select="i", select_range=(0, 9))
+    np.testing.assert_allclose(res.xi, exact, atol=1e-9)
+    trace = flow_trace(rec, 10, [11, 12, 30], tol=1e-9)
+    assert trace.converged and trace.history[-1][0] == 25
+
+
+def test_flow_trace_default_schedule_is_run_flows_default():
+    rec = displaced_recurrence(0.2)
+    trace = flow_trace(rec, 3)
+    assert trace.history == flow_trace(rec, 3, GrowthSchedule(23)).history
+    assert trace.history[0][0] == 23
+    assert trace.converged and trace.xi == run_flows(rec, 3).xi[2]
 
 
 def test_tabulated_cap_limits_schedule():

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,20 @@ def test_every_exported_name_resolves():
 def test_module_exports_resolve(name):
     module = importlib.import_module(f"zeroflow.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_library_imports_numpy_only():
+    # pyproject.toml declares numpy as the only runtime dependency; scipy,
+    # mpmath and hypothesis serve the tests as oracles and generators
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, zeroflow, zeroflow.cli; "
+        "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

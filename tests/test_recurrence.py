@@ -416,6 +416,20 @@ def test_frozen_counts_need_a_table_or_an_index():
     np.testing.assert_array_equal(_frozen_counts(table, xs), _sturm_counts(c, lam, xs))
 
 
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+def test_frozen_count_refuses_a_non_finite_point(x):
+    # at inf the int64 dominance index would wrap to -2^63, and the count
+    # over zero rows would come back as 0
+    with pytest.raises(ValueError, match="finite"):
+        _frozen_counts(displaced_recurrence(0.5), np.array([1.0, x]))
+
+
+def test_frozen_count_refuses_an_index_past_int64():
+    # M ~ x past 2^63 ~ 9.2e18 would wrap in the int64 cast
+    with pytest.raises(PrecisionExhausted, match="int64"):
+        _frozen_counts(displaced_recurrence(0.5), np.array([0.0, 1e19]))
+
+
 def test_wrong_dominance_index_raises_instead_of_counting_on():
     # c = 0, lambda = 1 is dominated nowhere in [-2, 2] nor above it, so a
     # claimed index cannot freeze the count there
