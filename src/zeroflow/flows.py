@@ -18,11 +18,13 @@ successive decrements below tol, a heuristic that certifies nothing.  At a
 new degree a bracket gallops down from its flow's previous zero (Bentley &
 Yao, IPL 5, 1976), and brackets shrink by multisection, few brackets taking
 many probes per batched count (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
-Comput. 8, 1987).  A cold solve of more than _PROBE_BATCH // 2 zeros, which
-would get one probe per bracket and pass, bisects only until each zero is
-alone in its bracket and then takes safeguarded Newton steps on P_n, with
-P_n'/P_n from the same forward sweep as the count; every polished zero is
-re-counted, and one that fails goes back to multisection.
+Comput. 8, 1987).  A cold solve of more than _PROBE_BATCH // 16 zeros
+multisects the one bracket all of them share, spreading a wide batch of
+probes over the cells between probed points that still hold two or more
+zeros, until each zero is alone in its cell; it then takes safeguarded
+Newton steps on P_n, with P_n'/P_n from the same forward sweep as the
+count.  Every polished zero is re-counted, and one that fails goes back to
+multisection.
 """
 
 from __future__ import annotations
@@ -193,8 +195,9 @@ class SpectrumResult:
 def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     """The `count` smallest zeros of P_n by multisection on Sturm-count
     brackets (a warm start also gallops down from the previous zeros).
-    Above _PROBE_BATCH // 2 zeros the brackets are bisected only until each
-    holds one zero, which is then polished by safeguarded Newton steps.
+    Above _PROBE_BATCH // 16 zeros the shared bracket is multisected into
+    cells only until each zero is alone in one, and each isolated zero is
+    then polished by safeguarded Newton steps.
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
     from l-1 to l; every final bracket, or [x - tol/2, x + tol/2] about a
@@ -237,9 +240,9 @@ def _zeros_with_warm(
         reach = np.where(ok_hi, 2.0 * slack, np.inf)
 
     zeros = np.full(count, np.nan)
-    if cold and count > _PROBE_BATCH // 2:
-        # one probe per bracket and pass would bisect down to the tolerance:
-        # bisect only until the zeros are alone, then polish them by Newton
+    if cold and count > _PROBE_BATCH // 16:
+        # a few probes per bracket and pass would multisect for many passes:
+        # isolate the zeros in one wide multisection, then polish by Newton
         iso = _isolate(c, lam, lo, hi, targets)
         x = _polish(c, lam, lo, hi, targets, iso)
         # a polished zero must pass the re-count of [x - tol/2, x + tol/2];
@@ -304,30 +307,53 @@ def _multisect(c, lam, lo, hi, targets, reach, active) -> None:
 
 
 def _isolate(c, lam, lo, hi, targets) -> np.ndarray:
-    """Bisect the cold brackets [lo, hi], in place, until each holds its
-    zero alone, and return the indices of the isolated ones.  The bracket of
-    zero l is isolated when the count is l - 1 at lo and l at hi.  Brackets
-    that share their ends share their midpoint, which is counted once: all
-    start as the same Gershgorin bracket, so pass j counts at most 2^(j-1)
-    points.  A bracket that reaches the bisection tolerance first is left
-    to multisection."""
-    n_lo = np.zeros(targets.size, dtype=np.int64)
-    n_hi = np.full(targets.size, c.shape[0], dtype=np.int64)
-    active = np.arange(targets.size)
-    while active.size:
-        lo_a, hi_a = lo[active], hi[active]
-        mid = 0.5 * (lo_a + hi_a)
-        points, inverse = np.unique(mid, return_inverse=True)
-        cts = _sturm_counts(c, lam, points)[inverse.ravel()]
-        below = cts < targets[active]
-        lo[active] = np.where(below, mid, lo_a)
-        hi[active] = np.where(below, hi_a, mid)
-        n_lo[active] = np.where(below, cts, n_lo[active])
-        n_hi[active] = np.where(below, n_hi[active], cts)
-        alone = (n_lo[active] == targets[active] - 1) & (n_hi[active] == targets[active])
-        open_ = (hi[active] - lo[active] > _bisect_tol(mid)) & (mid > lo_a) & (mid < hi_a)
-        active = active[~alone & open_]
-    return np.flatnonzero((n_lo == targets - 1) & (n_hi == targets))
+    """Multisect the shared cold bracket [lo, hi] until each zero is alone
+    in a cell between two probed points, set every bracket, in place, to its
+    zero's cell, and return the indices of the isolated zeros.
+
+    The probed points are kept sorted with their counts; the bracket of zero
+    l is [last point with count <= l - 1, first point with count >= l], and l
+    is isolated when those counts are l - 1 and l.  A cell splits while it
+    holds two or more of the zeros 1..count + 1 (zero count must be split from
+    the next one): each pass spreads max(_PROBE_BATCH, 2 * count) distinct
+    probes evenly over those cells, in proportion to how many each holds,
+    and pass 1 covers the whole bracket.  A cell no wider than the bisection
+    tolerance, or whose probes all round onto its ends, cannot split and is
+    closed; its zeros are left to multisection.  Every pass adds a point
+    inside each open cell or closes it, so the loop ends.
+    """
+    count = targets.size
+    batch = max(_PROBE_BATCH, 2 * count)
+    # all n zeros of P_n lie between the Gershgorin ends
+    pts = np.array([lo[0], hi[0]])
+    cts = np.array([0, c.shape[0]], dtype=np.int64)
+    closed = np.zeros(1, dtype=bool)  # per cell [pts[i], pts[i + 1]]
+    while True:
+        weight = np.diff(np.minimum(cts, count + 1))
+        cells = np.flatnonzero((weight >= 2) & ~closed)
+        if not cells.size:
+            break
+        a, b, w = pts[cells], pts[cells + 1], weight[cells]
+        p = batch * w // w.sum()  # at least 2: w >= 2, w.sum() <= count + 1
+        p[b - a <= _bisect_tol(0.5 * (a + b))] = 0
+        cell = np.repeat(np.arange(cells.size), p)
+        j = np.arange(cell.size) - (np.cumsum(p) - p)[cell] + 1
+        probes = a[cell] + (b - a)[cell] * (j / (p + 1)[cell])
+        # cells ascend and probes ascend within a cell: drop the ones that
+        # round onto an end or onto the probe before
+        keep = (probes > a[cell]) & (probes < b[cell])
+        keep[1:] &= probes[1:] > probes[:-1]
+        probes, cell = probes[keep], cell[keep]
+        closed[cells[np.bincount(cell, minlength=cells.size) == 0]] = True
+        if not probes.size:
+            continue
+        at = cells[cell] + 1
+        pts = np.insert(pts, at, probes)
+        cts = np.insert(cts, at, _sturm_counts(c, lam, probes))
+        closed = np.insert(closed, at, False)
+    i = np.searchsorted(cts, targets - 1, side="right") - 1
+    lo[:], hi[:] = pts[i], pts[i + 1]
+    return np.flatnonzero((cts[i] == targets - 1) & (cts[i + 1] == targets))
 
 
 def _polish(c, lam, lo, hi, targets, idx) -> np.ndarray:

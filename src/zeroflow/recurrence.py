@@ -420,8 +420,10 @@ def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> tuple[np.nd
 
 # _frozen_counts takes the count over rows 0..M once the negated pivot v_M is
 # at least _FROZEN_MARGIN * sqrt(lambda_M) (exact arithmetic needs a factor 1;
-# the rest absorbs rounding), and carries the points that fail on from v_M
-# over the rows up to 2M + 1, at most _FROZEN_ROUNDS times in all.
+# the rest absorbs rounding), and carries the points that fail on from v_M,
+# _BLOCK_ROWS rows at a time, each until its pivot passes that margin at the
+# end of a chunk, over the rows up to 2M + 1, at most _FROZEN_ROUNDS times in
+# all.
 _FROZEN_MARGIN = 2.0
 _FROZEN_ROUNDS = 8
 
@@ -440,7 +442,8 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]
     lambda_k / sqrt(lambda_k) = sqrt(lambda_{k+1}) > 0 for every k >= M.  No
     row past M counts, so every P_N with N >= M has the count over rows
     1..M.  M is the largest dominance index over the batch, which is valid
-    for every point in it.
+    for every point in it.  The same induction from any row k >= M with
+    v_k >= sqrt(lambda_k) ends the count of a carried point at row k.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
@@ -455,13 +458,16 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]
     k, m, v = 0, int(np.max(rec.dominance_index(xs), initial=0)), None
     for _ in range(_FROZEN_ROUNDS):
         c, lam = rec.coeff_arrays(m + 1)
-        cts, v = _sturm_counts(c[k:m], lam[k:m], xs[todo], last_pivot=True, start=v)
-        counts[todo] += cts
-        fail = ~(v >= _FROZEN_MARGIN * np.sqrt(lam[m]))
-        todo, v = todo[fail], v[fail]
-        if not todo.size:
-            return counts
-        k, m = m, 2 * m + 1
+        # rows 1..M in one sweep, then the carried points _BLOCK_ROWS at a time
+        while v is None or k < m:
+            k1 = m if v is None else min(k + _BLOCK_ROWS, m)
+            cts, v = _sturm_counts(c[k:k1], lam[k:k1], xs[todo], last_pivot=True, start=v)
+            counts[todo] += cts
+            fail = ~(v >= _FROZEN_MARGIN * np.sqrt(lam[k1]))
+            todo, v, k = todo[fail], v[fail], k1
+            if not todo.size:
+                return counts
+        m = 2 * m + 1
     raise PrecisionExhausted(
         f"the zeros-below count at x={float(xs[todo[0]])!r} of {rec.description or 'model'} "
         f"does not freeze within {_FROZEN_ROUNDS} doublings of its dominance index"
@@ -476,17 +482,25 @@ def _backward_fraction(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.nda
     Each t is a ratio of associated polynomials, so nothing overflows and no
     rescaling is needed.  An exact hit t = 0 gives lambda/0 = inf and the next
     step's lambda/inf = 0, which is the correct limit; a final t = 0 leaves F
-    at +-inf, the pole.
+    at +-inf, the pole.  The points go through in chunks of _BLOCK_SIZE, so
+    each step works on arrays that stay in cache.
     """
     xs = np.asarray(xs, dtype=float)
-    t = np.full(xs.shape, np.inf)  # lambda / inf = 0 starts t = x - c_{n-1}
-    u = np.empty_like(t)
+    out = np.empty(xs.shape)
+    flat, f = xs.reshape(-1), out.reshape(-1)
+    steps = list(zip(c[::-1].tolist(), [1.0] + lam[:0:-1].tolist()))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for ck, lk in zip(c[::-1].tolist(), [1.0] + lam[:0:-1].tolist()):
-            np.divide(lk, t, out=t)
-            np.subtract(xs, ck, out=u)
-            np.subtract(u, t, out=t)
-    return np.negative(t, out=t)
+        for k0 in range(0, flat.size, _BLOCK_SIZE):
+            x = flat[k0 : k0 + _BLOCK_SIZE]
+            t = f[k0 : k0 + _BLOCK_SIZE]
+            t.fill(np.inf)  # lambda / inf = 0 starts t = x - c_{n-1}
+            u = np.empty_like(t)
+            for ck, lk in steps:
+                np.divide(lk, t, out=t)
+                np.subtract(x, ck, out=u)
+                np.subtract(u, t, out=t)
+            np.negative(t, out=t)
+    return out
 
 
 def _zero_bounds(c: np.ndarray, lam: np.ndarray) -> tuple[float, float]:

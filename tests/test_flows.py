@@ -73,6 +73,17 @@ def test_coagulated_zeros_raise():
         zeros_of(rec, 2, 2)
 
 
+def test_coagulated_zeros_raise_on_the_isolating_path():
+    # two identical 20-row halves joined by lambda = 1e-40: each zero of a
+    # half is a pair split by ~1e-20, and 40 cold zeros take the wide
+    # isolation, whose cells close at the tolerance with two zeros inside
+    rng = np.random.default_rng(7)
+    c, lam = rng.uniform(-1.0, 1.0, 20), rng.uniform(0.5, 2.0, 19)
+    rec = MonicRecurrence.from_arrays(np.tile(c, 2), np.concatenate((lam, [1e-40], lam)))
+    with pytest.raises(ZeroCoagulation):
+        zeros_of(rec, 40, 40)
+
+
 # -- warm brackets -------------------------------------------------------------
 
 
@@ -155,6 +166,8 @@ def test_warm_brackets_far_above_the_gershgorin_bound():
     cold = zeros_of(rec, n, count).zeros
     c, lam = rec.coeff_arrays(n)
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, count - 1))
+    # cold, the 200 zeros sit in one cell of the first pass's wide isolation
+    np.testing.assert_allclose(cold, eig, rtol=0, atol=1e-12 * 2e6)
     for shift in (3.0 * _bisect_tol(cold), 1e3 * _bisect_tol(cold), 1e-6):
         got = _zeros_with_warm(rec, n, count, cold + shift).zeros
         assert np.all(np.abs(got - cold) <= 4.0 * _bisect_tol(cold))
@@ -175,13 +188,14 @@ def _multisected(rec, n, count):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(130, 400), st.booleans())
+@given(st.integers(0, 2**32 - 1), st.integers(20, 400), st.booleans())
 def test_polished_zeros_match_multisection_and_lapack(seed, n, wide):
-    # more than 128 cold brackets: isolated by bisection, then polished by
-    # Newton steps; the result must be the multisection one
+    # more than 16 cold zeros: isolated in cells by a wide multisection of
+    # their shared bracket, then polished by Newton steps; the result must be
+    # the multisection one
     rng = np.random.default_rng(seed)
     rec = (wide_range_recurrence if wide else random_recurrence)(rng, n)
-    count = int(rng.integers(129, n + 1))
+    count = int(rng.integers(17, n + 1))
     sweeps = [0]
     with pytest.MonkeyPatch.context() as mp:
         sturm_newton = flows._sturm_newton
@@ -252,24 +266,28 @@ def test_exact_hits_in_the_newton_sweep():
 
 
 def test_cold_degree_takes_few_kernel_calls(monkeypatch):
-    # rabi-deep's one solve: 1000 zeros at degree 1020 cost isolating counts,
-    # Newton sweeps and one re-count, not ~57 bisection passes
+    # rabi-deep's one solve: 1000 zeros at degree 1020 cost one or two
+    # isolating counts, Newton sweeps and one re-count, not ~57 bisection
+    # passes
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
     ref = _multisected(rec, 1020, 1000)
-    calls = [0]
+    calls = {"count": 0, "newton": 0, "isolating": 0}
     sturm_counts, sturm_newton = flows._sturm_counts, flows._sturm_newton
 
-    def counting(kernel):
+    def counting(kernel, name):
         def wrapped(c, lam, xs):
-            calls[0] += 1
+            calls[name] += 1
+            if name == "count" and not calls["newton"]:
+                calls["isolating"] += 1
             return kernel(c, lam, xs)
 
         return wrapped
 
-    monkeypatch.setattr(flows, "_sturm_counts", counting(sturm_counts))
-    monkeypatch.setattr(flows, "_sturm_newton", counting(sturm_newton))
+    monkeypatch.setattr(flows, "_sturm_counts", counting(sturm_counts, "count"))
+    monkeypatch.setattr(flows, "_sturm_newton", counting(sturm_newton, "newton"))
     got = zeros_of(rec, 1020, 1000).zeros
-    assert calls[0] <= 25
+    assert calls["count"] + calls["newton"] <= 13
+    assert calls["isolating"] <= 2
     assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
     # every returned zero passes the re-count of [x - tol/2, x + tol/2]
     c, lam = rec.coeff_arrays(1020)

@@ -25,13 +25,16 @@ def test_module_exports_resolve(name):
 
 def test_library_imports_numpy_only():
     # pyproject.toml declares numpy as the only runtime dependency; scipy,
-    # mpmath and hypothesis serve the tests as oracles and generators
+    # mpmath and hypothesis serve the tests as oracles and generators.  A cold
+    # solve of 200 zeros must not load numpy.ma either (plain np.unique
+    # imports it, which adds about a megabyte to the peak memory).
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     probe = (
         "import sys, zeroflow, zeroflow.cli; "
-        "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis') if m in sys.modules))"
+        "zeroflow.zeros_of(zeroflow.rabi_recurrence(zeroflow.RabiParams(0.2, 0.4)), 220, 200); "
+        "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis', 'numpy.ma') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60

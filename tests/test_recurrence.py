@@ -25,6 +25,7 @@ from zeroflow import recurrence
 from zeroflow.recurrence import (
     _BLOCK_ROWS,
     _BLOCK_SIZE,
+    _backward_fraction,
     _frozen_counts,
     _sturm_counts,
     _sturm_newton,
@@ -320,30 +321,62 @@ def test_resumed_sweep_is_one_sweep_bitwise(split):
         assert np.array_equal(np.signbit(last), np.signbit(whole_last))
 
 
-def test_frozen_recount_resumes_from_the_carried_pivot(monkeypatch):
-    # points whose pivot misses the margin at M are carried on over rows
-    # M+1..2M+1 only, with the counts of a fresh sweep over rows 1..2M+1
-    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+def test_backward_fraction_in_chunks_is_one_pass_bitwise():
+    # a grid over several _BLOCK_SIZE chunks, with the integer points of the
+    # small integer tables spread through it (exact hits t = 0 carry +-inf
+    # and -0 on), gives F bitwise equal to one pass over the whole grid
+    n = 161
+    xs = np.sort(
+        np.concatenate((np.linspace(-3.0, n + 3.0, 3 * _BLOCK_SIZE + 17), np.arange(-3.0, n + 4.0)))
+    )
+    hits = 0
+    for c, lam in _integer_tables(n):
+        got = _backward_fraction(c, lam, xs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "_BLOCK_SIZE", xs.size)
+            whole = _backward_fraction(c, lam, xs)
+        assert got.tobytes() == whole.tobytes()
+        hits += np.count_nonzero(~np.isfinite(whole) | (whole == 0.0))
+    assert hits > 0
+
+
+def test_frozen_recount_resumes_from_the_carried_pivot():
+    # points whose pivot misses the margin at M are carried on from their
+    # pivot in chunks of _BLOCK_ROWS rows, each dropped at the first chunk end
+    # where its pivot passes the margin, with the counts of a fresh sweep over
+    # rows 1..2M+1; shorter chunks drop carried points over several sweeps
     xs = np.linspace(0.0, 1000.0, 2001)
-    swept = []
     sturm_counts = recurrence._sturm_counts
+    for kappa, block_rows in [(0.2, _BLOCK_ROWS), (0.2, 1), (3.0, 3)]:
+        rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4))
+        swept = []
 
-    def recording(c, lam, xs, **kw):
-        swept.append((c.shape[0], xs.size))
-        return sturm_counts(c, lam, xs, **kw)
+        def recording(c, lam, xs, **kw):
+            swept.append((c.shape[0], xs.size))
+            return sturm_counts(c, lam, xs, **kw)
 
-    monkeypatch.setattr(recurrence, "_sturm_counts", recording)
-    got = _frozen_counts(rec, xs)
-    monkeypatch.undo()
-    m = int(np.max(rec.dominance_index(xs)))
-    c, lam = rec.coeff_arrays(2 * m + 2)
-    _, v = _sturm_counts(c[:m], lam[:m], xs, last_pivot=True)
-    carried = ~(v >= 2.0 * np.sqrt(lam[m]))
-    assert swept == [(m, xs.size), (m + 1, np.count_nonzero(carried))]
-    assert 0 < np.count_nonzero(carried) < xs.size
-    rows = 2 * m + 1
-    np.testing.assert_array_equal(got[carried], _sturm_counts(c[:rows], lam[:rows], xs[carried]))
-    np.testing.assert_array_equal(got[~carried], _sturm_counts(c[:m], lam[:m], xs[~carried]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "_sturm_counts", recording)
+            mp.setattr(recurrence, "_BLOCK_ROWS", block_rows)
+            got = _frozen_counts(rec, xs)
+        m = int(np.max(rec.dominance_index(xs)))
+        c, lam = rec.coeff_arrays(2 * m + 2)
+        expect, k = [(m, xs.size)], m
+        _, v = _sturm_counts(c[:m], lam[:m], xs, last_pivot=True)
+        carried = ~(v >= 2.0 * np.sqrt(lam[m]))
+        alive = carried.copy()
+        while alive.any():
+            k1 = min(k + block_rows, 2 * m + 1)
+            expect.append((k1 - k, np.count_nonzero(alive)))
+            _, v = _sturm_counts(c[:k1], lam[:k1], xs, last_pivot=True)
+            alive &= ~(v >= 2.0 * np.sqrt(lam[k1]))
+            k = k1
+        assert swept == expect
+        assert 0 < np.count_nonzero(carried) < xs.size
+        assert k < 2 * m + 1  # the carried points stop before the doubling's end
+        rows = 2 * m + 1
+        np.testing.assert_array_equal(got, _sturm_counts(c[:rows], lam[:rows], xs))
+        np.testing.assert_array_equal(got[~carried], _sturm_counts(c[:m], lam[:m], xs[~carried]))
 
 
 # -- associated recurrences --------------------------------------------------
