@@ -23,8 +23,9 @@ multisects the one bracket all of them share, spreading a wide batch of
 probes over the cells between probed points that still hold two or more
 zeros, until each zero is alone in its cell; it then takes safeguarded
 Newton steps on P_n, with P_n'/P_n from the same forward sweep as the
-count.  Every polished zero is re-counted, and one that fails goes back to
-multisection.
+count.  Every polished zero is re-counted half a tolerance on either side,
+where that side is not already proven by its bracket's counts, and one that
+fails goes back to multisection from the bracket those counts narrow.
 """
 
 from __future__ import annotations
@@ -201,8 +202,9 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
     from l-1 to l; every final bracket, or [x - tol/2, x + tol/2] about a
-    polished zero, is re-counted, so an omission or a collision is detected
-    rather than silently absorbed.
+    polished zero (each end that lies inside its counted bracket), is
+    re-counted, so an omission or a collision is detected rather than
+    silently absorbed.
     """
     return _zeros_with_warm(rec, n, count, warm=None)
 
@@ -245,12 +247,23 @@ def _zeros_with_warm(
         # isolate the zeros in one wide multisection, then polish by Newton
         iso = _isolate(c, lam, lo, hi, targets)
         x = _polish(c, lam, lo, hi, targets, iso)
-        # a polished zero must pass the re-count of [x - tol/2, x + tol/2];
-        # one that fails multisects from its count-verified bracket below
+        settled = np.isfinite(x)  # the others multisect below
+        iso, x = iso[settled], x[settled]
+        # a polished zero l must pass the re-count of [x - tol/2, x + tol/2]:
+        # count l - 1 below it and l at its top.  Its bracket's ends already
+        # have those counts, so an end of the interval at or beyond its
+        # bracket needs no count.  A zero that fails multisects below from
+        # its bracket, narrowed by the counts of the re-count.
         half = 0.5 * _bisect_tol(x)
-        cts = _sturm_counts(c, lam, np.concatenate((x - half, x + half)))
-        ok = (cts[: iso.size] == targets[iso] - 1) & (cts[iso.size :] == targets[iso])
-        zeros[iso[ok]] = x[ok]  # NaN x fail the re-count
+        pts = np.stack((x - half, x + half))
+        expect = np.stack((targets[iso] - 1, targets[iso]))
+        cts = expect.copy()
+        todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
+        cts[todo] = _sturm_counts(c, lam, pts[todo])
+        lo[iso] = np.max(np.where(cts < expect[1], pts, lo[iso]), axis=0)
+        hi[iso] = np.min(np.where(cts >= expect[1], pts, hi[iso]), axis=0)
+        ok = (cts == expect).all(axis=0)
+        zeros[iso[ok]] = x[ok]
     rest = np.flatnonzero(np.isnan(zeros))
     _multisect(c, lam, lo, hi, targets, reach, rest)
     zeros[rest] = 0.5 * (lo[rest] + hi[rest])

@@ -20,6 +20,13 @@ consecutive terms (pivots and backward fraction tails), and the sums of
 squares in the measure module run on orthonormal values whose squares are
 bounded by the sum they feed; all stay in range without any rescaling, at
 any degree.
+
+The two Sturm kernels, the count (_sturm_counts) and the count with
+P_n'/P_n for Newton steps (_sturm_newton), run one pivot sweep
+(_pivot_sweep): the same block loop and the same two ufuncs per pivot, so
+their counts agree bitwise.  The derivative adds two ufuncs per row, a
+linear recurrence whose coefficients come from the block's pivots and
+ratios at once.
 """
 
 from __future__ import annotations
@@ -313,11 +320,18 @@ def count_zeros_below(rec: MonicRecurrence, x: float, n: int) -> int:
     return int(_sturm_counts(c, lam, np.array([float(x)]))[0])
 
 
-# _sturm_counts runs its recurrence over one reused block of at most
-# _BLOCK_ROWS rows and at most _BLOCK_SIZE elements (one row where the batch
-# alone is larger), so a large batch adds little memory to the count.
-_BLOCK_ROWS = 256
+# Both Sturm kernels run the pivot recurrence over reused blocks of at most
+# _BLOCK_ROWS rows and at most _BLOCK_SIZE elements in all (one row where the
+# batch alone is larger), so a large batch adds little memory to a sweep.  A
+# block's negative pivots are summed in uint8, which holds at most 255.
+_BLOCK_ROWS = 255
 _BLOCK_SIZE = 2**15
+
+
+def _block_rows(batch: int, buffers: int) -> int:
+    """Rows per block of a sweep over `batch` points that keeps `buffers`
+    blocks of rows: the most that fit _BLOCK_ROWS and _BLOCK_SIZE, at least 1."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_SIZE // max(buffers * batch, 1)))
 
 
 def _sturm_counts(
@@ -342,80 +356,88 @@ def _sturm_counts(
     v_j = +0, not counted; then lambda / +0 = +inf, v_{j+1} = -inf is counted,
     and lambda / -inf = -0 leaves v_{j+2} = c_{j+1} - x, the limit as the hit
     is approached from above.  A difference c_k - x = -0.0 (c_k = -0.0 at
-    x = +0.0) would give v_j = -0 and flip that chain, so the block of
-    differences is canonicalized to +0.0 first.  The count is monotone in x
+    x = +0.0) would give v_j = -0 and flip that chain, so c is
+    canonicalized to +0.0 first.  The count is monotone in x
     in floating point (Demmel, Dhillon & Ren, ETNA 3, 1995).
-
-    Each step is two in-place ufuncs over a row of the block
-    D = c[k0:k1, None] - xs; the signs are counted once per block of rows,
-    and the last row carries into the next block.
     """
-    xs = np.asarray(xs, dtype=float)
-    lam = lam.tolist()
-    n = c.shape[0]
-    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // max(xs.size, 1)))
-    block = np.empty((rows,) + xs.shape)
-    views = list(block)
-    ratio = np.empty(xs.shape)
-    # lambda_0 / inf = 0 starts v_1 = c_0 - x
-    carry = np.full(xs.shape, np.inf) if start is None else np.array(start, dtype=float)
-    counts = np.zeros(xs.shape, dtype=np.int64)
-    with np.errstate(divide="ignore", over="ignore"):
-        for k0 in range(0, n, rows):
-            d = block[: min(rows, n - k0)]
-            np.subtract(c[k0 : k0 + d.shape[0], None], xs, out=d)
-            d += 0.0  # -0.0 + 0.0 = +0.0
-            prev = carry
-            for lk, v in zip(lam[k0 : k0 + d.shape[0]], views):
-                np.divide(lk, prev, out=ratio)
-                np.subtract(v, ratio, out=v)
-                prev = v
-            counts += np.count_nonzero(d < 0.0, axis=0)
-            np.copyto(carry, prev)
+    carry = None if start is None else np.array(start, dtype=float)
+    counts, carry, _ = _pivot_sweep(c, lam, xs, carry, derivative=False)
     return (counts, carry) if last_pivot else counts
 
 
 def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The zeros-below counts of _sturm_counts at each x in xs, bitwise, and
-    s = P_n'(x) / P_n(x) from the same forward sweep: the Newton step is -1/s.
+    s = P_n'(x) / P_n(x) from the same pivot sweep: the Newton step is -1/s.
 
-    P_n = (-1)^n prod v_k, so s = sum r_k with r_k = v_k' / v_k, and the
-    derivative of v_k = (c_{k-1} - x) - lambda_{k-1} / v_{k-1} is
-    v_k' = -1 + (lambda_{k-1} / v_{k-1}) r_{k-1} (r_0 = 0).  Only the
-    pivots and r of one block of rows are kept.  An exact hit carries
-    infinities into s and may leave it NaN; the caller falls back to
-    bisection there.
+    P_n = (-1)^n prod v_k, so s = sum r_k with r_k = v_k' / v_k.  With the
+    ratios q_k = lambda_{k-1} / v_{k-1} of the sweep, the derivative of
+    v_k = (c_{k-1} - x) - q_k is v_k' = -1 + q_k r_{k-1}, so r is the linear
+    recurrence r_k = a_k r_{k-1} - 1/v_k, a_k = q_k / v_k, r_0 = 0.  An exact
+    hit carries infinities into s and may leave it NaN; the caller falls back
+    to bisection there.
     """
+    counts, _, s = _pivot_sweep(c, lam, xs, None, derivative=True)
+    return counts, s
+
+
+def _pivot_sweep(c, lam, xs, carry, derivative):
+    """The one block loop of both Sturm kernels: the counts of negative
+    pivots v_k over rows 1..n at each x in xs from the pivots `carry` of the
+    rows before (None: v_0 = +inf), the last pivots, and with `derivative`
+    the sum s of r_k (see _sturm_newton), else None.
+
+    A block holds the differences c_{k-1} - x of its rows; each pivot step is
+    two in-place ufuncs on one row, the ratio q_k into its own row of a
+    block (one row reused, without `derivative`), then v_k = (c_{k-1} - x)
+    - q_k.  The signs are counted once per block, and the last row carries
+    into the next block.  For the derivative the block's pivots become 1/v_k
+    and its ratios a_k, each in one ufunc over the block, and r_k takes one
+    multiply and one subtract per row, in place of a_k; the block's r_k are
+    summed into s at once.
+    """
+    divide, subtract, multiply, less = np.divide, np.subtract, np.multiply, np.less
+    add_reduce, uint8 = np.add.reduce, np.uint8
     xs = np.asarray(xs, dtype=float)
+    c = c + 0.0  # -0.0 + 0.0 = +0.0; c_k - x = -0.0 needs c_k = -0.0
     lam = lam.tolist()
     n = c.shape[0]
-    # two blocks, pivots and r, of _BLOCK_SIZE elements together
-    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // max(2 * xs.size, 1)))
+    rows = max(1, min(n, _block_rows(xs.size, 2 if derivative else 1)))
     block = np.empty((rows,) + xs.shape)
-    rblock = np.empty_like(block)
-    views, rviews = list(block), list(rblock)
-    ratio = np.empty(xs.shape)
-    carry = np.full(xs.shape, np.inf)
-    r = np.zeros(xs.shape)
-    s = np.zeros(xs.shape)
+    neg = np.empty(block.shape, dtype=bool)
+    ratios = np.empty(block.shape if derivative else xs.shape)
+    views = list(block)
+    qviews = list(ratios) if derivative else [ratios] * rows
+    # lambda_0 / inf = 0 starts v_1 = c_0 - x
+    carry = np.full(xs.shape, np.inf) if carry is None else carry
     counts = np.zeros(xs.shape, dtype=np.int64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    s = np.zeros(xs.shape) if derivative else None
+    r = np.zeros(xs.shape)  # r_0 = 0, then the last r_k of each block
+    # the derivative meets inf - inf and 0 * inf at exact hits
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore" if derivative else None):
         for k0 in range(0, n, rows):
-            d = block[: min(rows, n - k0)]
-            np.subtract(c[k0 : k0 + d.shape[0], None], xs, out=d)
-            d += 0.0  # -0.0 + 0.0 = +0.0
+            m = min(rows, n - k0)
+            d = block[:m]
+            subtract(c[k0 : k0 + m, None], xs, d)
             prev = carry
-            for lk, v, rk in zip(lam[k0 : k0 + d.shape[0]], views, rviews):
-                np.divide(lk, prev, out=ratio)
-                np.subtract(v, ratio, out=v)
-                np.multiply(ratio, r, out=rk)
-                rk -= 1.0
-                np.divide(rk, v, out=rk)
-                prev, r = v, rk
-            counts += np.count_nonzero(d < 0.0, axis=0)
-            s += rblock[: d.shape[0]].sum(axis=0)
+            for lk, v, q in zip(lam[k0 : k0 + m], views, qviews):
+                divide(lk, prev, q)
+                subtract(v, q, v)
+                prev = v
+            less(d, 0.0, neg[:m])
+            counts += add_reduce(neg[:m].view(uint8), 0, uint8)
             np.copyto(carry, prev)
-    return counts, s
+            if derivative:
+                a = ratios[:m]
+                divide(1.0, d, d)
+                multiply(a, d, a)
+                prev = r
+                for ak, inv in zip(qviews[:m], views):
+                    multiply(ak, prev, ak)
+                    subtract(ak, inv, ak)
+                    prev = ak
+                np.copyto(r, prev)
+                s += add_reduce(a, 0)
+    return counts, carry, s
 
 
 # _frozen_counts takes the count over rows 0..M once the negated pivot v_M is

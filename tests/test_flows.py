@@ -268,17 +268,15 @@ def test_exact_hits_in_the_newton_sweep():
 def test_cold_degree_takes_few_kernel_calls(monkeypatch):
     # rabi-deep's one solve: 1000 zeros at degree 1020 cost one or two
     # isolating counts, Newton sweeps and one re-count, not ~57 bisection
-    # passes
+    # passes; the re-count skips the sides that the brackets already prove
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
     ref = _multisected(rec, 1020, 1000)
-    calls = {"count": 0, "newton": 0, "isolating": 0}
+    calls = []  # (kernel, points) per call
     sturm_counts, sturm_newton = flows._sturm_counts, flows._sturm_newton
 
     def counting(kernel, name):
         def wrapped(c, lam, xs):
-            calls[name] += 1
-            if name == "count" and not calls["newton"]:
-                calls["isolating"] += 1
+            calls.append((name, xs.size))
             return kernel(c, lam, xs)
 
         return wrapped
@@ -286,14 +284,48 @@ def test_cold_degree_takes_few_kernel_calls(monkeypatch):
     monkeypatch.setattr(flows, "_sturm_counts", counting(sturm_counts, "count"))
     monkeypatch.setattr(flows, "_sturm_newton", counting(sturm_newton, "newton"))
     got = zeros_of(rec, 1020, 1000).zeros
-    assert calls["count"] + calls["newton"] <= 13
-    assert calls["isolating"] <= 2
+    names = [name for name, _ in calls]
+    assert len(calls) <= 13
+    assert names.index("newton") <= 2  # isolating counts
+    last_newton = len(names) - 1 - names[::-1].index("newton")
+    recount = calls[last_newton + 1]
+    assert recount[0] == "count" and recount[1] <= 1100
     assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
     # every returned zero passes the re-count of [x - tol/2, x + tol/2]
     c, lam = rec.coeff_arrays(1020)
     half = 0.5 * _bisect_tol(got)
     np.testing.assert_array_equal(sturm_counts(c, lam, got - half), np.arange(1000))
     np.testing.assert_array_equal(sturm_counts(c, lam, got + half), np.arange(1, 1001))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 400), st.booleans(), st.booleans())
+def test_one_sided_recount_accepts_only_zeros_the_full_recount_passes(seed, n, wide, lie):
+    # a polished zero is re-counted only on the sides of [x - tol/2, x + tol/2]
+    # that lie inside its count-verified bracket; every zero returned must
+    # still pass the count at both ends, or the simplicity check must have
+    # raised.  A lying derivative sweep steers Newton onto a wrong grid, so
+    # the re-count has wrong zeros to reject.
+    rng = np.random.default_rng(seed)
+    rec = (wide_range_recurrence if wide else random_recurrence)(rng, n)
+    count = int(rng.integers(17, n + 1))
+    sturm_newton = flows._sturm_newton
+
+    def lying(c, lam, xs):
+        with np.errstate(divide="ignore"):
+            return sturm_newton(c, lam, xs)[0], 1.0 / (xs - np.round(xs, 3))
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if lie:
+                mp.setattr(flows, "_sturm_newton", lying)
+            got = zeros_of(rec, n, count).zeros
+    except ZeroCoagulation:
+        return
+    c, lam = rec.coeff_arrays(n)
+    half = 0.5 * _bisect_tol(got)
+    np.testing.assert_array_equal(flows._sturm_counts(c, lam, got - half), np.arange(count))
+    np.testing.assert_array_equal(flows._sturm_counts(c, lam, got + half), np.arange(1, count + 1))
 
 
 # -- interlacing (property) --------------------------------------------------

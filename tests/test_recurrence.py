@@ -29,6 +29,7 @@ from zeroflow.recurrence import (
     _frozen_counts,
     _sturm_counts,
     _sturm_newton,
+    _zero_bounds,
 )
 
 from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
@@ -252,13 +253,30 @@ def _integer_tables(n):
     yield np.arange(n) + rng.integers(-3, 4, n).astype(float), rng.integers(1, 5, n).astype(float)
 
 
+def _sweep_rows(kernel, n, batch):
+    """Rows per block of the kernel's sweep of n rows at this batch, as the
+    kernel itself asks recurrence._block_rows for them."""
+    asked = []
+    block_rows = recurrence._block_rows
+
+    def recording(*args):
+        asked.append(block_rows(*args))
+        return asked[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_block_rows", recording)
+        kernel(np.zeros(n), np.ones(n), np.zeros(batch))
+    assert len(asked) == 1
+    return min(asked[0], n)
+
+
 @pytest.mark.parametrize("n", [255, 256, 257, 513])
 @pytest.mark.parametrize("batch", [1, 20, 240, 5000])
 def test_integer_tables_probed_at_diagonal_match_exact_count(n, batch):
     # x = c_k makes row k of the block exactly zero; with k on either side of
     # every block edge, and small integer tables, the pivots hit 0 and +-inf
     # exactly there and carry them into the next block
-    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // batch))
+    rows = _sweep_rows(_sturm_counts, n, batch)
     edges = [k for e in range(rows, n + 1, rows) for k in (e - 2, e - 1, e, e + 1) if 0 <= k < n]
     for c, lam in _integer_tables(n):
         lam[0] = 1.0
@@ -296,13 +314,29 @@ def test_newton_sweep_counts_and_log_derivative(seed, n, batch, wide):
 def test_newton_sweep_counts_exact_hits(n, batch):
     # probes at the diagonal of integer tables hit pivots 0 and +-inf; the
     # counts stay exact, s may be inf or NaN there, and no warning escapes
-    rows = max(1, min(_BLOCK_ROWS, n, _BLOCK_SIZE // (2 * batch)))
+    rows = _sweep_rows(_sturm_newton, n, batch)
     edges = [k for e in range(rows, n + 1, rows) for k in (e - 2, e - 1, e, e + 1) if 0 <= k < n]
     for c, lam in _integer_tables(n):
         lam[0] = 1.0
         xs = c[np.resize(edges, batch)]
         exact = {x: _exact_count(c, lam, x) for x in set(xs.tolist())}
         assert _sturm_newton(c, lam, xs)[0].tolist() == [exact[x] for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("kernel", [_sturm_counts, _sturm_newton])
+def test_every_pivot_negative_over_whole_blocks(kernel, batch):
+    # above the Gershgorin bound every pivot is negative, so each full block
+    # adds 255 to the count: the most its uint8 sum holds.  Batch 64 fills
+    # blocks of 255 rows in both kernels; 256-row blocks would wrap to 0
+    n = 3 * 255 + 1
+    assert _sweep_rows(kernel, n, batch) >= 255
+    rng = np.random.default_rng(batch)
+    c, lam = random_recurrence(rng, n).coeff_arrays(n)
+    xs = _zero_bounds(c, lam)[1] + rng.uniform(0.0, 10.0, size=batch)
+    counts = kernel(c, lam, xs)
+    counts = counts[0] if kernel is _sturm_newton else counts
+    assert counts.tolist() == [n] * batch
 
 
 @pytest.mark.parametrize("split", [0, 1, 37, 256, 300])
