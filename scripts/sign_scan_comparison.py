@@ -5,6 +5,9 @@ Scans F on a uniform double-precision grid and compares, decade by decade,
 against the level count from the zero flows.  Past the first handful of
 levels the zeros and poles of F coagulate tighter than machine precision and
 the sign changes disappear, while the flows keep resolving every level.
+The scan (measure._sign_flips) evaluates F only in the cells of a
+Sturm-count subgrid that hold a zero of P_depth: the flips are those of
+every grid point, at about depth * sqrt(points * zeros) cost.
 
 Example:
     python3 scripts/sign_scan_comparison.py --kappa 0.5 --x-max 100
@@ -15,7 +18,7 @@ import argparse
 import numpy as np
 
 from zeroflow import displaced_recurrence, run_flows
-from zeroflow.measure import _eval_F_many
+from zeroflow.measure import _sign_flips
 from zeroflow.recurrence import _frozen_counts
 
 
@@ -33,9 +36,8 @@ def main():
 
     depth = total + 60
     grid = np.linspace(-args.kappa**2 - 0.2, args.x_max, args.points)
-    f = _eval_F_many(rec, grid, depth)
     # F falls through its zeros (+ to -) and jumps from - to + at its poles
-    flip_pos = grid[:-1][(f[:-1] > 0.0) & (f[1:] < 0.0)]
+    flip_pos = _sign_flips(rec, grid, depth)
 
     print(f"levels below {args.x_max}: {total} (all converged: {result.complete})")
     print(f"F zero crossings (+ to -) on a {args.points}-point grid at depth {depth}: {flip_pos.size}")

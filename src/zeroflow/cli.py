@@ -14,6 +14,10 @@ validates the flags and builds the model, _schedule hands --schedule (or
 None, for run_flows's default schedule) to the flows module, which alone
 clamps cut-offs to a tabulated model's length (cf-compare's default --depth
 is clamped the same way), and _emit_rows writes every csv or json result.
+cf-compare's sign scan (measure._sign_flips) evaluates F only in the cells
+of a Sturm-count subgrid that hold a zero of P_depth, with bitwise the
+flips of a scan of every grid point, at about depth * sqrt(points * zeros)
+cost.
 
 Exit codes: 0 success, 1 usage/config error, 2 partial result (budget hit
 before convergence), 3 numerical fault (NonMonotoneFlow, ZeroCoagulation,
@@ -47,7 +51,7 @@ from .errors import (
 )
 from .flows import flow_trace, run_flows
 from .lattice import FAMILIES, best_lattice_fit, fit_lattice
-from .measure import _eval_F_many
+from .measure import _sign_flips
 from .models import (
     RabiParams,
     displaced_recurrence,
@@ -196,11 +200,9 @@ def cmd_cf_compare(args) -> int:
             depth = total + 60 if rec.n_cap is None else min(total + 60, rec.n_cap)
         _require(depth >= 1, "--depth must be >= 1")
 
-        grid = np.linspace(args.x_min, args.x_max, args.points)
-        f_vals = _eval_F_many(rec, grid, depth)
         # F = -1/E falls through each zero (+ to -) and jumps from - to + at
         # each pole, so only + to - changes mark levels
-        flip_pos = grid[:-1][(f_vals[:-1] > 0.0) & (f_vals[1:] < 0.0)]
+        flip_pos = _sign_flips(rec, np.linspace(args.x_min, args.x_max, args.points), depth)
 
         # one interval per true level, split at midpoints between levels
         bounds = [args.x_min]

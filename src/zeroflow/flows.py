@@ -201,10 +201,11 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     then polished by safeguarded Newton steps.
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
-    from l-1 to l; every final bracket, or [x - tol/2, x + tol/2] about a
-    polished zero (each end that lies inside its counted bracket), is
-    re-counted, so an omission or a collision is detected rather than
-    silently absorbed.
+    from l-1 to l; every final bracket must have the counts l-1 and l at
+    its ends (each bracket carries the counts taken where its ends were
+    set), and [x - tol/2, x + tol/2] about a polished zero is re-counted
+    at each end that lies inside its bracket, so an omission or a collision
+    is detected rather than silently absorbed.
     """
     return _zeros_with_warm(rec, n, count, warm=None)
 
@@ -221,6 +222,9 @@ def _zeros_with_warm(
     lo_glob, hi_glob = _zero_bounds(c, lam)
     lo = np.full(count, lo_glob)
     hi = np.full(count, hi_glob)
+    # the counts at lo and hi; all n zeros lie between the Gershgorin ends
+    lo_ct = np.zeros(count, dtype=np.int64)
+    hi_ct = np.full(count, n, dtype=np.int64)
     targets = np.arange(1, count + 1, dtype=np.int64)
 
     # distance below hi of the first gallop probe; inf means plain multisection
@@ -238,6 +242,8 @@ def _zeros_with_warm(
         ok_hi = cts[count:] >= targets
         lo = np.where(ok_lo, lo_try, lo_glob)
         hi = np.where(ok_hi, hi_try, hi_glob)
+        lo_ct = np.where(ok_lo, cts[:count], 0)
+        hi_ct = np.where(ok_hi, cts[count:], n)
         # a converged flow barely moves: look just below the warm zero first
         reach = np.where(ok_hi, 2.0 * slack, np.inf)
 
@@ -245,8 +251,8 @@ def _zeros_with_warm(
     if cold and count > _PROBE_BATCH // 16:
         # a few probes per bracket and pass would multisect for many passes:
         # isolate the zeros in one wide multisection, then polish by Newton
-        iso = _isolate(c, lam, lo, hi, targets)
-        x = _polish(c, lam, lo, hi, targets, iso)
+        iso = _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets)
+        x = _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, iso)
         settled = np.isfinite(x)  # the others multisect below
         iso, x = iso[settled], x[settled]
         # a polished zero l must pass the re-count of [x - tol/2, x + tol/2]:
@@ -260,24 +266,29 @@ def _zeros_with_warm(
         cts = expect.copy()
         todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
         cts[todo] = _sturm_counts(c, lam, pts[todo])
-        lo[iso] = np.max(np.where(cts < expect[1], pts, lo[iso]), axis=0)
-        hi[iso] = np.min(np.where(cts >= expect[1], pts, hi[iso]), axis=0)
+        # a counted point lies inside the bracket: the highest one below
+        # zero l becomes lo, the lowest one at or above it hi
+        for k in (0, 1):
+            up = todo[k] & (cts[k] < expect[1])
+            lo[iso[up]], lo_ct[iso[up]] = pts[k, up], cts[k, up]
+        for k in (1, 0):
+            down = todo[k] & (cts[k] >= expect[1])
+            hi[iso[down]], hi_ct[iso[down]] = pts[k, down], cts[k, down]
         ok = (cts == expect).all(axis=0)
         zeros[iso[ok]] = x[ok]
     rest = np.flatnonzero(np.isnan(zeros))
-    _multisect(c, lam, lo, hi, targets, reach, rest)
+    _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, reach, rest)
     zeros[rest] = 0.5 * (lo[rest] + hi[rest])
 
-    # no-skip verification: each final bracket must hold exactly one zero
-    if rest.size:
-        cts = _sturm_counts(c, lam, np.concatenate((lo[rest], hi[rest])))
-        if not (
-            np.array_equal(cts[: rest.size], targets[rest] - 1)
-            and np.array_equal(cts[rest.size :], targets[rest])
-        ):
-            raise ZeroCoagulation(
-                f"bracket counts inconsistent at n={n}: zeros closer than bisection resolution"
-            )
+    # no-skip verification: each final bracket must hold exactly one zero;
+    # every end was counted where it was set, or is a Gershgorin end
+    if not (
+        np.array_equal(lo_ct[rest], targets[rest] - 1)
+        and np.array_equal(hi_ct[rest], targets[rest])
+    ):
+        raise ZeroCoagulation(
+            f"bracket counts inconsistent at n={n}: zeros closer than bisection resolution"
+        )
     # simplicity: zeros are provably simple, so near-coincidence means the
     # working precision is exhausted at this degree
     if count > 1:
@@ -287,11 +298,12 @@ def _zeros_with_warm(
     return ZeroTableau(n=n, zeros=zeros)
 
 
-def _multisect(c, lam, lo, hi, targets, reach, active) -> None:
-    """Shrink the brackets [lo, hi] of the zeros with indices `active`, in
-    place, to the bisection tolerance.  Each pass spends _PROBE_BATCH probes
-    over the active brackets: a bracket with a finite reach gallops down
-    from hi, any other one multisects."""
+def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, reach, active) -> None:
+    """Shrink the brackets [lo, hi] of the zeros with indices `active`, and
+    the counts lo_ct, hi_ct at their ends, in place, to the bisection
+    tolerance.  Each pass spends _PROBE_BATCH probes over the active
+    brackets: a bracket with a finite reach gallops down from hi, any other
+    one multisects."""
     while active.size:
         lo_a, hi_a = lo[active], hi[active]
         width = hi_a - lo_a
@@ -306,9 +318,11 @@ def _multisect(c, lam, lo, hi, targets, reach, active) -> None:
         cts = _sturm_counts(c, lam, probes.ravel()).reshape(probes.shape)
         k = np.count_nonzero(cts < targets[active, None], axis=1)
         ends = np.hstack((lo_a[:, None], probes, hi_a[:, None]))
+        ends_ct = np.hstack((lo_ct[active, None], cts, hi_ct[active, None]))
         rows = np.arange(active.size)
         new_lo, new_hi = ends[rows, k], ends[rows, k + 1]
         lo[active], hi[active] = new_lo, new_hi
+        lo_ct[active], hi_ct[active] = ends_ct[rows, k], ends_ct[rows, k + 1]
         # a zero below every probe keeps galloping from beyond the lowest one;
         # any other bracket is now narrower than this reach, so it multisects
         reach[active] = _GALLOP_GROWTH * step[:, 0]
@@ -319,10 +333,11 @@ def _multisect(c, lam, lo, hi, targets, reach, active) -> None:
         active = active[keep]
 
 
-def _isolate(c, lam, lo, hi, targets) -> np.ndarray:
+def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets) -> np.ndarray:
     """Multisect the shared cold bracket [lo, hi] until each zero is alone
-    in a cell between two probed points, set every bracket, in place, to its
-    zero's cell, and return the indices of the isolated zeros.
+    in a cell between two probed points, set every bracket and the counts
+    lo_ct, hi_ct at its ends, in place, to its zero's cell, and return the
+    indices of the isolated zeros.
 
     The probed points are kept sorted with their counts; the bracket of zero
     l is [last point with count <= l - 1, first point with count >= l], and l
@@ -337,9 +352,8 @@ def _isolate(c, lam, lo, hi, targets) -> np.ndarray:
     """
     count = targets.size
     batch = max(_PROBE_BATCH, 2 * count)
-    # all n zeros of P_n lie between the Gershgorin ends
     pts = np.array([lo[0], hi[0]])
-    cts = np.array([0, c.shape[0]], dtype=np.int64)
+    cts = np.array([lo_ct[0], hi_ct[0]])
     closed = np.zeros(1, dtype=bool)  # per cell [pts[i], pts[i + 1]]
     while True:
         weight = np.diff(np.minimum(cts, count + 1))
@@ -366,15 +380,17 @@ def _isolate(c, lam, lo, hi, targets) -> np.ndarray:
         closed = np.insert(closed, at, False)
     i = np.searchsorted(cts, targets - 1, side="right") - 1
     lo[:], hi[:] = pts[i], pts[i + 1]
-    return np.flatnonzero((cts[i] == targets - 1) & (cts[i + 1] == targets))
+    lo_ct[:], hi_ct[:] = cts[i], cts[i + 1]
+    return np.flatnonzero((lo_ct == targets - 1) & (hi_ct == targets))
 
 
-def _polish(c, lam, lo, hi, targets, idx) -> np.ndarray:
+def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx) -> np.ndarray:
     """Safeguarded Newton iteration on P_n for the isolated zeros with
     indices idx; returns their polished points, NaN where a zero did not
     settle within _NEWTON_SWEEPS.  Each step takes the count and
     s = P_n'/P_n from one _sturm_newton sweep; the count shrinks the bracket
-    [lo, hi] in place, and a Newton point that is not finite or leaves the
+    [lo, hi], with the counts lo_ct and hi_ct at its ends, in place, and a
+    Newton point that is not finite or leaves the
     bracket is replaced by the bracket's midpoint.  A zero stops at a Newton
     step no longer than the bisection tolerance, or when its bracket is
     that narrow."""
@@ -389,6 +405,8 @@ def _polish(c, lam, lo, hi, targets, idx) -> np.ndarray:
         below = cts < targets[active]
         lo_a = lo[active] = np.where(below, x, lo[active])
         hi_a = hi[active] = np.where(below, hi[active], x)
+        lo_ct[active] = np.where(below, cts, lo_ct[active])
+        hi_ct[active] = np.where(below, hi_ct[active], cts)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             newton = x - 1.0 / s
         step = np.abs(newton - x)

@@ -30,7 +30,13 @@ import numpy as np
 
 from .errors import Divergent, NotMinimal, PoleHit, PrecisionExhausted
 from .flows import _bisect_tol, zeros_of
-from .recurrence import MonicRecurrence, RawRecurrence, _backward_fraction, _sturm_counts
+from .recurrence import (
+    _BLOCK_SIZE,
+    MonicRecurrence,
+    RawRecurrence,
+    _backward_fraction,
+    _sturm_counts,
+)
 
 __all__ = [
     "DiscreteMeasure",
@@ -126,6 +132,77 @@ def _eval_F_many(rec: MonicRecurrence, xs: np.ndarray, depth: int) -> np.ndarray
     return _backward_fraction(c, lam, xs)
 
 
+def _scan_stride(points: int, zeros: int) -> int:
+    """Subgrid stride K of _sign_flips: counts at points / K subgrid points
+    and F at about K points per zero cost least at K = sqrt(points / zeros)."""
+    return max(1, math.isqrt(points // max(zeros, 1)))
+
+
+def _sign_flips(rec: MonicRecurrence, grid: np.ndarray, depth: int) -> np.ndarray:
+    """The points grid[i] of an increasing, evenly spaced grid (np.linspace)
+    where F at `depth` is > 0 while F(grid[i + 1]) < 0: bitwise the flips of
+    _eval_F_many on the whole grid, at about depth * sqrt(points * zeros)
+    cost instead of depth * points.
+
+    F falls through the zeros of P_depth and jumps from - to + at its poles,
+    so every flip's cell holds a zero.  Rounding moves both: each step of
+    the count and of the backward fraction is exact for a Jacobi matrix whose
+    entries moved by one rounding of |c_k - x| and of sqrt(lambda_k), so by
+    Weyl's inequality both see zeros and poles within eps/2 * scale of the
+    true ones (Barth, Martin & Wilkinson, Numer. Math. 9, 1967); `reach`
+    spares a factor 8.  On cells wider than 2 * reach, a flip then lies
+    within one point of a subgrid cell whose count of P_depth rises, or of
+    an end of the grid, and F is evaluated only there, by the same
+    elementwise arithmetic.  A finer grid may see a pole's rounding as a
+    flip, which no count of P_depth finds, so there every point is scanned,
+    as it is where the stride is below 3 and counting would cost more than
+    it saves.  The points go through in batches of at most 2 * _BLOCK_SIZE.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    c, lam = rec.coeff_arrays(depth)
+    n = grid.size
+    scale = max(abs(grid[0]), abs(grid[-1])) + float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam)))
+    reach = 4.0 * _EPS * scale
+    spans = [(0, n)]
+    if grid[-1] - grid[0] > 2.0 * reach * (n - 1):
+        ends = _sturm_counts(c, lam, grid[[0, -1]])
+        stride = _scan_stride(n, int(ends[1] - ends[0]))
+        if stride >= 3:
+            at = np.append(np.arange(0, n - 1, stride), n - 1)
+            counts = np.concatenate((ends[:1], _sturm_counts(c, lam, grid[at[1:-1]]), ends[1:]))
+            hot = np.flatnonzero(np.diff(counts) > 0)
+            # each hot cell and each end of the grid, one point wider
+            starts = np.maximum(np.concatenate(([0], at[hot] - 1, [n - 2])), 0)
+            stops = np.minimum(np.concatenate(([2], at[hot + 1] + 2, [n])), n)
+            gap = np.flatnonzero(starts[1:] > stops[:-1])
+            spans = zip(starts[np.r_[0, gap + 1]].tolist(), stops[np.r_[gap, -1]].tolist())
+    flips = [grid[:0]]
+    for idx in _batches(spans):
+        x = grid[idx]
+        f = _backward_fraction(c, lam, x)
+        flips.append(x[:-1][(f[:-1] > 0.0) & (f[1:] < 0.0) & (idx[1:] - idx[:-1] == 1)])
+    return np.concatenate(flips)
+
+
+def _batches(spans):
+    """Grid indices of the sorted, disjoint index spans [a, b), cut into
+    pieces of at most _BLOCK_SIZE + 1 that overlap by one index, so every
+    pair of adjacent indices lies in exactly one piece, and gathered into
+    batches of at most 2 * _BLOCK_SIZE + 1."""
+    batch, size = [], 0
+    for a, b in spans:
+        for k in range(a, b - 1, _BLOCK_SIZE):
+            piece = np.arange(k, min(k + _BLOCK_SIZE + 1, b))
+            batch.append(piece)
+            size += piece.size
+            if size >= _BLOCK_SIZE:
+                yield np.concatenate(batch)
+                batch, size = [], 0
+    if batch:
+        yield np.concatenate(batch)
+
+
 def eval_E(rec: MonicRecurrence, x: float, depth: int) -> float:
     """Depth-truncated Stieltjes fraction E(x) = P^(1)_{depth-1}(x)/P_depth(x).
 
@@ -177,15 +254,15 @@ def partial_fractions(rec: MonicRecurrence, n: int) -> DiscreteMeasure:
     if n == 1:
         return DiscreteMeasure(nodes=nodes, weights=np.array([1.0]), degree=1)
     c, lam = rec.coeff_arrays(n)
-    sums = _christoffel_sums(c, lam, nodes)
 
     # Once a zero flow has converged to within bisection resolution of its
     # limit, the Christoffel polynomial varies by orders of magnitude across
     # one node-location ulp and the finite-degree weight is no longer encoded
     # in double precision at all.  Detect that by re-evaluating the sums a few
-    # node tolerances away: in the stable regime they barely move.
+    # node tolerances away, in the same pass: in the stable regime they
+    # barely move.
     h = 8.0 * _bisect_tol(nodes)
-    probe = _christoffel_sums(c, lam, nodes + h)
+    sums, probe = np.split(_christoffel_sums(c, lam, np.concatenate((nodes, nodes + h))), 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = np.abs(np.log2(probe / sums))
     if np.any(drift > 0.07):  # log2(1.05)

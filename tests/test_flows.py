@@ -183,7 +183,10 @@ def _multisected(rec, n, count):
     lo_glob, hi_glob = _zero_bounds(c, lam)
     lo, hi = np.full(count, lo_glob), np.full(count, hi_glob)
     targets = np.arange(1, count + 1)
-    flows._multisect(c, lam, lo, hi, targets, np.full(count, np.inf), np.arange(count))
+    lo_ct, hi_ct = np.zeros(count, dtype=np.int64), np.full(count, n, dtype=np.int64)
+    flows._multisect(
+        c, lam, lo, hi, lo_ct, hi_ct, targets, np.full(count, np.inf), np.arange(count)
+    )
     return 0.5 * (lo + hi)
 
 

@@ -2,10 +2,14 @@ import math
 import sys
 from fractions import Fraction
 
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from zeroflow import (
     DiscreteMeasure,
@@ -27,9 +31,11 @@ from zeroflow import (
     spectral_mass,
     zeros_of,
 )
-from zeroflow.recurrence import _sturm_counts
+from zeroflow import measure
+from zeroflow.measure import _eval_F_many, _sign_flips
+from zeroflow.recurrence import _BLOCK_SIZE, _sturm_counts
 
-from conftest import hermite_recurrence
+from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
 
 
 # -- continued fractions -----------------------------------------------------
@@ -157,8 +163,6 @@ def test_inner_exact_hit_gives_finite_limit():
 def test_F_sign_matches_sturm_parity(rec, depth, x_min, x_max):
     # sign F = (-1)**(N_d(x) + N^(1)_{d-1}(x)), with N the zeros-below-x
     # counts of P_d and P^(1)_{d-1} (the kernel of count_zeros_below)
-    from zeroflow.measure import _eval_F_many
-
     grid = np.linspace(x_min, x_max, 200_001)
     sign = np.sign(_eval_F_many(rec, grid, depth))
     c, lam = rec.coeff_arrays(depth)
@@ -173,8 +177,6 @@ def test_sign_scan_misses_high_levels():
     # levels ~20-40 exist in [20, 40] but double-precision sign changes of F
     # see only a handful: the invisibility regime
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
-    from zeroflow.measure import _eval_F_many
-
     grid = np.linspace(20.0, 40.0, 40_001)
     f = _eval_F_many(rec, grid, 120)
     s = np.sign(f)
@@ -185,6 +187,168 @@ def test_sign_scan_misses_high_levels():
     )
     assert true_count >= 18
     assert changes < true_count  # far fewer visible sign changes than levels
+
+
+def _full_scan_flips(rec, grid, depth):
+    f = _eval_F_many(rec, grid, depth)
+    return grid[:-1][(f[:-1] > 0.0) & (f[1:] < 0.0)]
+
+
+def _stride(stride):
+    """_sign_flips with its subgrid stride fixed (None: its own)."""
+    scan_stride = measure._scan_stride
+    return mock.patch.object(measure, "_scan_stride", lambda *a: stride or scan_stride(*a))
+
+
+@st.composite
+def _flip_scans(draw):
+    """(rec, depth, grid, stride): a model, a depth, and a grid over part of
+    the range of its zeros, finer than the count's rounding about a zero or
+    a pole, or with a point of a subgrid of the given stride (None:
+    _sign_flips's own) exactly on a zero or a pole of F."""
+    kind = draw(st.sampled_from(["rabi", "displaced", "random", "wide", "integer", "exact-hit"]))
+    depth = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "rabi":
+        kappa, delta = draw(st.floats(0.05, 5.0)), draw(st.floats(0.0, 1.0))
+        parity = draw(st.sampled_from("+-"))
+        rec = rabi_recurrence(RabiParams(kappa=kappa, delta=delta, parity=parity))
+    elif kind == "displaced":
+        rec = displaced_recurrence(draw(st.floats(0.05, 5.0)))
+    elif kind == "random":
+        rec = random_recurrence(rng, depth)
+    elif kind == "wide":
+        rec = wide_range_recurrence(rng, depth)
+    elif kind == "integer":
+        slope = draw(st.sampled_from([0.0, 1.0]))
+        c = rng.integers(-2, 3, depth).astype(float) + slope * np.arange(depth)
+        rec = MonicRecurrence.from_arrays(c, 2.0 ** rng.integers(0, 3, depth - 1))
+    else:
+        rec = MonicRecurrence.from_arrays(np.zeros(depth), np.ones(depth - 1))
+    c, lam = rec.coeff_arrays(depth)
+    zeros = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))
+    poles = eigvalsh_tridiagonal(c[1:], np.sqrt(lam[2:])) if depth > 1 else zeros
+    lo, hi = float(zeros[0]) - 1.0, float(zeros[-1]) + 1.0
+    points = draw(st.one_of(st.integers(2, 200), st.integers(201, 50_000)))
+    mode = draw(st.sampled_from(["span", "fine", "placed"]))
+    ends = poles if draw(st.booleans()) else zeros
+    z = float(ends[draw(st.integers(0, ends.size - 1))])
+    if mode == "span":
+        a, b = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+        if not b > a:
+            b = 1.0
+        return rec, depth, np.linspace(lo + a * (hi - lo), lo + b * (hi - lo), points), None
+    if mode == "fine":
+        half = 10.0 ** draw(st.floats(-16.0, -12.0)) * max(1.0, abs(z))
+        return rec, depth, np.linspace(z - half, z + half, points), None
+    stride = draw(st.integers(3, 60))
+    at = stride * draw(st.integers(0, (points - 1) // stride))
+    h = (hi - lo) * 10.0 ** draw(st.floats(-4.0, 0.0)) / points
+    return rec, depth, z + h * (np.arange(points) - at), stride
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flip_scans())
+def test_sign_flips_equal_the_full_grid_scan(case):
+    # F evaluated near the hot subgrid cells only finds the + to - flips of
+    # the full scan, bitwise, on any subgrid stride and grid spacing
+    rec, depth, grid, stride = case
+    want = _full_scan_flips(rec, grid, depth)
+    with _stride(stride):
+        got = _sign_flips(rec, grid, depth)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("depth", [299, 300])
+@pytest.mark.parametrize("stride", [4, 16])
+def test_sign_flips_with_subgrid_points_on_exact_hits(depth, stride):
+    # c = 0, lambda = 1: 0 and 1 are zeros of P_299 and poles of F at depth
+    # 300 (zeros of P^(1)_299), hit exactly on the dyadic grid, where the
+    # subgrid takes every stride-th point from -3
+    rec = MonicRecurrence.from_arrays(np.zeros(300), np.ones(299))
+    grid = 2.0**-10 * (np.arange(6145) - 3072)
+    sub = _eval_F_many(rec, grid[::stride], depth)
+    assert np.count_nonzero((sub == 0.0) | np.isinf(sub)) >= 2
+    with _stride(stride):
+        got = _sign_flips(rec, grid, depth)
+    assert got.tobytes() == _full_scan_flips(rec, grid, depth).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [displaced_recurrence(0.5), rabi_recurrence(RabiParams(kappa=1.0, delta=0.4))],
+    ids=["displaced-0.5", "rabi-1"],
+)
+def test_sign_flips_where_count_and_F_round_a_zero_apart(rec):
+    # within a few ulps of a zero, the count and F can see it on opposite
+    # sides of a point x; with x on the subgrid, F flips in the grid cell
+    # next to the hot subgrid cell, which its one-point margin covers
+    depth, h = 60, 1e-9
+    c, lam = rec.coeff_arrays(depth)
+    before = after = 0  # flips just below and just above such an x
+    for r, z in enumerate(eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))[:10]):
+        xs = z + np.spacing(abs(z)) * np.arange(-64, 65)
+        counts, f = _sturm_counts(c, lam, xs), _eval_F_many(rec, xs, depth)
+        for x in xs[((counts == r) & (f < 0.0)) | ((counts == r + 1) & (f > 0.0))]:
+            grid = x + h * (np.arange(801) - 400)
+            want = _full_scan_flips(rec, grid, depth)
+            before += int(np.any(want == grid[399]))
+            after += int(np.any(want == grid[400]))
+            with _stride(8):
+                assert _sign_flips(rec, grid, depth).tobytes() == want.tobytes()
+    assert before >= 1 and after >= 1
+
+
+def test_sign_flips_keep_a_flip_between_two_batches():
+    # a grid finer than the count's rounding is scanned in pieces of
+    # _BLOCK_SIZE + 1 points that share an end; a flip of F across the
+    # first piece's last cell must not fall between them
+    rec = displaced_recurrence(0.5)
+    c, lam = rec.coeff_arrays(60)
+    z = float(eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))[2])
+    ulp = np.spacing(z)
+    xs = z + ulp * np.arange(-64, 65)
+    f = _eval_F_many(rec, xs, 60)
+    x = float(xs[1:][(f[:-1] > 0.0) & (f[1:] < 0.0)][0])
+    grid = x + ulp * (np.arange(_BLOCK_SIZE + 100) - _BLOCK_SIZE)
+    want = _full_scan_flips(rec, grid, 60)
+    assert grid[_BLOCK_SIZE - 1] in want
+    assert _sign_flips(rec, grid, 60).tobytes() == want.tobytes()
+
+
+def _evaluated_points(rec, grid, depth, stride=None):
+    """_sign_flips's flips and the number of points at which it evaluates F."""
+    seen = [0]
+    backward_fraction = measure._backward_fraction
+
+    def counting(c, lam, xs):
+        seen[0] += xs.size
+        return backward_fraction(c, lam, xs)
+
+    with mock.patch.object(measure, "_backward_fraction", counting):
+        with _stride(stride):
+            flips = _sign_flips(rec, grid, depth)
+    return flips, seen[0]
+
+
+def test_sign_flips_evaluate_F_on_a_small_share_of_the_grid():
+    # the benchmark's cf-compare call: 101 zeros on 200,001 points
+    rec = displaced_recurrence(0.5)
+    grid = np.linspace(-0.3, 100.0, 200_001)
+    flips, evaluated = _evaluated_points(rec, grid, 161)
+    assert evaluated <= 0.05 * grid.size
+    assert flips.tobytes() == _full_scan_flips(rec, grid, 161).tobytes()
+
+
+def test_sign_flips_on_an_all_hot_subgrid_evaluate_each_point_about_once():
+    # zeros about 1 apart and subgrid cells 2 wide: every cell holds a zero
+    rec = displaced_recurrence(0.5)
+    grid = np.linspace(-0.3, 100.0, 1001)
+    c, lam = rec.coeff_arrays(161)
+    assert np.all(np.diff(_sturm_counts(c, lam, grid[::20])) > 0)
+    flips, evaluated = _evaluated_points(rec, grid, 161, stride=20)
+    assert evaluated <= 1.1 * grid.size
+    assert flips.tobytes() == _full_scan_flips(rec, grid, 161).tobytes()
 
 
 # -- discrete measures -------------------------------------------------------

@@ -1,7 +1,7 @@
 """Smoke tests: the example scripts run end to end on small inputs.
 
 The scripts import package internals (sign_scan_comparison.py uses the
-private measure._eval_F_many and recurrence._frozen_counts), so a rename
+private measure._sign_flips and recurrence._frozen_counts), so a rename
 there must fail here.
 """
 
