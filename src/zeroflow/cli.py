@@ -72,7 +72,7 @@ def _require(cond: bool, message: str) -> None:
 def _recurrence(args, *checks: tuple[bool, str]) -> MonicRecurrence:
     """The model named by the flags, after the shared model and solver flags
     and then the subcommand's own (condition, message) checks are validated."""
-    _require(args.tol > 0.0, "--tol must be > 0")
+    _require(0.0 < args.tol < math.inf, "--tol must be finite and > 0")
     _require(args.omega > 0.0, "--omega must be > 0")
     if args.model == "tabulated":
         _require(args.table is not None, "--table is required for the tabulated model")
@@ -146,10 +146,10 @@ def cmd_spectrum(args) -> int:
         "complete": result.complete,
     }
     rows = [
-        (lv.l, lv.xi * omega, lv.n_converged, lv.last_decrement * omega, lv.converged, lv.certified)
+        (lv.l, lv.xi * omega, lv.n_converged, lv.last_decrement * omega, lv.converged)
         for lv in result.levels
     ]
-    columns = ("l", "xi", "n_converged", "last_decrement", "converged", "certified")
+    columns = ("l", "xi", "n_converged", "last_decrement", "converged")
     _emit_rows(args, header, "levels", columns, rows)
     return 0 if result.complete else 2
 
@@ -182,9 +182,8 @@ def cmd_cf_compare(args) -> int:
         (args.x_max > args.x_min, "--x-max must exceed --x-min"),
         (args.points >= 2, "--points must be >= 2"),
     )
-    # every CLI model has a table length or a dominance index, so the count
-    # of spectral points below x_max is the Sturm count frozen at degree
-    # infinity
+    # the count of spectral points below x_max: the Sturm count frozen at
+    # degree infinity, which every CLI model has
     total = int(_frozen_counts(rec, np.array([args.x_max]))[0])
     rows = []
     complete = True
@@ -303,7 +302,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=1e-8,
-        help="enclosure width: a certified level lies in [xi - tol, xi]",
+        help="enclosure width, finite and > 0: a converged level lies in [xi - tol, xi]",
     )
     p.add_argument(
         "--override",

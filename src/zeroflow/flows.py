@@ -13,8 +13,8 @@ upward along a growth schedule.  A flow stops at the first degree where the
 Sturm count frozen at degree infinity (recurrence._frozen_counts: exact at a
 table's length, or past a model's dominance index) finds at most l - 1
 spectral points below x_{n,l} - tol, which proves xi_l in
-[x_{n,l} - tol, x_{n,l}].  A model with neither falls back to two
-successive decrements below tol, a heuristic that certifies nothing.  At a
+[x_{n,l} - tol, x_{n,l}].  That is the only stop rule, so a model with
+neither a table length nor a dominance index is refused.  At a
 new degree a bracket gallops down from its flow's previous zero (Bentley &
 Yao, IPL 5, 1976), and brackets shrink by multisection, few brackets taking
 many probes per batched count (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
@@ -40,6 +40,7 @@ from .errors import NonMonotoneFlow, ZeroCoagulation
 from .recurrence import (
     MonicRecurrence,
     _frozen_counts,
+    _require_frozen_count,
     _sturm_counts,
     _sturm_newton,
     _zero_bounds,
@@ -160,17 +161,15 @@ class ZeroFlow:
 
 @dataclass(frozen=True)
 class LevelResult:
-    """Level l: xi = x_{n,l} at the last degree n visited.  A certified
-    level has the true level in [xi - tol, xi], up to the bisection
-    resolution of xi; a level converged without a certificate passed the
-    two-decrement heuristic only."""
+    """Level l: xi = x_{n,l} at the last degree n visited.  A converged
+    level is certified: the true level lies in [xi - tol, xi], up to the
+    bisection resolution of xi."""
 
     l: int
     xi: float
     n_converged: int
     last_decrement: float
     converged: bool
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -420,10 +419,14 @@ def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx) -> np.ndarray:
     return out
 
 
-def _refuse_if_outside_class(rec: MonicRecurrence, override: bool) -> None:
-    """The membership conditions are sufficient, not necessary, so the
-    verdict is advisory: refuse only an explicit negative one, and let
-    override=True run anyway."""
+def _check_request(rec: MonicRecurrence, tol: float, override: bool) -> None:
+    """Entry gate of run_flows and flow_trace, before any zero is computed:
+    a finite tol > 0 and, even with override, a model whose count freezes.
+    The class verdict is advisory (its conditions are sufficient, not
+    necessary): only an explicit negative one is refused, unless override."""
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0; got {tol!r}")
+    _require_frozen_count(rec)
     if override or rec.asymptotics is None:
         return
     from .classifier import classify
@@ -442,12 +445,11 @@ def _track_flows(
     tol: float,
     schedule: Optional[ScheduleLike],
     watch: int,
-) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
+) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The degrees visited, the tableaux of the first `count` zero flows at
-    those degrees (one row per degree), the degree at which each flow
-    converged (0 if it did not), and whether convergence was certified, as
-    run_flows defines them.  Stops once every flow from index `watch` on has
-    converged."""
+    those degrees (one row per degree), and the degree at which each flow
+    converged (0 if it did not), as run_flows defines them.  Stops once
+    every flow from index `watch` on has converged."""
     degrees = _degrees(rec, count, schedule)
     rows: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
@@ -467,14 +469,10 @@ def _track_flows(
         # l - 1 spectral points below them: xi_l lies in [x - tol, x]
         open_ = np.flatnonzero(n_conv == 0)
         below = _frozen_counts(rec, x[open_] - tol)
-        if below is not None:
-            n_conv[open_[below <= open_]] = n
-        elif len(rows) >= 3:  # no frozen count: two decrements below tol
-            decrements = -np.diff(rows[-3:], axis=0)
-            n_conv[(decrements < tol).all(axis=0) & (n_conv == 0)] = n
+        n_conv[open_[below <= open_]] = n
         if n_conv[watch:].all():
             break
-    return degrees[: len(rows)], np.array(rows), n_conv, below is not None
+    return degrees[: len(rows)], np.array(rows), n_conv
 
 
 def run_flows(
@@ -487,21 +485,17 @@ def run_flows(
     """Track the first n_levels zero flows until each has converged.
 
     The cut-offs follow `schedule`, by default a growth schedule starting at
-    n_levels + 20.  tol is the width of the enclosure: on a table or a model
-    with a dominance index, a flow converges, certified, at the first degree
-    n where the frozen Sturm count proves xi_l >= x_{n,l} - tol, which with
-    xi_l <= x_{n,l} encloses the level.  Other models fall back to two
-    successive schedule decrements below tol (one small decrement can be a
-    slow flow, not a converged one) and report certified=False.  If the
-    schedule is exhausted first, the partial result is returned with the
-    affected levels flagged converged=False.
+    n_levels + 20.  tol, finite and > 0, is the width of the enclosure: a
+    flow converges at the first degree n where the frozen Sturm count proves
+    xi_l >= x_{n,l} - tol, which with xi_l <= x_{n,l} encloses the level; a
+    model without that count (no table length, no dominance index) is
+    refused with ValueError.  If the schedule is exhausted first, the partial
+    result is returned with the affected levels flagged converged=False.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    if not (tol > 0.0):
-        raise ValueError("tol must be > 0")
-    _refuse_if_outside_class(rec, override)
-    degrees, tableaux, n_conv, certifies = _track_flows(rec, n_levels, tol, schedule, watch=0)
+    _check_request(rec, tol, override)
+    degrees, tableaux, n_conv = _track_flows(rec, n_levels, tol, schedule, watch=0)
     xi = tableaux[-1].tolist()
     dec = (tableaux[-2] - tableaux[-1]).tolist() if len(degrees) >= 2 else [math.nan] * n_levels
     return SpectrumResult(
@@ -512,7 +506,6 @@ def run_flows(
                 n_converged=int(n_conv[i]) or degrees[-1],
                 last_decrement=dec[i],
                 converged=bool(n_conv[i]),
-                certified=certifies and bool(n_conv[i]),
             )
             for i in range(n_levels)
         ),
@@ -529,11 +522,12 @@ def flow_trace(
     override: bool = False,
 ) -> ZeroFlow:
     """Full history of the single flow x_{n,l} over the schedule (by default
-    run_flows's), up to the degree at which it converged by run_flows's rule."""
+    run_flows's), up to the degree at which it converged by run_flows's rule;
+    tol and the model are checked as in run_flows."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    _refuse_if_outside_class(rec, override)
-    degrees, tableaux, n_conv, _ = _track_flows(rec, l, tol, schedule, watch=l - 1)
+    _check_request(rec, tol, override)
+    degrees, tableaux, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)
     history = tuple(zip(degrees, tableaux[:, l - 1].tolist()))
     converged = bool(n_conv[l - 1])
     return ZeroFlow(

@@ -329,15 +329,17 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
     whole table (depth reaching its length) is a finite Jacobi matrix with
     lambda_depth = 0 and no tail: its last row is judged like the others and
     the backward run starts there, at K = depth - 1.
-    ValueError is raised when depth holds no such K.  Its message advises a
-    larger depth only when some row is dominated; where none is (c = 0,
-    lambda = 1 on its continuous spectrum), it says so instead.
+    ValueError is raised at a non-finite xi, and when depth holds no such K:
+    then a larger depth is advised only when some row is dominated; where
+    none is (c = 0, lambda = 1 on its continuous spectrum), it says so.
 
     The verdict: the rows past m freeze the Sturm count, so xi is a level
     when the count of P_{K+1} steps between xi -+ h.  h is _LEVEL_ULPS ulps
     of max(1, |xi|, the Gershgorin extent of rows 0 .. m+1 about xi), since
     the count's rounding scales with those rows (as in LAPACK dstebz).
     """
+    if not math.isfinite(xi):
+        raise ValueError(f"{xi!r} is not a finite point, so it is not a level")
     whole = rec.n_cap is not None and depth >= rec.n_cap
     if whole:
         depth = rec.n_cap
@@ -388,10 +390,10 @@ def spectral_mass(rec: MonicRecurrence, xi: float, l_max: int = 1000) -> Spectra
 
     The sum runs over _minimal_solution on the first l_max + 1 coefficients,
     clamped to a table's length.  Divergent is raised when its Sturm-count
-    verdict finds no level at xi.  ValueError is raised when the solution's
-    tail does not fall below rounding within l_max (displaced kappa = 16,
-    level 300, needs a larger l_max), and PrecisionExhausted when the mass is
-    below the double range.
+    verdict finds no level at xi.  ValueError is raised at a non-finite xi
+    and when the solution's tail does not fall below rounding within l_max
+    (displaced kappa = 16, level 300, needs a larger l_max), and
+    PrecisionExhausted when the mass is below the double range.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -417,11 +419,12 @@ def reconstruct_eigenvector(
     coefficients with its backward run started past n_max, and its p maps to
     the raw basis by the rescaling of to_monic: phi_n / phi_{n-1} =
     alpha_{n-1} sqrt(lambda_n) p_n / p_{n-1}, alpha_k = a_k(0) - a_k(1).
-    NotMinimal is raised when the Sturm-count verdict finds no level at xi,
-    when no tail falls below rounding within that depth, and when the
-    Bargmann partial sums sum |phi_n|^2 n! do not saturate by n_max.  The
-    head runs forward from the two-term condition phi_1 + a_0(xi) phi_0 = 0,
-    so two_term_residual, its relative size, is at rounding.
+    NotMinimal is raised at a non-finite xi, when the Sturm-count verdict
+    finds no level at xi, when no tail falls below rounding within that
+    depth, and when the Bargmann partial sums sum |phi_n|^2 n! do not
+    saturate by n_max.  The head runs forward from the two-term condition
+    phi_1 + a_0(xi) phi_0 = 0, so two_term_residual, its relative size, is
+    at rounding.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

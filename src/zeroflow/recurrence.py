@@ -136,8 +136,8 @@ class MonicRecurrence:
     dominance_index, when present, maps an array of points x to integer
     indices M such that every row k >= M is Gershgorin dominated at x,
     c_k - x >= sqrt(lambda_k) + sqrt(lambda_{k+1}).  It is metadata of the
-    model, not a tuning option: it lets the zeros-below count freeze at a
-    finite degree (_frozen_counts), which certifies converged levels.
+    model, not a tuning option: it (or n_cap) lets the zeros-below count
+    freeze at a finite degree (_frozen_counts), the flows' only stop rule.
     """
 
     c: Callable[[np.ndarray], np.ndarray]
@@ -312,10 +312,13 @@ def count_zeros_below(rec: MonicRecurrence, x: float, n: int) -> int:
     positive pivots q_k = P_k(x) / P_{k-1}(x).  An exact hit P_j(x) = 0 takes
     the sign of -P_{j-1}(x): the pivot is +0 in the negated form of
     _sturm_counts, not counted, and the next one is -inf, counted, which keeps
-    the chain consistent with P_{j+1} = -lambda_j P_{j-1}.
+    the chain consistent with P_{j+1} = -lambda_j P_{j-1}.  At x = -inf and
+    +inf the count is its limit, 0 and n; at NaN it raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if np.isnan(x):
+        raise ValueError("the zeros-below count needs a point that is not NaN")
     c, lam = rec.coeff_arrays(n)
     return int(_sturm_counts(c, lam, np.array([float(x)]))[0])
 
@@ -334,18 +337,8 @@ def _block_rows(batch: int, buffers: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_SIZE // max(buffers * batch, 1)))
 
 
-def _sturm_counts(
-    c: np.ndarray,
-    lam: np.ndarray,
-    xs: np.ndarray,
-    last_pivot: bool = False,
-    start: Optional[np.ndarray] = None,
-):
-    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs,
-    and with last_pivot=True also the last negated pivot v_n (+inf at n = 0).
-    With `start`, the negated pivots v_M at each x of rows already swept, c
-    and lam are rows M..M+n-1 and the count covers those rows only: added to
-    the count of the earlier rows it is, bitwise, the count of one sweep.
+def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs.
 
     Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz, run on the
     negated pivots v_k = -q_k = -P_k(x) / P_{k-1}(x):
@@ -360,9 +353,7 @@ def _sturm_counts(
     canonicalized to +0.0 first.  The count is monotone in x
     in floating point (Demmel, Dhillon & Ren, ETNA 3, 1995).
     """
-    carry = None if start is None else np.array(start, dtype=float)
-    counts, carry, _ = _pivot_sweep(c, lam, xs, carry, derivative=False)
-    return (counts, carry) if last_pivot else counts
+    return _pivot_sweep(c, lam, xs, None, derivative=False)[0]
 
 
 def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +375,9 @@ def _pivot_sweep(c, lam, xs, carry, derivative):
     """The one block loop of both Sturm kernels: the counts of negative
     pivots v_k over rows 1..n at each x in xs from the pivots `carry` of the
     rows before (None: v_0 = +inf), the last pivots, and with `derivative`
-    the sum s of r_k (see _sturm_newton), else None.
+    the sum s of r_k (see _sturm_newton), else None.  The last pivots are
+    written into `carry`; resumed from those of rows 1..M, a sweep over rows
+    M+1..M+n adds, bitwise, the counts of one sweep over rows 1..M+n.
 
     A block holds the differences c_{k-1} - x of its rows; each pivot step is
     two in-place ufuncs on one row, the ratio q_k into its own row of a
@@ -450,10 +443,20 @@ _FROZEN_MARGIN = 2.0
 _FROZEN_ROUNDS = 8
 
 
-def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]:
+def _require_frozen_count(rec: MonicRecurrence) -> None:
+    """ValueError unless rec has a table length or a dominance index."""
+    if rec.n_cap is None and rec.dominance_index is None:
+        raise ValueError(
+            f"{rec.description or 'model'} has neither a table length nor a dominance index, so "
+            "no level can be certified: attach an index, e.g. dataclasses.replace(to_monic(raw), "
+            "dominance_index=m), or tabulate the coefficients with MonicRecurrence.from_arrays"
+        )
+
+
+def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     """Number of spectral points strictly below each x in the 1-D array xs:
-    the zeros-below count of P_N as N -> infinity.  None when the model has
-    neither a table length nor a dominance index; ValueError at a non-finite
+    the zeros-below count of P_N as N -> infinity.  ValueError when the model
+    has neither a table length nor a dominance index, or at a non-finite
     point; PrecisionExhausted when M would overflow int64 or a count does not
     freeze within _FROZEN_ROUNDS doublings of M.
 
@@ -467,13 +470,12 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]
     for every point in it.  The same induction from any row k >= M with
     v_k >= sqrt(lambda_k) ends the count of a carried point at row k.
     """
+    _require_frozen_count(rec)
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("the zeros-below count needs finite points")
     if rec.n_cap is not None:
         return _sturm_counts(*rec.coeff_arrays(rec.n_cap), xs)
-    if rec.dominance_index is None:
-        return None
     counts = np.zeros(xs.shape, dtype=np.int64)
     todo = np.arange(xs.size)
     # the points in todo have been swept over rows 1..k, ending at pivots v
@@ -483,7 +485,8 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> Optional[np.ndarray]
         # rows 1..M in one sweep, then the carried points _BLOCK_ROWS at a time
         while v is None or k < m:
             k1 = m if v is None else min(k + _BLOCK_ROWS, m)
-            cts, v = _sturm_counts(c[k:k1], lam[k:k1], xs[todo], last_pivot=True, start=v)
+            # the sweep overwrites v, a copy this loop owns (v[fail] below)
+            cts, v, _ = _pivot_sweep(c[k:k1], lam[k:k1], xs[todo], v, derivative=False)
             counts[todo] += cts
             fail = ~(v >= _FROZEN_MARGIN * np.sqrt(lam[k1]))
             todo, v, k = todo[fail], v[fail], k1

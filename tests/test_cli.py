@@ -99,7 +99,7 @@ def test_spectrum_partial_budget_exits_2(capsys, tmp_path):
     )
     assert code == 2
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert all(r["converged"] == "false" and r["certified"] == "false" for r in rows)
+    assert all(r["converged"] == "false" for r in rows)
     error = np.array([float(r["xi"]) for r in rows]) - displaced_oscillator_spectrum(1.0, 3)
     assert np.max(error) > 1e-8
 
@@ -271,7 +271,7 @@ _LAYOUTS = {
         ("model", "tolerance", "omega", "complete"),
         "levels",
         {"l": "int", "xi": "float", "n_converged": "int", "last_decrement": "float",
-         "converged": "bool", "certified": "bool"},
+         "converged": "bool"},
     ),
     "flow": (
         ("flow", "--model", "displaced", "--kappa", "0.2", "--level", "1",
@@ -377,6 +377,14 @@ def test_removed_cutoff_flags_are_usage_errors(capsys, command, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
+@pytest.mark.parametrize("command", sorted(_SOLVER_COMMANDS))
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    code, out, err = run_cli(capsys, *_SOLVER_COMMANDS[command], f"--tol={tol}")
+    assert (code, out) == (1, "")
+    assert err == "error: --tol must be finite and > 0\n"
+
+
 @pytest.mark.parametrize("schedule", ["5,", "", "x", "3,2"])
 def test_bad_schedule_is_one_line_usage_error(capsys, schedule):
     code, out, err = run_cli(capsys, *_SOLVER_COMMANDS["spectrum"], "--schedule", schedule)
@@ -420,6 +428,14 @@ def test_readme_cli_examples_parse(argv):
     # a flag removed from the parser must not live on in the README
     args = cli.build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_readme_spectrum_columns_match_the_csv_header(capsys):
+    listed = README.read_text().split("* `spectrum` emits one row per level: `", 1)[1]
+    listed = " ".join(listed.split("`", 1)[0].split()).split(", ")
+    code, out, _ = run_cli(capsys, *_SOLVER_COMMANDS["spectrum"])
+    assert code == 0
+    assert out.splitlines()[0].split(",") == listed
 
 
 def test_classify_spectrum_quadratic_csv(capsys, tmp_path):
@@ -513,7 +529,7 @@ def test_short_table_default_schedule_matches_api(capsys, tmp_path):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [float(r["xi"]) for r in rows] == run_flows(rec, 10).xi.tolist()
-    assert all(r["certified"] == "true" for r in rows)
+    assert all(r["converged"] == "true" for r in rows)
     # a list schedule is clamped the same way: 30 becomes a last step at 25,
     # where the levels still open at degree 12 certify
     c, lam = rec.coeff_arrays(25)
@@ -524,7 +540,7 @@ def test_short_table_default_schedule_matches_api(capsys, tmp_path):
     expect = run_flows(rec, 10, schedule=[11, 12, 30])
     assert [float(r["xi"]) for r in rows] == expect.xi.tolist()
     assert [r["n_converged"] for r in rows[7:]] == ["25"] * 3
-    assert all(r["certified"] == "true" for r in rows)
+    assert all(r["converged"] == "true" for r in rows)
     np.testing.assert_allclose(expect.xi, exact, atol=1e-8)
     # a list that ends within the table stops there, short of its eigenvalues
     code, out, err = run_cli(capsys, *argv, "--schedule", "11,12")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,16 @@ from zeroflow import (
     MonicRecurrence,
     NonMonotoneFlow,
     RabiParams,
+    RawRecurrence,
+    RecurrenceAsymptotics,
     ZeroCoagulation,
     displaced_oscillator_spectrum,
     displaced_recurrence,
     flow_trace,
+    rabi_raw_recurrence,
     rabi_recurrence,
     run_flows,
+    to_monic,
     zeros_of,
 )
 from zeroflow import flows
@@ -392,7 +397,7 @@ def test_run_flows_budget_exhaustion_returns_partial():
     rec = displaced_recurrence(1.0)
     res = run_flows(rec, 3, tol=1e-10, schedule=[6, 8])
     assert not res.complete
-    assert all(not lv.converged and not lv.certified for lv in res.levels)
+    assert all(not lv.converged for lv in res.levels)
     # the partial values are still the best tableau so far: upper bounds
     error = res.xi - displaced_oscillator_spectrum(1.0, 3)
     assert np.all(error > 0.0) and np.all(error < 0.1)
@@ -428,6 +433,8 @@ def test_run_flows_rejects_bad_args():
         run_flows(rec, 0, tol=1e-8)
     with pytest.raises(ValueError):
         run_flows(rec, 3, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be finite and > 0; got inf"):
+        run_flows(rec, 3, tol=math.inf)
     with pytest.raises(ValueError):
         run_flows(rec, 10, tol=1e-8, schedule=GrowthSchedule(5))
 
@@ -441,7 +448,7 @@ def _assert_enclosed(res, exact, oracle_error=0.0):
     # xi_l in [xi - tol, xi], up to the bisection resolution of xi and the
     # oracle's own rounding
     slack = 4.0 * _bisect_tol(res.xi) + oracle_error
-    assert all(lv.certified for lv in res.levels)
+    assert res.complete
     assert np.all(exact >= res.xi - res.tolerance - slack)
     assert np.all(exact <= res.xi + slack)
 
@@ -453,7 +460,7 @@ def test_trap_table_finds_the_deep_level():
     c[200] = -5.0
     lam = np.full(399, 0.04)
     res = run_flows(MonicRecurrence.from_arrays(c, lam), 20, tol=1e-10)
-    assert res.complete and all(lv.certified for lv in res.levels)
+    assert res.complete
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam), select="i", select_range=(0, 19))
     assert abs(res.xi[0] - eig[0]) <= 1e-10
     assert res.xi[0] < -5.0
@@ -496,15 +503,32 @@ def test_deep_site_beyond_the_first_degree_is_found(seed, count, n):
     assert res.xi[0] < -1.0
 
 
-def test_models_without_a_frozen_count_use_decrements():
-    from zeroflow import rabi_raw_recurrence, to_monic
-
-    rec = to_monic(rabi_raw_recurrence(RabiParams(kappa=0.5, delta=0.4)))
+def test_models_without_a_frozen_count_are_refused(monkeypatch):
+    # no frozen count, no stop rule: refused before any zero is computed,
+    # with or without override; with the Rabi index attached, the same
+    # to_monic model certifies its levels
+    p = RabiParams(kappa=0.5, delta=0.4)
+    rec = to_monic(rabi_raw_recurrence(p))
     assert rec.dominance_index is None and rec.n_cap is None
-    res = run_flows(rec, 5, tol=1e-10)
+    solved = []
+    zeros_with_warm = flows._zeros_with_warm
+
+    def counting(rec, n, count, warm):
+        solved.append(n)
+        return zeros_with_warm(rec, n, count, warm)
+
+    monkeypatch.setattr(flows, "_zeros_with_warm", counting)
+    remedies = r"dataclasses\.replace\(to_monic\(raw\), dominance_index=m\).*from_arrays"
+    for override in (False, True):
+        with pytest.raises(ValueError, match=remedies):
+            run_flows(rec, 5, tol=1e-10, override=override)
+        with pytest.raises(ValueError, match=remedies):
+            flow_trace(rec, 1, tol=1e-10, override=override)
+    assert solved == []
+    indexed = dataclasses.replace(rec, dominance_index=rabi_recurrence(p).dominance_index)
+    res = run_flows(indexed, 5, tol=1e-10)
     assert res.complete
-    assert not any(lv.certified for lv in res.levels)
-    expect = jacobi_eigenvalues(rabi_recurrence(RabiParams(kappa=0.5, delta=0.4)), 400, 5)
+    expect = jacobi_eigenvalues(rabi_recurrence(p), 400, 5)
     np.testing.assert_allclose(res.xi, expect, rtol=0, atol=1e-10)
 
 
@@ -522,7 +546,7 @@ def test_deep_rabi_certifies_at_the_first_degree(monkeypatch):
     monkeypatch.setattr(flows, "_zeros_with_warm", counting)
     res = run_flows(rec, 1000, tol=1e-6)
     assert solved == [1020]
-    assert res.complete and all(lv.certified and lv.n_converged == 1020 for lv in res.levels)
+    assert res.complete and all(lv.n_converged == 1020 for lv in res.levels)
 
 
 def test_dominance_index_of_associated_models():
@@ -560,7 +584,9 @@ def test_flow_trace_single_point_schedule():
 
 
 def test_flow_trace_hermite_strict_decrease():
-    trace = flow_trace(hermite_recurrence(), 1, [2, 4, 8])
+    # Hermite has no dominance index: its first 8 rows, tabulated
+    rec = MonicRecurrence.from_arrays(np.zeros(8), np.arange(1.0, 8.0))
+    trace = flow_trace(rec, 1, [2, 4, 8])
     xs = [x for _, x in trace.history]
     assert xs[0] == pytest.approx(-1.0, abs=1e-12)
     assert xs[0] > xs[1] > xs[2]
@@ -587,6 +613,12 @@ def test_flow_trace_agrees_with_run_flows():
             assert abs(res.levels[l - 1].xi - x) <= 4.0 * _bisect_tol(np.array(x))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_flow_trace_validates_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        flow_trace(displaced_recurrence(0.5), 1, tol=tol)
+
+
 def test_flow_trace_validates_schedule():
     rec = displaced_recurrence(0.2)
     with pytest.raises(ValueError):
@@ -601,15 +633,17 @@ def test_flow_trace_validates_schedule():
 
 
 def test_negative_class_verdict_refuses_without_override():
-    from zeroflow import RawRecurrence, RecurrenceAsymptotics, to_monic
-
     raw = RawRecurrence.from_affine(
         alpha=lambda n: np.ones(np.shape(n)),
         c=lambda n: np.asarray(n, dtype=float),
         b=lambda n: np.ones(np.shape(n)),
         asymptotics=RecurrenceAsymptotics(0, 0, a=1.0, b=1.0),  # outside (beta = 0)
     )
-    rec = to_monic(raw)
+    # c = n, lambda = 1: row k is dominated at x once k - x >= 2
+    rec = dataclasses.replace(
+        to_monic(raw),
+        dominance_index=lambda x: np.maximum(np.ceil(np.asarray(x) + 2.0), 0.0).astype(np.int64),
+    )
     with pytest.raises(ValueError, match="override"):
         run_flows(rec, 2, tol=1e-8)
     with pytest.raises(ValueError, match="override"):
@@ -680,7 +714,6 @@ def test_list_schedule_past_a_table_ends_at_its_length():
     assert flows._degrees(rec, 10, [11, 12]) == [11, 12]
     res = run_flows(rec, 10, tol=1e-9, schedule=[11, 12, 30])
     assert res.complete
-    assert all(lv.certified for lv in res.levels)
     # levels 7 to 10 are still open at degree 12 and close at the table length
     assert [lv.n_converged for lv in res.levels[6:]] == [25] * 4
     exact = eigvalsh_tridiagonal(c, np.sqrt(lam), select="i", select_range=(0, 9))

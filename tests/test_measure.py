@@ -675,6 +675,17 @@ def test_undominated_rows_are_reported_without_depth_advice():
         spectral_mass(displaced_recurrence(16.0), 300 - 256.0)
 
 
+def test_nan_level_is_reported_without_depth_advice():
+    # no l_max or n_max can help at NaN: the message names the point
+    p = RabiParams(kappa=0.2, delta=0.4)
+    with pytest.raises(ValueError, match="nan is not a finite point") as exc:
+        spectral_mass(rabi_recurrence(p), math.nan)
+    assert "raise" not in str(exc.value)
+    with pytest.raises(NotMinimal, match="nan is not a finite point") as exc:
+        reconstruct_eigenvector(rabi_recurrence(p), rabi_raw_recurrence(p), math.nan, 30)
+    assert "raise" not in str(exc.value)
+
+
 def test_rabi_eigenvector_two_term_residual():
     p = RabiParams(kappa=0.2, delta=0.4, parity="+")
     rec = rabi_recurrence(p)

@@ -8,6 +8,7 @@ from zeroflow import (
     NonPositiveLambda,
     ParseError,
     RabiParams,
+    TabulatedModel,
     displaced_oscillator_spectrum,
     displaced_recurrence,
     load_tabulated,
@@ -108,3 +109,16 @@ def test_tabulated_head_matches_builtin(tmp_path):
     np.testing.assert_allclose(
         zeros_of(tab, 2, 2).zeros, zeros_of(builtin, 2, 2).zeros, atol=1e-14
     )
+
+
+@pytest.mark.parametrize("upsilon", [0, 1, 7])
+def test_every_model_factory_has_a_frozen_count(upsilon):
+    # the flows' only stop rule needs a table length or a dominance index,
+    # so no model the CLI or the benchmark builds can lack both
+    for rec in (
+        rabi_recurrence(RabiParams(kappa=0.5, delta=0.4, parity="-")),
+        displaced_recurrence(0.5),
+        tabulated_recurrence(TabulatedModel(c=np.arange(20.0), lam=np.full(19, 0.3))),
+    ):
+        shifted = rec.associated(upsilon)
+        assert shifted.n_cap is not None or shifted.dominance_index is not None

@@ -27,6 +27,7 @@ from zeroflow.recurrence import (
     _BLOCK_SIZE,
     _backward_fraction,
     _frozen_counts,
+    _pivot_sweep,
     _sturm_counts,
     _sturm_newton,
     _zero_bounds,
@@ -143,6 +144,14 @@ def test_exact_hit_convention_keeps_count_consistent():
 def test_exact_hit_at_degree_one_is_not_below():
     rec = MonicRecurrence.from_arrays([0.75, 2.0], [1.0])
     assert count_zeros_below(rec, 0.75, 1) == 0
+
+
+def test_count_at_infinities_is_the_limit_and_nan_raises():
+    rec = displaced_recurrence(0.5)
+    assert count_zeros_below(rec, -np.inf, 30) == 0
+    assert count_zeros_below(rec, np.inf, 30) == 30
+    with pytest.raises(ValueError, match="NaN"):
+        count_zeros_below(rec, np.nan, 30)
 
 
 @pytest.mark.parametrize("n, below", [(3, 1), (5, 2)])
@@ -347,9 +356,9 @@ def test_resumed_sweep_is_one_sweep_bitwise(split):
     for c, lam in _integer_tables(n):
         lam[0] = 1.0
         xs = np.concatenate((c[:64], np.linspace(-3.0, n + 3.0, 200)))
-        head, v = _sturm_counts(c[:split], lam[:split], xs, last_pivot=True)
-        tail, last = _sturm_counts(c[split:], lam[split:], xs, last_pivot=True, start=v)
-        whole, whole_last = _sturm_counts(c, lam, xs, last_pivot=True)
+        head, v, _ = _pivot_sweep(c[:split], lam[:split], xs, None, False)
+        tail, last, _ = _pivot_sweep(c[split:], lam[split:], xs, v, False)
+        whole, whole_last, _ = _pivot_sweep(c, lam, xs, None, False)
         np.testing.assert_array_equal(head + tail, whole)
         np.testing.assert_array_equal(last, whole_last)
         assert np.array_equal(np.signbit(last), np.signbit(whole_last))
@@ -380,29 +389,29 @@ def test_frozen_recount_resumes_from_the_carried_pivot():
     # where its pivot passes the margin, with the counts of a fresh sweep over
     # rows 1..2M+1; shorter chunks drop carried points over several sweeps
     xs = np.linspace(0.0, 1000.0, 2001)
-    sturm_counts = recurrence._sturm_counts
+    pivot_sweep = recurrence._pivot_sweep
     for kappa, block_rows in [(0.2, _BLOCK_ROWS), (0.2, 1), (3.0, 3)]:
         rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4))
         swept = []
 
-        def recording(c, lam, xs, **kw):
+        def recording(c, lam, xs, carry, derivative):
             swept.append((c.shape[0], xs.size))
-            return sturm_counts(c, lam, xs, **kw)
+            return pivot_sweep(c, lam, xs, carry, derivative)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence, "_sturm_counts", recording)
+            mp.setattr(recurrence, "_pivot_sweep", recording)
             mp.setattr(recurrence, "_BLOCK_ROWS", block_rows)
             got = _frozen_counts(rec, xs)
         m = int(np.max(rec.dominance_index(xs)))
         c, lam = rec.coeff_arrays(2 * m + 2)
         expect, k = [(m, xs.size)], m
-        _, v = _sturm_counts(c[:m], lam[:m], xs, last_pivot=True)
+        _, v, _ = _pivot_sweep(c[:m], lam[:m], xs, None, False)
         carried = ~(v >= 2.0 * np.sqrt(lam[m]))
         alive = carried.copy()
         while alive.any():
             k1 = min(k + block_rows, 2 * m + 1)
             expect.append((k1 - k, np.count_nonzero(alive)))
-            _, v = _sturm_counts(c[:k1], lam[:k1], xs, last_pivot=True)
+            _, v, _ = _pivot_sweep(c[:k1], lam[:k1], xs, None, False)
             alive &= ~(v >= 2.0 * np.sqrt(lam[k1]))
             k = k1
         assert swept == expect
@@ -470,13 +479,14 @@ def test_frozen_counts_match_lapack(kappa, parity):
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 299))
     xs = np.concatenate(([eig[0] - 5.0], 0.5 * (eig[:-1] + eig[1:])))
     np.testing.assert_array_equal(_frozen_counts(rec, xs), np.arange(xs.size))
-    counts, pivot = _sturm_counts(c[:50], lam[:50], xs[:3], last_pivot=True)
+    counts, pivot, _ = _pivot_sweep(c[:50], lam[:50], xs[:3], None, False)
     np.testing.assert_array_equal(counts, _sturm_counts(c[:50], lam[:50], xs[:3]))
     assert np.all(pivot > 0.0)
 
 
 def test_frozen_counts_need_a_table_or_an_index():
-    assert _frozen_counts(to_monic(rabi_raw_recurrence(RabiParams(0.5))), np.array([1.0])) is None
+    with pytest.raises(ValueError, match="neither a table length nor a dominance index"):
+        _frozen_counts(to_monic(rabi_raw_recurrence(RabiParams(0.5))), np.array([1.0]))
     table = MonicRecurrence.from_arrays(np.arange(30.0), np.full(29, 0.3))
     c, lam = table.coeff_arrays(30)
     xs = np.linspace(-2.0, 40.0, 97)
