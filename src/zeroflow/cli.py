@@ -73,7 +73,7 @@ def _recurrence(args, *checks: tuple[bool, str]) -> MonicRecurrence:
     """The model named by the flags, after the shared model and solver flags
     and then the subcommand's own (condition, message) checks are validated."""
     _require(0.0 < args.tol < math.inf, "--tol must be finite and > 0")
-    _require(args.omega > 0.0, "--omega must be > 0")
+    _require(0.0 < args.omega < math.inf, "--omega must be finite and > 0")
     if args.model == "tabulated":
         _require(args.table is not None, "--table is required for the tabulated model")
     else:
@@ -309,7 +309,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="run even if the class-membership test is negative",
     )
-    p.add_argument("--schedule", default=None, help="comma-separated increasing cut-off degrees")
+    p.add_argument(
+        "--schedule",
+        default=None,
+        help="comma-separated increasing cut-off degrees (default: growth by 1.5 from the "
+        "degree the coefficients predict will certify every level, which usually does, "
+        "so a flow trace has one row; name degrees to follow a flow across them)",
+    )
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

@@ -9,7 +9,11 @@ a limit xi_l <= x_{n,l}; the set of limits is the point spectrum.  The
 solver computes the first `count` zeros of P_n on brackets of the pivot-form
 Sturm count, which is monotone in x in floating point (each zero is
 individually bracketed, so no zero can be skipped silently), and drives n
-upward along a growth schedule.  A flow stops at the first degree where the
+upward along a growth schedule.  By default the schedule starts at the
+degree where the tail bound of the minimal solution (Olver, J. Res. NBS
+71B, 1967), read off the coefficients, predicts that every flow certifies,
+so most requests solve one degree; it grows by 1.5 from there where the
+prediction falls short.  A flow stops at the first degree where the
 Sturm count frozen at degree infinity (recurrence._frozen_counts: exact at a
 table's length, or past a model's dominance index) finds at most l - 1
 spectral points below x_{n,l} - tol, which proves xi_l in
@@ -43,6 +47,7 @@ from .recurrence import (
     _require_frozen_count,
     _sturm_counts,
     _sturm_newton,
+    _tail_cut,
     _zero_bounds,
 )
 
@@ -105,18 +110,51 @@ class GrowthSchedule:
 ScheduleLike = Union[GrowthSchedule, Sequence[int]]
 
 
+def _first_degree(rec: MonicRecurrence, count: int, tol: float) -> int:
+    """The degree at which the first `count` flows are expected to certify
+    to within tol, read off the coefficients.
+
+    x_bar, the upper Gershgorin end of rows 0 .. count - 1, bounds the
+    levels xi_1 .. xi_count by interlacing.  m is one past the last row k
+    with c_k - x_bar < sqrt(lambda_k) + sqrt(lambda_{k+1}), so a deep site
+    holds m past itself however far up it lies.  Past m the minimal solution
+    p at each of those levels shrinks by at least the ratio bounds
+    r_k = sqrt(lambda_k) / (c_k - x_bar - sqrt(lambda_{k+1})) per row, and
+    the zeros of P_K lie above the levels by about the square of p_K.  The
+    degree is the first row K past m where the product of the r_k, squared,
+    is below tol / max(1, |x_bar|) (recurrence._tail_cut).  Rows are judged
+    up to a table's length, or up to twice the dominance index at x_bar,
+    and at most _DEFAULT_N_MAX; where none passes, the last of them is the
+    degree.  The result is at least count, and at most min(n_cap,
+    _DEFAULT_N_MAX) unless count is larger.  It predicts, it does not
+    prove: the frozen count still certifies each level, and the growth
+    schedule from this degree goes on where it does not."""
+    x_bar = _zero_bounds(*rec.coeff_arrays(count))[1]
+    if rec.n_cap is not None:
+        rows = rec.n_cap
+    else:
+        rows = 2 * int(rec.dominance_index(np.array([x_bar]))[0]) + 2
+    rows = min(rows, _DEFAULT_N_MAX)
+    c, lam = rec.coeff_arrays(rows)
+    bound = 0.5 * math.log2(tol / max(1.0, abs(x_bar)))
+    top = _tail_cut(c - x_bar, np.sqrt(lam), bound)[1]
+    return max(count, rows if top is None else top)
+
+
 def _degrees(
-    rec: MonicRecurrence, count: int, schedule: Optional[ScheduleLike] = None
+    rec: MonicRecurrence, count: int, tol: float, schedule: Optional[ScheduleLike] = None
 ) -> list[int]:
     """The cut-offs at which `count` flows are followed: a growth schedule
-    (by default one starting at count + 20) or an explicit increasing list.
-    On a tabulated model the first degree at or past the table length
-    becomes the last one, at that length; later degrees are not read."""
+    (by default one by the factor 1.5 from _first_degree, the degree the
+    coefficients predict will certify to within tol) or an explicit
+    increasing list.  On a tabulated model the first degree at or past the
+    table length becomes the last one, at that length; later degrees are
+    not read."""
     cap = rec.n_cap
     if cap is not None and cap < count:
         raise ValueError("tabulated model too short for the requested levels")
     if schedule is None:
-        schedule = GrowthSchedule(count + 20)
+        schedule = GrowthSchedule(_first_degree(rec, count, tol))
     if isinstance(schedule, GrowthSchedule):
         schedule = schedule.degrees()
     degrees: list[int] = []
@@ -450,7 +488,7 @@ def _track_flows(
     those degrees (one row per degree), and the degree at which each flow
     converged (0 if it did not), as run_flows defines them.  Stops once
     every flow from index `watch` on has converged."""
-    degrees = _degrees(rec, count, schedule)
+    degrees = _degrees(rec, count, tol, schedule)
     rows: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
     for n in degrees:
@@ -484,8 +522,10 @@ def run_flows(
 ) -> SpectrumResult:
     """Track the first n_levels zero flows until each has converged.
 
-    The cut-offs follow `schedule`, by default a growth schedule starting at
-    n_levels + 20.  tol, finite and > 0, is the width of the enclosure: a
+    The cut-offs follow `schedule`, by default a growth schedule by the
+    factor 1.5 from the degree the coefficients predict will certify every
+    level to within tol (_first_degree), so that one degree usually
+    suffices.  tol, finite and > 0, is the width of the enclosure: a
     flow converges at the first degree n where the frozen Sturm count proves
     xi_l >= x_{n,l} - tol, which with xi_l <= x_{n,l} encloses the level; a
     model without that count (no table length, no dominance index) is
@@ -522,8 +562,10 @@ def flow_trace(
     override: bool = False,
 ) -> ZeroFlow:
     """Full history of the single flow x_{n,l} over the schedule (by default
-    run_flows's), up to the degree at which it converged by run_flows's rule;
-    tol and the model are checked as in run_flows."""
+    run_flows's for l levels, whose first degree usually certifies, so the
+    history then has one row; an explicit schedule gives a flow across
+    several degrees), up to the degree at which it converged by run_flows's
+    rule; tol and the model are checked as in run_flows."""
     if l < 1:
         raise ValueError("l must be >= 1")
     _check_request(rec, tol, override)

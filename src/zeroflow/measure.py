@@ -36,6 +36,7 @@ from .recurrence import (
     RawRecurrence,
     _backward_fraction,
     _sturm_counts,
+    _tail_cut,
 )
 
 __all__ = [
@@ -345,19 +346,16 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
         depth = rec.n_cap
     c, lam = rec.coeff_arrays(depth)
     root = np.sqrt(lam)
+    if whole:  # lambda_depth = 0 past the table's end, so its last row is judged too
+        root = np.append(root, 0.0)
     gap = np.abs(c - xi)
     radius = root[:-1] + root[1:]
-    if whole:  # lambda_depth = 0 past the table's end, so its last row is judged too
-        radius = np.append(radius, root[-1])
-    loose = np.flatnonzero(gap[: radius.size] < radius)
-    m = int(loose[-1]) + 1 if loose.size else 0
-    shrink = np.cumsum(np.log2(root[m + 1 : -1] / (gap[m + 1 : -1] - root[m + 2 :])))
-    start = np.flatnonzero((shrink < math.log2(_EPS)) & (np.arange(m + 1, depth - 1) >= keep))
+    m, top = _tail_cut(gap, root, math.log2(_EPS), keep)
     if whole and depth > keep:
         top = depth - 1  # a finite Jacobi matrix has no tail to bound
         m = min(m, top)
-    elif not start.size:
-        if loose.size == radius.size:
+    elif top is None:
+        if np.all(gap[: radius.size] < radius):
             raise ValueError(
                 f"the minimal solution at {xi!r} does not fall below rounding: no row within "
                 f"depth {depth} is Gershgorin dominated at {xi!r}"
@@ -366,8 +364,6 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
             f"the minimal solution at {xi!r} does not fall below rounding within depth "
             f"{depth}; raise l_max (masses) or n_max (eigenvectors)"
         )
-    else:
-        top = m + 1 + int(start[0])
 
     h = _LEVEL_ULPS * math.ulp(max(1.0, abs(xi), float(np.max(gap[: m + 2] + radius[: m + 2]))))
     below, above = _sturm_counts(c[: top + 1], lam[: top + 1], np.array([xi - h, xi + h]))

@@ -48,6 +48,9 @@ class RabiParams:
             raise ValueError(f"parity must be '+' or '-', got {self.parity!r}")
         if not (self.kappa > 0.0):
             raise KappaZero(f"kappa must be > 0, got {self.kappa!r}")
+        for name in ("kappa", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def parity_sign(self) -> int:

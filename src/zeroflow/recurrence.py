@@ -499,6 +499,25 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     )
 
 
+def _tail_cut(gap: np.ndarray, root: np.ndarray, log_bound: float, first: int = 0):
+    """(m, K): where the minimal solution at some point has fallen below a
+    bound, judged from the rows k = 0 .. root.size - 2, with gap_k the
+    distance of c_k from that point and root_k = sqrt(lambda_k).
+
+    Row k is dominated when gap_k >= root_k + root_{k+1}; m is one past the
+    last row that is not (0 when every row is).  Past m the solution's
+    ratios p_k / p_{k-1} are bounded by r_k = root_k / (gap_k - root_{k+1})
+    (Olver, J. Res. NBS 71B, 1967), and K is the first row k > m, k >= first,
+    where sum_{j = m+1 .. k} log2 r_j < log_bound; None when no judged row is.
+    """
+    rows = root.size - 1
+    loose = np.flatnonzero(gap[:rows] < root[:rows] + root[1:])
+    m = int(loose[-1]) + 1 if loose.size else 0
+    shrink = np.cumsum(np.log2(root[m + 1 : rows] / (gap[m + 1 : rows] - root[m + 2 :])))
+    start = np.flatnonzero((shrink < log_bound) & (np.arange(m + 1, rows) >= first))
+    return m, m + 1 + int(start[0]) if start.size else None
+
+
 def _backward_fraction(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """F(x) = -P_n(x) / P^(1)_{n-1}(x), n = len(c), at each x in xs.
 

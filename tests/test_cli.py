@@ -13,11 +13,12 @@ from zeroflow import (
     GrowthSchedule,
     ZeroCoagulation,
     displaced_oscillator_spectrum,
+    displaced_recurrence,
     load_tabulated,
     run_flows,
     tabulated_recurrence,
 )
-from zeroflow import cli
+from zeroflow import cli, flows
 from zeroflow.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -208,8 +209,11 @@ def test_cf_compare_takes_schedule_flags(capsys):
     code, out, _ = run_cli(capsys, *base)
     assert code == 0
     assert json.loads(out)["true_levels"] == 6  # k - 0.25 for k = 0..5
-    # the default schedule grows from levels + 20; naming it changes nothing
-    default = ",".join(map(str, GrowthSchedule(26).degrees()))
+    # the default schedule grows from the degree the coefficients predict,
+    # 19 for these six levels at tol 1e-8; naming it changes nothing
+    rec = displaced_recurrence(0.5)
+    assert flows._first_degree(rec, 6, 1e-8) == 19
+    default = ",".join(map(str, GrowthSchedule(19).degrees()))
     assert run_cli(capsys, *base, "--schedule", default)[:2] == (0, out)
     # at degrees 7 and 8 the sixth flow is still 0.4 and 0.13 above k - 0.25:
     # partial results
@@ -247,22 +251,25 @@ def test_cf_compare_default_depth_fits_the_table(capsys, tmp_path):
 
 def test_cf_compare_counts_the_trap_tables_deep_level(capsys, tmp_path):
     # a deep site at index 200: growing n until the count repeats stopped
-    # before the site and reported 11 levels below 10.5
+    # before the site and reported 11 levels below 10.5.  The default first
+    # degree lies past the site; the schedule from 32 climbs to it
     c = np.arange(400.0)
     c[200] = -5.0
     path = tmp_path / "trap.json"
     path.write_text(json.dumps({"c": c.tolist(), "lam": [0.04] * 399}))
-    code, out, err = run_cli(
-        capsys,
-        "cf-compare", "--model", "tabulated", "--table", str(path),
-        "--x-min", "-6", "--x-max", "10.5", "--points", "2001", "--format", "json",
-    )
-    assert code == 0
     eig = eigvalsh_tridiagonal(c, np.full(399, 0.2))
-    payload = json.loads(out)
-    assert payload["true_levels"] == np.count_nonzero(eig < 10.5) == 12
-    xi = [row["xi"] for row in payload["intervals"]]
-    np.testing.assert_allclose(xi, eig[:12], rtol=0, atol=1e-8)
+    for schedule in ((), ("--schedule", "32,48,72,108,162,243")):
+        code, out, err = run_cli(
+            capsys,
+            "cf-compare", "--model", "tabulated", "--table", str(path),
+            "--x-min", "-6", "--x-max", "10.5", "--points", "2001", "--format", "json",
+            *schedule,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["true_levels"] == np.count_nonzero(eig < 10.5) == 12
+        xi = [row["xi"] for row in payload["intervals"]]
+        np.testing.assert_allclose(xi, eig[:12], rtol=0, atol=1e-8)
 
 
 _LAYOUTS = {
@@ -383,6 +390,32 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     code, out, err = run_cli(capsys, *_SOLVER_COMMANDS[command], f"--tol={tol}")
     assert (code, out) == (1, "")
     assert err == "error: --tol must be finite and > 0\n"
+
+
+@pytest.mark.parametrize("command", sorted(_SOLVER_COMMANDS))
+@pytest.mark.parametrize("omega", ["inf", "nan", "0", "-1"])
+def test_omega_must_be_finite_and_positive(capsys, command, omega):
+    # at inf the levels were printed as -inf and inf with exit 0
+    code, out, err = run_cli(capsys, *_SOLVER_COMMANDS[command], f"--omega={omega}")
+    assert (code, out) == (1, "")
+    assert err == "error: --omega must be finite and > 0\n"
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (("--model", "rabi", "--kappa", "inf"), "kappa"),
+        (("--model", "rabi", "--kappa", "0.5", "--delta", "inf"), "delta"),
+        (("--model", "rabi", "--kappa", "0.5", "--delta", "nan"), "delta"),
+        (("--model", "rabi", "--kappa", "0.5", "--delta=-inf"), "delta"),
+        (("--model", "displaced", "--kappa", "inf"), "kappa"),
+    ],
+)
+def test_model_parameters_must_be_finite(capsys, flags, name):
+    # the Rabi ones used to fail later, as a bad coefficient array naming no flag
+    code, out, err = run_cli(capsys, "spectrum", *flags, "--levels", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {name} must be finite, got ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("schedule", ["5,", "", "x", "3,2"])
@@ -518,9 +551,8 @@ def test_numerical_fault_exits_3(capsys, monkeypatch):
 
 
 def test_short_table_default_schedule_matches_api(capsys, tmp_path):
-    # the default n_start (levels + 20 = 30) exceeds the 25-entry table: the
-    # CLI clamps it like run_flows, to the table length, where every level
-    # is exact and certified
+    # the CLI's default schedule is run_flows's: on this 25-entry table its
+    # first degree, 17, certifies every level
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"c": list(range(25)), "lam": [0.3] * 24}))
     argv = ("spectrum", "--model", "tabulated", "--table", str(path), "--levels", "10")

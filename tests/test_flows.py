@@ -358,8 +358,9 @@ def test_run_flows_displaced_oracle():
     res = run_flows(rec, 5, tol=1e-10)
     assert res.complete
     np.testing.assert_allclose(res.xi, displaced_oscillator_spectrum(0.2, 5), atol=1e-10)
+    first = flows._first_degree(rec, 5, 1e-10)
     for lv in res.levels:
-        assert lv.converged and lv.n_converged >= 25
+        assert lv.converged and lv.n_converged == first
 
 
 def test_run_flows_rabi_vs_jacobi_oracle():
@@ -375,13 +376,16 @@ def test_run_flows_rabi_vs_jacobi_oracle():
 )
 def test_run_flows_strong_coupling_is_monotone(kappa, parity):
     # points where a count that is not monotone in floating point made a
-    # flow rise by more than the bisection slack (NonMonotoneFlow)
+    # flow rise by more than the bisection slack (NonMonotoneFlow); the
+    # default schedule solves one degree here, so the flows are also
+    # followed from degree 40 up, across the warm starts where that fault hit
     rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4, parity=parity))
-    res = run_flows(rec, 20, tol=1e-10)
-    assert res.complete
-    n_final = max(lv.n_converged for lv in res.levels)
-    expect = jacobi_eigenvalues(rec, 3 * n_final, 20)
-    np.testing.assert_allclose(res.xi, expect, rtol=0, atol=1e-10)
+    for schedule in (None, GrowthSchedule(40)):
+        res = run_flows(rec, 20, tol=1e-10, schedule=schedule)
+        assert res.complete
+        n_final = max(lv.n_converged for lv in res.levels)
+        expect = jacobi_eigenvalues(rec, 3 * n_final, 20)
+        np.testing.assert_allclose(res.xi, expect, rtol=0, atol=1e-10)
 
 
 def test_run_flows_histories_strictly_decrease():
@@ -455,16 +459,19 @@ def _assert_enclosed(res, exact, oracle_error=0.0):
 
 def test_trap_table_finds_the_deep_level():
     # a deep site at index 200, far past the degree where the flows above it
-    # stop moving: nothing certifies before the cut-off includes the site
+    # stop moving: nothing certifies before the cut-off includes the site.
+    # The default schedule starts past the site; a growth from degree 40
+    # climbs to it across four degrees
     c = np.arange(400.0)
     c[200] = -5.0
     lam = np.full(399, 0.04)
-    res = run_flows(MonicRecurrence.from_arrays(c, lam), 20, tol=1e-10)
-    assert res.complete
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam), select="i", select_range=(0, 19))
-    assert abs(res.xi[0] - eig[0]) <= 1e-10
-    assert res.xi[0] < -5.0
-    assert min(lv.n_converged for lv in res.levels) > 200
+    for schedule in (None, GrowthSchedule(40)):
+        res = run_flows(MonicRecurrence.from_arrays(c, lam), 20, tol=1e-10, schedule=schedule)
+        assert res.complete
+        assert abs(res.xi[0] - eig[0]) <= 1e-10
+        assert res.xi[0] < -5.0
+        assert min(lv.n_converged for lv in res.levels) > 200
 
 
 @pytest.mark.parametrize("kappa", [0.2, 1.0, 3.0])
@@ -489,18 +496,34 @@ def test_scan_grid_enclosures_contain_lapack():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(80, 240))
 def test_deep_site_beyond_the_first_degree_is_found(seed, count, n):
-    # a table whose deep site lies past the first degree (count + 20): a
-    # stop rule that trusts slow flows misses it, the frozen count does not
+    # a table whose deep site lies past degree count + 20: a stop rule that
+    # trusts slow flows misses it, the frozen count does not.  The default
+    # first degree reads the site off the coefficients; a growth from
+    # count + 20 reaches it only across several degrees
     rng = np.random.default_rng(seed)
     c = np.arange(n, dtype=float) + rng.uniform(-0.3, 0.3, size=n)
     site = int(rng.integers(count + 21, n))
     c[site] = -float(rng.uniform(2.0, 6.0))
     lam = rng.uniform(0.02, 0.5, size=n - 1)
-    res = run_flows(MonicRecurrence.from_arrays(c, lam), count, tol=1e-10)
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam), select="i", select_range=(0, count - 1))
     norm = float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam)))
-    _assert_enclosed(res, eig, 8 * _EPS * norm)
-    assert res.xi[0] < -1.0
+    for schedule in (None, GrowthSchedule(count + 20)):
+        res = run_flows(MonicRecurrence.from_arrays(c, lam), count, tol=1e-10, schedule=schedule)
+        _assert_enclosed(res, eig, 8 * _EPS * norm)
+        assert res.xi[0] < -1.0
+
+
+def _count_solves(monkeypatch) -> list:
+    """The degrees _zeros_with_warm is asked to solve, in order."""
+    solved = []
+    zeros_with_warm = flows._zeros_with_warm
+
+    def counting(rec, n, count, warm):
+        solved.append(n)
+        return zeros_with_warm(rec, n, count, warm)
+
+    monkeypatch.setattr(flows, "_zeros_with_warm", counting)
+    return solved
 
 
 def test_models_without_a_frozen_count_are_refused(monkeypatch):
@@ -510,14 +533,7 @@ def test_models_without_a_frozen_count_are_refused(monkeypatch):
     p = RabiParams(kappa=0.5, delta=0.4)
     rec = to_monic(rabi_raw_recurrence(p))
     assert rec.dominance_index is None and rec.n_cap is None
-    solved = []
-    zeros_with_warm = flows._zeros_with_warm
-
-    def counting(rec, n, count, warm):
-        solved.append(n)
-        return zeros_with_warm(rec, n, count, warm)
-
-    monkeypatch.setattr(flows, "_zeros_with_warm", counting)
+    solved = _count_solves(monkeypatch)
     remedies = r"dataclasses\.replace\(to_monic\(raw\), dominance_index=m\).*from_arrays"
     for override in (False, True):
         with pytest.raises(ValueError, match=remedies):
@@ -533,20 +549,93 @@ def test_models_without_a_frozen_count_are_refused(monkeypatch):
 
 
 def test_deep_rabi_certifies_at_the_first_degree(monkeypatch):
-    # every one of the 1000 levels is certified at degree 1020, so no other
-    # degree is solved
+    # every one of the 1000 levels is certified at the first degree, 1039,
+    # so no other degree is solved
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
-    solved = []
-    zeros_with_warm = flows._zeros_with_warm
-
-    def counting(rec, n, count, warm):
-        solved.append(n)
-        return zeros_with_warm(rec, n, count, warm)
-
-    monkeypatch.setattr(flows, "_zeros_with_warm", counting)
+    assert flows._first_degree(rec, 1000, 1e-6) == 1039
+    solved = _count_solves(monkeypatch)
     res = run_flows(rec, 1000, tol=1e-6)
-    assert solved == [1020]
-    assert res.complete and all(lv.n_converged == 1020 for lv in res.levels)
+    assert solved == [1039]
+    assert res.complete and all(lv.n_converged == 1039 for lv in res.levels)
+
+
+def test_every_scan_request_solves_one_degree(monkeypatch):
+    # the benchmark's scan grid, seeded tables with a site in [40, 50) and
+    # the trap table each certify all 20 levels at the first degree
+    recs = [
+        rabi_recurrence(RabiParams(kappa=float(kappa), delta=0.4, parity=parity))
+        for kappa in 0.25 * np.arange(1, 13)
+        for parity in "+-"
+    ]
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        c = np.arange(300.0) + rng.uniform(-0.3, 0.3, size=300)
+        c[int(rng.integers(40, 50))] = -float(rng.uniform(2.0, 6.0))
+        recs.append(MonicRecurrence.from_arrays(c, rng.uniform(0.02, 0.5, size=299)))
+    c = np.arange(400.0)
+    c[200] = -5.0
+    trap = MonicRecurrence.from_arrays(c, np.full(399, 0.04))
+    recs.append(trap)
+    solved = _count_solves(monkeypatch)
+    for rec in recs:
+        solved.clear()
+        res = run_flows(rec, 20, tol=1e-10)
+        assert res.complete
+        assert solved == [flows._first_degree(rec, 20, 1e-10)], rec.description
+    assert solved[0] > 200  # the trap table's
+
+
+def test_a_short_first_degree_grows_by_the_schedule(monkeypatch):
+    # where the predicted degree falls short, the growth schedule from it
+    # goes on: forced to start at the flow count, Rabi kappa = 3 visits
+    # ceil(1.5 * 20) = 30 next and still certifies every level
+    rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
+    monkeypatch.setattr(flows, "_first_degree", lambda rec, count, tol: count)
+    solved = _count_solves(monkeypatch)
+    res = run_flows(rec, 20, tol=1e-10)
+    assert solved[:2] == [20, 30]
+    assert res.complete
+    expect = jacobi_eigenvalues(rec, 3 * max(lv.n_converged for lv in res.levels), 20)
+    np.testing.assert_allclose(res.xi, expect, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.sampled_from([1e-14, 1e-10, 1e-6, 1e-2, 10.0]),
+    st.sampled_from(["rabi", "table", "short"]),
+)
+def test_first_degree_is_clamped(seed, count, tol, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "rabi":
+        p = RabiParams(kappa=float(rng.uniform(0.05, 4.0)), delta=float(rng.uniform(-1, 1)))
+        rec = rabi_recurrence(p)
+    else:
+        # a short table may end before the flows could certify, or hold
+        # a deep site on its last row
+        n = count + int(rng.integers(0, 3 if kind == "short" else 300))
+        c = np.arange(n, dtype=float) + rng.uniform(-0.3, 0.3, size=n)
+        c[int(rng.integers(0, n))] = -float(rng.uniform(0.0, 6.0))
+        rec = MonicRecurrence.from_arrays(c, rng.uniform(0.02, 0.5, size=n - 1))
+    first = flows._first_degree(rec, count, tol)
+    assert count <= first <= min(rec.n_cap or flows._DEFAULT_N_MAX, flows._DEFAULT_N_MAX)
+
+
+def test_first_degree_stays_under_the_default_budget(monkeypatch):
+    # a degree past _DEFAULT_N_MAX is never predicted, nor is one past a
+    # table; the flow count itself is the floor, also past that budget
+    rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
+    assert flows._first_degree(rec, 20, 1e-10) > 100
+    monkeypatch.setattr(flows, "_DEFAULT_N_MAX", 100)
+    assert flows._first_degree(rec, 20, 1e-10) == 100
+    assert flows._first_degree(rec, 100, 1e-10) == 100
+    assert flows._first_degree(rec, 150, 1e-10) == 150
+    c = np.arange(30.0)
+    c[28] = -5.0  # loose up to the table's end: no row certifies
+    table = MonicRecurrence.from_arrays(c, np.full(29, 0.04))
+    assert flows._first_degree(table, 5, 1e-10) == 30
+    assert flows._first_degree(table, 30, 1e-10) == 30
 
 
 def test_dominance_index_of_associated_models():
@@ -709,9 +798,9 @@ def test_list_schedule_past_a_table_ends_at_its_length():
     c = np.arange(25, dtype=float)
     lam = np.full(24, 0.3)
     rec = MonicRecurrence.from_arrays(c, lam)
-    assert flows._degrees(rec, 10, [11, 12, 30, 40]) == [11, 12, 25]
-    assert flows._degrees(rec, 10, [11, 25, 30]) == [11, 25]
-    assert flows._degrees(rec, 10, [11, 12]) == [11, 12]
+    assert flows._degrees(rec, 10, 1e-9, [11, 12, 30, 40]) == [11, 12, 25]
+    assert flows._degrees(rec, 10, 1e-9, [11, 25, 30]) == [11, 25]
+    assert flows._degrees(rec, 10, 1e-9, [11, 12]) == [11, 12]
     res = run_flows(rec, 10, tol=1e-9, schedule=[11, 12, 30])
     assert res.complete
     # levels 7 to 10 are still open at degree 12 and close at the table length
@@ -723,10 +812,14 @@ def test_list_schedule_past_a_table_ends_at_its_length():
 
 
 def test_flow_trace_default_schedule_is_run_flows_default():
+    # the default first degree for three flows at tol 1e-8 is 10, where the
+    # third flow certifies: a one-row history
     rec = displaced_recurrence(0.2)
+    first = flows._first_degree(rec, 3, 1e-8)
+    assert first == 10
     trace = flow_trace(rec, 3)
-    assert trace.history == flow_trace(rec, 3, GrowthSchedule(23)).history
-    assert trace.history[0][0] == 23
+    assert trace.history == flow_trace(rec, 3, GrowthSchedule(first)).history
+    assert trace.history[0][0] == first
     assert trace.converged and trace.xi == run_flows(rec, 3).xi[2]
 
 

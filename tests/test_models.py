@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,23 @@ def test_kappa_zero_rejected():
         RabiParams(kappa=0.0, delta=0.4)
     with pytest.raises(KappaZero):
         RabiParams(kappa=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("kappa", {"kappa": math.inf}),
+        ("delta", {"kappa": 0.5, "delta": math.inf}),
+        ("delta", {"kappa": 0.5, "delta": -math.inf}),
+        ("delta", {"kappa": 0.5, "delta": math.nan}),
+    ],
+)
+def test_rabi_parameters_must_be_finite(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RabiParams(**kwargs)
+    if field == "kappa":
+        with pytest.raises(ValueError, match="^kappa must be finite"):
+            displaced_recurrence(kwargs["kappa"])
 
 
 def test_parity_validation():
