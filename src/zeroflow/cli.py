@@ -181,6 +181,11 @@ def cmd_cf_compare(args) -> int:
         (np.isfinite([args.x_min, args.x_max]).all(), "--x-min and --x-max must be finite"),
         (args.x_max > args.x_min, "--x-max must exceed --x-min"),
         (args.points >= 2, "--points must be >= 2"),
+        (args.depth is None or args.depth >= 1, "--depth must be >= 1"),
+    )
+    _require(
+        args.depth is None or rec.n_cap is None or args.depth <= rec.n_cap,
+        f"--depth {args.depth} exceeds the table length {rec.n_cap}",
     )
     # the count of spectral points below x_max: the Sturm count frozen at
     # degree infinity, which every CLI model has
@@ -197,7 +202,6 @@ def cmd_cf_compare(args) -> int:
         depth = args.depth
         if depth is None:
             depth = total + 60 if rec.n_cap is None else min(total + 60, rec.n_cap)
-        _require(depth >= 1, "--depth must be >= 1")
 
         # F = -1/E falls through each zero (+ to -) and jumps from - to + at
         # each pole, so only + to - changes mark levels

@@ -18,12 +18,11 @@ Sturm count frozen at degree infinity (recurrence._frozen_counts: exact at a
 table's length, or past a model's dominance index) finds at most l - 1
 spectral points below x_{n,l} - tol, which proves xi_l in
 [x_{n,l} - tol, x_{n,l}].  That is the only stop rule, so a model with
-neither a table length nor a dominance index is refused.  At a
-new degree a bracket gallops down from its flow's previous zero (Bentley &
-Yao, IPL 5, 1976), and brackets shrink by multisection, few brackets taking
-many probes per batched count (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
-Comput. 8, 1987).  A cold solve of more than _PROBE_BATCH // 16 zeros
-multisects the one bracket all of them share, spreading a wide batch of
+neither a table length nor a dominance index is refused.  Every degree is
+solved cold, from the Gershgorin bracket.  Brackets shrink by multisection,
+few brackets taking many probes per batched count (Lo, Philippe & Sameh,
+SIAM J. Sci. Stat. Comput. 8, 1987).  A solve of more than _PROBE_BATCH // 16
+zeros multisects the one bracket all of them share, spreading a wide batch of
 probes over the cells between probed points that still hold two or more
 zeros, until each zero is alone in its cell; it then takes safeguarded
 Newton steps on P_n, with P_n'/P_n from the same forward sweep as the
@@ -70,8 +69,6 @@ _SIMPLE_FACTOR = 4.0
 # Probes per pass over all active brackets: the Sturm kernel's cost per step
 # is nearly flat up to this batch, so few brackets get many probes each.
 _PROBE_BATCH = 256
-# Growth of the gallop distance below a warm zero, per probe.
-_GALLOP_GROWTH = 16.0
 # Newton sweeps per polished zero; one still moving after them multisects.
 _NEWTON_SWEEPS = 16
 _DEFAULT_N_MAX = 250_000
@@ -232,10 +229,9 @@ class SpectrumResult:
 
 def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     """The `count` smallest zeros of P_n by multisection on Sturm-count
-    brackets (a warm start also gallops down from the previous zeros).
-    Above _PROBE_BATCH // 16 zeros the shared bracket is multisected into
-    cells only until each zero is alone in one, and each isolated zero is
-    then polished by safeguarded Newton steps.
+    brackets.  Above _PROBE_BATCH // 16 zeros the shared bracket is
+    multisected into cells only until each zero is alone in one, and each
+    isolated zero is then polished by safeguarded Newton steps.
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
     from l-1 to l; every final bracket must have the counts l-1 and l at
@@ -244,15 +240,6 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     at each end that lies inside its bracket, so an omission or a collision
     is detected rather than silently absorbed.
     """
-    return _zeros_with_warm(rec, n, count, warm=None)
-
-
-def _zeros_with_warm(
-    rec: MonicRecurrence,
-    n: int,
-    count: int,
-    warm: Optional[np.ndarray],
-) -> ZeroTableau:
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, n]; got count={count}, n={n}")
     c, lam = rec.coeff_arrays(n)
@@ -264,28 +251,8 @@ def _zeros_with_warm(
     hi_ct = np.full(count, n, dtype=np.int64)
     targets = np.arange(1, count + 1, dtype=np.int64)
 
-    # distance below hi of the first gallop probe; inf means plain multisection
-    reach = np.full(count, np.inf)
-    cold = warm is None or warm.size < count
-    if not cold:
-        # interlacing: zeros only drift down as n grows, so the previous
-        # tableau gives upper brackets; previous lower neighbours are tried
-        # as lower brackets and verified by an explicit count.
-        slack = 2.0 * _bisect_tol(warm[:count])
-        hi_try = warm[:count] + slack
-        lo_try = np.concatenate(([lo_glob], warm[: count - 1] - slack[: count - 1]))
-        cts = _sturm_counts(c, lam, np.concatenate((lo_try, hi_try)))
-        ok_lo = cts[:count] <= targets - 1
-        ok_hi = cts[count:] >= targets
-        lo = np.where(ok_lo, lo_try, lo_glob)
-        hi = np.where(ok_hi, hi_try, hi_glob)
-        lo_ct = np.where(ok_lo, cts[:count], 0)
-        hi_ct = np.where(ok_hi, cts[count:], n)
-        # a converged flow barely moves: look just below the warm zero first
-        reach = np.where(ok_hi, 2.0 * slack, np.inf)
-
     zeros = np.full(count, np.nan)
-    if cold and count > _PROBE_BATCH // 16:
+    if count > _PROBE_BATCH // 16:
         # a few probes per bracket and pass would multisect for many passes:
         # isolate the zeros in one wide multisection, then polish by Newton
         iso = _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets)
@@ -314,7 +281,7 @@ def _zeros_with_warm(
         ok = (cts == expect).all(axis=0)
         zeros[iso[ok]] = x[ok]
     rest = np.flatnonzero(np.isnan(zeros))
-    _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, reach, rest)
+    _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, rest)
     zeros[rest] = 0.5 * (lo[rest] + hi[rest])
 
     # no-skip verification: each final bracket must hold exactly one zero;
@@ -335,23 +302,18 @@ def _zeros_with_warm(
     return ZeroTableau(n=n, zeros=zeros)
 
 
-def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, reach, active) -> None:
+def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active) -> None:
     """Shrink the brackets [lo, hi] of the zeros with indices `active`, and
     the counts lo_ct, hi_ct at their ends, in place, to the bisection
     tolerance.  Each pass spends _PROBE_BATCH probes over the active
-    brackets: a bracket with a finite reach gallops down from hi, any other
-    one multisects."""
+    brackets, p per bracket, spaced evenly inside it."""
     while active.size:
         lo_a, hi_a = lo[active], hi[active]
         width = hi_a - lo_a
-        # p ascending probes per bracket, each max(uniform point, hi - gallop
-        # distance); gallop distances grow by _GALLOP_GROWTH per probe and are
-        # taken as fractions of the width, so they stay finite
+        # p probes per bracket, ascending, so that k below indexes the sorted ends
         p = max(1, _PROBE_BATCH // active.size)
-        e = np.arange(p - 1, -1, -1)
-        frac = np.minimum(reach[active] / width, 1.0)
-        step = width[:, None] * np.minimum((e + 1) / (p + 1), frac[:, None] * _GALLOP_GROWTH**e)
-        probes = hi_a[:, None] - step
+        e = np.arange(p, 0, -1)
+        probes = hi_a[:, None] - width[:, None] * (e / (p + 1))
         cts = _sturm_counts(c, lam, probes.ravel()).reshape(probes.shape)
         k = np.count_nonzero(cts < targets[active, None], axis=1)
         ends = np.hstack((lo_a[:, None], probes, hi_a[:, None]))
@@ -360,9 +322,6 @@ def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, reach, active) -> None:
         new_lo, new_hi = ends[rows, k], ends[rows, k + 1]
         lo[active], hi[active] = new_lo, new_hi
         lo_ct[active], hi_ct[active] = ends_ct[rows, k], ends_ct[rows, k + 1]
-        # a zero below every probe keeps galloping from beyond the lowest one;
-        # any other bracket is now narrower than this reach, so it multisects
-        reach[active] = _GALLOP_GROWTH * step[:, 0]
         # an end that did not move means every probe rounded onto lo or hi:
         # float resolution (a wide width may round to itself and still move)
         moved = (new_lo > lo_a) | (new_hi < hi_a)
@@ -371,7 +330,7 @@ def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, reach, active) -> None:
 
 
 def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets) -> np.ndarray:
-    """Multisect the shared cold bracket [lo, hi] until each zero is alone
+    """Multisect the shared bracket [lo, hi] until each zero is alone
     in a cell between two probed points, set every bracket and the counts
     lo_ct, hi_ct at its ends, in place, to its zero's cell, and return the
     indices of the isolated zeros.
@@ -492,7 +451,7 @@ def _track_flows(
     rows: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
     for n in degrees:
-        x = _zeros_with_warm(rec, n, count, rows[-1] if rows else None).zeros
+        x = zeros_of(rec, n, count).zeros
         if rows:
             prev = rows[-1]
             up = np.flatnonzero(x > prev + _bisect_tol(np.maximum(np.abs(prev), np.abs(x))))

@@ -249,6 +249,40 @@ def test_cf_compare_default_depth_fits_the_table(capsys, tmp_path):
     assert run_cli(capsys, *argv, "--depth", "25") == (code, out, err)
 
 
+def _refuse_run_flows(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("run_flows called on a refused request")
+
+    monkeypatch.setattr(cli, "run_flows", refused)
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+@pytest.mark.parametrize("x_range", [("-10", "-5"), ("-0.5", "2.5")], ids=["no-level", "levels"])
+def test_cf_compare_rejects_depth_below_one_before_solving(capsys, monkeypatch, depth, x_range):
+    # no level lies below -5, three lie below 2.5: either way --depth is
+    # refused before any flow is solved
+    _refuse_run_flows(monkeypatch)
+    x_min, x_max = x_range
+    code, out, err = run_cli(
+        capsys,
+        "cf-compare", "--model", "displaced", "--kappa", "0.5",
+        "--x-min", x_min, "--x-max", x_max, "--depth", depth, "--points", "11",
+    )
+    assert (code, out, err) == (1, "", "error: --depth must be >= 1\n")
+
+
+def test_cf_compare_rejects_depth_past_the_table(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"c": list(range(30)), "lam": [0.3] * 29}))
+    _refuse_run_flows(monkeypatch)
+    code, out, err = run_cli(
+        capsys,
+        "cf-compare", "--model", "tabulated", "--table", str(path),
+        "--x-min", "-1", "--x-max", "10", "--depth", "100",
+    )
+    assert (code, out, err) == (1, "", "error: --depth 100 exceeds the table length 30\n")
+
+
 def test_cf_compare_counts_the_trap_tables_deep_level(capsys, tmp_path):
     # a deep site at index 200: growing n until the count repeats stopped
     # before the site and reported 11 levels below 10.5.  The default first

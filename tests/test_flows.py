@@ -25,7 +25,7 @@ from zeroflow import (
     zeros_of,
 )
 from zeroflow import flows
-from zeroflow.flows import ZeroTableau, _bisect_tol, _zeros_with_warm
+from zeroflow.flows import ZeroTableau, _bisect_tol
 from zeroflow.recurrence import _zero_bounds
 
 from conftest import (
@@ -89,41 +89,16 @@ def test_coagulated_zeros_raise_on_the_isolating_path():
         zeros_of(rec, 40, 40)
 
 
-# -- warm brackets -------------------------------------------------------------
-
-
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(2, 64),
-    st.booleans(),
-    st.sampled_from(["exact", "shifted", "other", "constant"]),
-)
-def test_warm_brackets_match_cold_and_lapack(seed, n, wide, kind):
-    # a warm tableau only suggests brackets; whatever it holds, the zeros
-    # must be those of a cold start and of an independent eigensolver
+@given(st.integers(0, 2**32 - 1), st.integers(2, 64), st.booleans())
+def test_cold_zeros_match_lapack(seed, n, wide):
+    # counts of 16 or fewer zeros multisect their brackets; more take the
+    # isolating path: either way the zeros are those of an independent
+    # eigensolver
     rng = np.random.default_rng(seed)
-    make = wide_range_recurrence if wide else random_recurrence
-    rec = make(rng)
+    rec = (wide_range_recurrence if wide else random_recurrence)(rng)
     count = int(rng.integers(1, n))
-    prev = zeros_of(rec, int(rng.integers(count, n)), count).zeros
-    if kind == "exact":
-        warm = prev
-    elif kind == "shifted":
-        spacing = float(np.mean(np.diff(prev))) if count > 1 else 1.0
-        warm = (
-            prev
-            + rng.integers(-16, 17, size=count) * _bisect_tol(prev)
-            + rng.integers(-2, 3, size=count) * spacing
-        )
-    elif kind == "other":
-        warm = zeros_of(make(rng), n, count).zeros
-    else:
-        warm = np.full(count, rng.uniform(prev[0], prev[-1] + 1.0))
-
-    cold = zeros_of(rec, n, count).zeros
-    got = _zeros_with_warm(rec, n, count, warm).zeros
-    assert np.all(np.abs(got - cold) <= 4.0 * _bisect_tol(cold))
+    got = zeros_of(rec, n, count).zeros
     c, lam = rec.coeff_arrays(n)
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, count - 1))
     # LAPACK's eigenvalue error scales with the matrix norm, not the zero
@@ -131,52 +106,19 @@ def test_warm_brackets_match_cold_and_lapack(seed, n, wide, kind):
     np.testing.assert_allclose(got, eig, rtol=0, atol=1e-12 * norm)
 
 
-def test_warm_degrees_take_few_sturm_passes(monkeypatch):
-    # galloping from the previous tableau, then multisection: a repeatable
-    # count of kernel calls per degree, not a time
-    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
-    warm = zeros_of(rec, 1020, 1000).zeros
-    cold = {n: zeros_of(rec, n, 1000).zeros for n in (1530, 2295)}
-    sturm_counts = flows._sturm_counts
-    budget = [0]
-
-    def counting(c, lam, xs):
-        budget[0] -= 1
-        assert budget[0] >= 0, "more Sturm passes than budgeted"
-        return sturm_counts(c, lam, xs)
-
-    def check(n, budgeted, warm):
-        budget[0] = budgeted
-        got = _zeros_with_warm(rec, n, 1000, warm).zeros
-        assert np.all(np.abs(got - cold[n]) <= 4.0 * _bisect_tol(cold[n]))
-        return got
-
-    monkeypatch.setattr(flows, "_sturm_counts", counting)
-    warm = check(1530, 16, warm)
-    check(2295, 8, warm)
-    # every zero 1e-6 below its warm value: more than 128 brackets gallop with
-    # one probe each, so the gallop distance has to grow from pass to pass
-    check(1530, 48, warm + 1e-6)
-
-
-def test_warm_brackets_far_above_the_gershgorin_bound():
+def test_zeros_far_above_the_gershgorin_bound():
     # two sublattices, diagonal 0 and 1e6 with couplings 1e3: the Gershgorin
-    # bound is near -2000, the first zero near -4.  With more than 128 brackets
-    # each gallops with one probe, so the first bracket's 4-tolerance probe
-    # leaves its rounded width unchanged and must still count as progress.
+    # bound is near -2000, the first zero near -4.  The 200 zeros sit in one
+    # cell of the first pass's wide isolation; multisection alone gives each
+    # bracket one probe per pass, halving it from the Gershgorin bound
     n, count = 600, 200
     rec = MonicRecurrence.from_arrays(
         np.where(np.arange(n) % 2 == 0, 0.0, 1e6), np.full(n, 1e6)
     )
-    cold = zeros_of(rec, n, count).zeros
     c, lam = rec.coeff_arrays(n)
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, count - 1))
-    # cold, the 200 zeros sit in one cell of the first pass's wide isolation
-    np.testing.assert_allclose(cold, eig, rtol=0, atol=1e-12 * 2e6)
-    for shift in (3.0 * _bisect_tol(cold), 1e3 * _bisect_tol(cold), 1e-6):
-        got = _zeros_with_warm(rec, n, count, cold + shift).zeros
-        assert np.all(np.abs(got - cold) <= 4.0 * _bisect_tol(cold))
-        np.testing.assert_allclose(got, eig, rtol=0, atol=1e-12 * 2e6)
+    np.testing.assert_allclose(zeros_of(rec, n, count).zeros, eig, rtol=0, atol=1e-12 * 2e6)
+    np.testing.assert_allclose(_multisected(rec, n, count), eig, rtol=0, atol=1e-12 * 2e6)
 
 
 # -- isolate, then Newton ------------------------------------------------------
@@ -189,9 +131,7 @@ def _multisected(rec, n, count):
     lo, hi = np.full(count, lo_glob), np.full(count, hi_glob)
     targets = np.arange(1, count + 1)
     lo_ct, hi_ct = np.zeros(count, dtype=np.int64), np.full(count, n, dtype=np.int64)
-    flows._multisect(
-        c, lam, lo, hi, lo_ct, hi_ct, targets, np.full(count, np.inf), np.arange(count)
-    )
+    flows._multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, np.arange(count))
     return 0.5 * (lo + hi)
 
 
@@ -273,12 +213,14 @@ def test_exact_hits_in_the_newton_sweep():
     np.testing.assert_allclose(got, 2.0 * np.cos(np.arange(300, 0, -1) * np.pi / 301), atol=1e-14)
 
 
-def test_cold_degree_takes_few_kernel_calls(monkeypatch):
-    # rabi-deep's one solve: 1000 zeros at degree 1020 cost one or two
-    # isolating counts, Newton sweeps and one re-count, not ~57 bisection
-    # passes; the re-count skips the sides that the brackets already prove
+@pytest.mark.parametrize("n", [1020, 1530, 2295])
+def test_cold_degree_takes_few_kernel_calls(monkeypatch, n):
+    # 1000 Rabi zeros at each degree of the growth schedule from 1020 cost
+    # one or two isolating counts, Newton sweeps and one re-count, not ~57
+    # bisection passes; the re-count skips the sides that the brackets
+    # already prove
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
-    ref = _multisected(rec, 1020, 1000)
+    ref = _multisected(rec, n, 1000)
     calls = []  # (kernel, points) per call
     sturm_counts, sturm_newton = flows._sturm_counts, flows._sturm_newton
 
@@ -291,7 +233,7 @@ def test_cold_degree_takes_few_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(flows, "_sturm_counts", counting(sturm_counts, "count"))
     monkeypatch.setattr(flows, "_sturm_newton", counting(sturm_newton, "newton"))
-    got = zeros_of(rec, 1020, 1000).zeros
+    got = zeros_of(rec, n, 1000).zeros
     names = [name for name, _ in calls]
     assert len(calls) <= 13
     assert names.index("newton") <= 2  # isolating counts
@@ -300,7 +242,7 @@ def test_cold_degree_takes_few_kernel_calls(monkeypatch):
     assert recount[0] == "count" and recount[1] <= 1100
     assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
     # every returned zero passes the re-count of [x - tol/2, x + tol/2]
-    c, lam = rec.coeff_arrays(1020)
+    c, lam = rec.coeff_arrays(n)
     half = 0.5 * _bisect_tol(got)
     np.testing.assert_array_equal(sturm_counts(c, lam, got - half), np.arange(1000))
     np.testing.assert_array_equal(sturm_counts(c, lam, got + half), np.arange(1, 1001))
@@ -378,7 +320,7 @@ def test_run_flows_strong_coupling_is_monotone(kappa, parity):
     # points where a count that is not monotone in floating point made a
     # flow rise by more than the bisection slack (NonMonotoneFlow); the
     # default schedule solves one degree here, so the flows are also
-    # followed from degree 40 up, across the warm starts where that fault hit
+    # followed from degree 40 up, across the degrees where that fault hit
     rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4, parity=parity))
     for schedule in (None, GrowthSchedule(40)):
         res = run_flows(rec, 20, tol=1e-10, schedule=schedule)
@@ -514,15 +456,15 @@ def test_deep_site_beyond_the_first_degree_is_found(seed, count, n):
 
 
 def _count_solves(monkeypatch) -> list:
-    """The degrees _zeros_with_warm is asked to solve, in order."""
+    """The degrees zeros_of is asked to solve, in order."""
     solved = []
-    zeros_with_warm = flows._zeros_with_warm
+    zeros_of = flows.zeros_of
 
-    def counting(rec, n, count, warm):
+    def counting(rec, n, count):
         solved.append(n)
-        return zeros_with_warm(rec, n, count, warm)
+        return zeros_of(rec, n, count)
 
-    monkeypatch.setattr(flows, "_zeros_with_warm", counting)
+    monkeypatch.setattr(flows, "zeros_of", counting)
     return solved
 
 
@@ -682,8 +624,9 @@ def test_flow_trace_hermite_strict_decrease():
 
 
 def test_flow_trace_agrees_with_run_flows():
-    # the two loops keep separate warm tableaux (count l versus n_levels),
-    # so they agree within the bisection resolution, not bitwise
+    # the two loops solve different counts (l versus n_levels), which split
+    # the brackets differently, so they agree within the bisection
+    # resolution, not bitwise
     rec = rabi_recurrence(RabiParams(kappa=1.0, delta=0.4))
     schedule = [10, 11, 12, 13, 14]
     full = run_flows(rec, 10, tol=1e-12, schedule=schedule)
@@ -754,18 +697,18 @@ def test_monotone_guard_triggers_on_real_increase(monkeypatch):
     # flow 2 sits at 1.0 and its second tableau rises by `rise`: 1e-6 is far
     # beyond the bisection slack, one ulp of 1.0 is within it
     def rising(rise):
-        def tableau(rec, n, count, warm):
+        def tableau(rec, n, count):
             zeros = np.array([0.5, 1.0, 1.5])
-            zeros[1] += 0.0 if warm is None else rise
+            zeros[1] += rise if n == 15 else 0.0
             return ZeroTableau(n=n, zeros=zeros)
 
         return tableau
 
     rec = displaced_recurrence(0.2)
-    monkeypatch.setattr(flows, "_zeros_with_warm", rising(1e-6))
+    monkeypatch.setattr(flows, "zeros_of", rising(1e-6))
     with pytest.raises(NonMonotoneFlow, match=r"flow l=2 increased from x_\{10\}=1\.0 to x_\{15\}"):
         run_flows(rec, 3, schedule=[10, 15])
-    monkeypatch.setattr(flows, "_zeros_with_warm", rising(2.0**-52))
+    monkeypatch.setattr(flows, "zeros_of", rising(2.0**-52))
     assert run_flows(rec, 3, schedule=[10, 15]).xi[1] == 1.0 + 2.0**-52
 
 
