@@ -7,7 +7,9 @@ levels the zeros and poles of F coagulate tighter than machine precision and
 the sign changes disappear, while the flows keep resolving every level.
 The scan (measure._sign_flips) evaluates F only in the cells of a
 Sturm-count subgrid that hold a zero of P_depth: the flips are those of
-every grid point, at about depth * sqrt(points * zeros) cost.
+every grid point, at about depth * sqrt(points * zeros) cost.  The grid
+(measure._Linspace) computes each point of np.linspace by index as the
+scan reads it, so memory grows with sqrt(points * zeros) as well.
 
 Example:
     python3 scripts/sign_scan_comparison.py --kappa 0.5 --x-max 100
@@ -18,7 +20,7 @@ import argparse
 import numpy as np
 
 from zeroflow import displaced_recurrence, run_flows
-from zeroflow.measure import _sign_flips
+from zeroflow.measure import _Linspace, _sign_flips
 from zeroflow.recurrence import _frozen_counts
 
 
@@ -35,7 +37,7 @@ def main():
     xi = result.xi
 
     depth = total + 60
-    grid = np.linspace(-args.kappa**2 - 0.2, args.x_max, args.points)
+    grid = _Linspace(-args.kappa**2 - 0.2, args.x_max, args.points)
     # F falls through its zeros (+ to -) and jumps from - to + at its poles
     flip_pos = _sign_flips(rec, grid, depth)
 

@@ -17,7 +17,9 @@ is clamped the same way), and _emit_rows writes every csv or json result.
 cf-compare's sign scan (measure._sign_flips) evaluates F only in the cells
 of a Sturm-count subgrid that hold a zero of P_depth, with bitwise the
 flips of a scan of every grid point, at about depth * sqrt(points * zeros)
-cost.
+cost.  Its grid is a measure._Linspace, which computes the points of
+np.linspace(x_min, x_max, points) by index as the scan reads them, so the
+memory of the scan grows with sqrt(points * zeros) too, not with --points.
 
 Exit codes: 0 success, 1 usage/config error, 2 partial result (budget hit
 before convergence), 3 numerical fault (NonMonotoneFlow, ZeroCoagulation,
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .flows import flow_trace, run_flows
 from .lattice import FAMILIES, best_lattice_fit, fit_lattice
-from .measure import _sign_flips
+from .measure import _Linspace, _sign_flips
 from .models import (
     RabiParams,
     displaced_recurrence,
@@ -205,7 +207,7 @@ def cmd_cf_compare(args) -> int:
 
         # F = -1/E falls through each zero (+ to -) and jumps from - to + at
         # each pole, so only + to - changes mark levels
-        flip_pos = _sign_flips(rec, np.linspace(args.x_min, args.x_max, args.points), depth)
+        flip_pos = _sign_flips(rec, _Linspace(args.x_min, args.x_max, args.points), depth)
 
         # one interval per true level, split at midpoints between levels
         bounds = [args.x_min]

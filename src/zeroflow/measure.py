@@ -86,7 +86,11 @@ class DiscreteMeasure:
             raise ValueError(f"weights sum to 1 {defect:.3e} off, beyond tolerance")
 
     def stieltjes(self, z: float) -> float:
-        """sum_k M_k / (z - x_k), the partial fraction form of E at this degree."""
+        """sum_k M_k / (z - x_k), the partial fraction form of E at this degree.
+        PoleHit is raised when z is a node exactly."""
+        hit = np.flatnonzero(self.nodes == z)
+        if hit.size:
+            raise PoleHit(f"stieltjes({z!r}) hit the node x_{{{self.degree},{hit[0] + 1}}} exactly")
         return float(np.sum(self.weights / (z - self.nodes)))
 
     def moment(self, j: int) -> float:
@@ -125,12 +129,25 @@ class EigenvectorResult:
     two_term_residual: float
 
 
-def _eval_F_many(rec: MonicRecurrence, xs: np.ndarray, depth: int) -> np.ndarray:
-    """Vectorized F on a grid; poles come out as +-inf rather than raising."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    c, lam = rec.coeff_arrays(depth)
-    return _backward_fraction(c, lam, xs)
+class _Linspace:
+    """np.linspace(start, stop, size) read by index, as _sign_flips reads its
+    grid, without holding the points.  Point i is i * step + start with
+    step = (stop - start) / (size - 1), and the last point is stop: bitwise
+    the values of np.linspace, which computes arange * step + start and then
+    sets the end point.  Where step underflows to 0, point i is
+    i / (size - 1) * (stop - start) + start, numpy's branch for that case."""
+
+    def __init__(self, start: float, stop: float, size: int):
+        self.start, self.stop, self.size = float(start), float(stop), int(size)
+        self.step = (self.stop - self.start) / (self.size - 1)
+
+    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
+        if self.step == 0.0:
+            x = idx / (self.size - 1) * (self.stop - self.start) + self.start
+        else:
+            x = idx * self.step + self.start
+        x[idx == self.size - 1] = self.stop
+        return x
 
 
 def _scan_stride(points: int, zeros: int) -> int:
@@ -139,11 +156,14 @@ def _scan_stride(points: int, zeros: int) -> int:
     return max(1, math.isqrt(points // max(zeros, 1)))
 
 
-def _sign_flips(rec: MonicRecurrence, grid: np.ndarray, depth: int) -> np.ndarray:
-    """The points grid[i] of an increasing, evenly spaced grid (np.linspace)
-    where F at `depth` is > 0 while F(grid[i + 1]) < 0: bitwise the flips of
-    _eval_F_many on the whole grid, at about depth * sqrt(points * zeros)
-    cost instead of depth * points.
+def _sign_flips(rec: MonicRecurrence, grid: np.ndarray | _Linspace, depth: int) -> np.ndarray:
+    """The points grid[i] of an increasing, evenly spaced grid (np.linspace,
+    or _Linspace) where F at `depth` is > 0 while F(grid[i + 1]) < 0:
+    bitwise the flips of _backward_fraction on the whole grid, in about
+    depth * sqrt(points * zeros) time and sqrt(points * zeros) memory
+    instead of depth * points and points.  The grid is read only through
+    grid.size and arrays of non-negative indices, so a _Linspace never holds
+    its points.
 
     F falls through the zeros of P_depth and jumps from - to + at its poles,
     so every flip's cell holds a zero.  Rounding moves both: each step of
@@ -163,11 +183,12 @@ def _sign_flips(rec: MonicRecurrence, grid: np.ndarray, depth: int) -> np.ndarra
         raise ValueError("depth must be >= 1")
     c, lam = rec.coeff_arrays(depth)
     n = grid.size
-    scale = max(abs(grid[0]), abs(grid[-1])) + float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam)))
+    x_ends = grid[np.array([0, n - 1])]
+    scale = float(np.max(np.abs(x_ends))) + float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam)))
     reach = 4.0 * _EPS * scale
     spans = [(0, n)]
-    if grid[-1] - grid[0] > 2.0 * reach * (n - 1):
-        ends = _sturm_counts(c, lam, grid[[0, -1]])
+    if x_ends[1] - x_ends[0] > 2.0 * reach * (n - 1):
+        ends = _sturm_counts(c, lam, x_ends)
         stride = _scan_stride(n, int(ends[1] - ends[0]))
         if stride >= 3:
             at = np.append(np.arange(0, n - 1, stride), n - 1)
@@ -178,7 +199,7 @@ def _sign_flips(rec: MonicRecurrence, grid: np.ndarray, depth: int) -> np.ndarra
             stops = np.minimum(np.concatenate(([2], at[hot + 1] + 2, [n])), n)
             gap = np.flatnonzero(starts[1:] > stops[:-1])
             spans = zip(starts[np.r_[0, gap + 1]].tolist(), stops[np.r_[gap, -1]].tolist())
-    flips = [grid[:0]]
+    flips = [np.empty(0)]
     for idx in _batches(spans):
         x = grid[idx]
         f = _backward_fraction(c, lam, x)
@@ -204,14 +225,41 @@ def _batches(spans):
         yield np.concatenate(batch)
 
 
+def _tails(x: float, c: list, lam: list):
+    """Yield the tails t_k = (x - c_k) - lambda_{k+1} / t_{k+1} of the
+    backward continued fraction, k = len(c) - 1 down to 0, in plain floats,
+    for rows c_k, lambda_k = c[k], lam[k].  The tail past the last row is
+    cut (lambda / inf = 0 starts t = x - c_last) and lambda / +-0 gives
+    +-inf: the IEEE operations of _backward_fraction, so F = -t_0 is bitwise
+    its value."""
+    t = math.inf
+    for ck, lk in zip(reversed(c), reversed(lam[1:] + [0.0])):
+        t = (x - ck) - (lk / t if t else math.copysign(math.inf, t))
+        yield t
+
+
+def _eval_F_point(rec: MonicRecurrence, x: float, depth: int) -> float:
+    """F(x) at `depth` by _tails; +-inf at a pole and at x = +-inf."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("the continued fraction needs a point that is not NaN")
+    c, lam = rec.coeff_arrays(depth)
+    for t in _tails(x, c.tolist(), lam.tolist()):
+        pass
+    return -t
+
+
 def eval_E(rec: MonicRecurrence, x: float, depth: int) -> float:
     """Depth-truncated Stieltjes fraction E(x) = P^(1)_{depth-1}(x)/P_depth(x).
 
     E has its poles at the zeros of P_depth, i.e. at the finite-degree
     spectrum approximants; depth 1 gives 1/(x - c_0).  Computed as -1/F from
-    the backward fraction; PoleHit is raised when F(x) is exactly zero.
+    the backward fraction; PoleHit is raised when F(x) is exactly zero.  At
+    x = +-inf E is its limit +-0; at NaN ValueError is raised.
     """
-    f = float(_eval_F_many(rec, np.array([float(x)]), depth)[0])
+    f = _eval_F_point(rec, x, depth)
     if f == 0.0:
         raise PoleHit(f"E({x!r}) hit a zero of P_{depth} exactly")
     return -1.0 / f
@@ -223,11 +271,12 @@ def eval_F(rec: MonicRecurrence, x: float, depth: int) -> float:
     Backward evaluation of the depth-term continued fraction
     (c_0 - x) + lambda_1/((x - c_1) - lambda_2/(...)), innermost term first;
     its zeros are the zeros of P_depth and E*F = -lambda_0 = -1 at matched
-    depth.  PoleHit is raised when F(x) is infinite (x at a zero of
-    P^(1)_{depth-1} to double precision).
+    depth.  PoleHit is raised when F(x) is infinite at a finite x (x at a
+    zero of P^(1)_{depth-1} to double precision).  At x = +-inf F is its
+    limit -+inf; at NaN ValueError is raised.
     """
-    f = float(_eval_F_many(rec, np.array([float(x)]), depth)[0])
-    if math.isinf(f):
+    f = _eval_F_point(rec, x, depth)
+    if math.isinf(f) and math.isfinite(x):
         raise PoleHit(f"F({x!r}) hit a zero of P^(1)_{depth - 1} exactly")
     return f
 
@@ -370,11 +419,9 @@ def _minimal_solution(rec: MonicRecurrence, xi: float, depth: int, keep: int = 0
     if above == below:
         return None
 
-    cs, ls, rs = c[: top + 1].tolist(), lam[: top + 1].tolist() + [0.0], root[: top + 1].tolist()
-    ratios, t = [], math.inf  # 0 / inf starts t_K = xi - c_K: the tail past K is cut
-    for k in range(top, m, -1):
-        t = (xi - cs[k]) - ls[k + 1] / t
-        ratios.append(rs[k] / t)
+    rows = slice(m + 1, top + 1)  # t_K .. t_{m+1}, the tail past K cut
+    tails = _tails(xi, c[rows].tolist(), lam[rows].tolist())
+    ratios = [r / t for r, t in zip(root[rows][::-1].tolist(), tails)]
     head = np.fromiter(_orthonormal(c[: m + 1], lam[: m + 1], xi), float, m + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.concatenate((head, head[-1] * np.cumprod(ratios[::-1])))

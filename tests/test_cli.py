@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,24 @@ def test_cf_compare_counts_zeros_not_poles(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(r["f_sign_changes"]) for r in rows] == [1, 1, 1, 1, 1, 0, 0, 0, 0]
     assert [r["detected"] for r in rows] == ["true"] * 5 + ["false"] * 4
+
+
+def test_cf_compare_memory_does_not_grow_with_points(capsys):
+    # the scan reads its grid point by point through indices, so ten
+    # million points (an 80 MB array as np.linspace) trace about 2 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            capsys,
+            "cf-compare", "--model", "displaced", "--kappa", "0.5",
+            "--x-min", "-0.3", "--x-max", "100", "--points", "10000001", "--format", "json",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["true_levels"] == 101
+    assert peak < 8 * 2**20
 
 
 def test_cf_compare_takes_schedule_flags(capsys):

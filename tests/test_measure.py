@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
@@ -32,8 +33,8 @@ from zeroflow import (
     zeros_of,
 )
 from zeroflow import measure
-from zeroflow.measure import _eval_F_many, _sign_flips
-from zeroflow.recurrence import _BLOCK_SIZE, _sturm_counts
+from zeroflow.measure import _Linspace, _sign_flips
+from zeroflow.recurrence import _BLOCK_SIZE, _backward_fraction, _sturm_counts
 
 from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
 
@@ -87,6 +88,91 @@ def test_pole_hit_raises():
     with pytest.raises(PoleHit):
         eval_F(rec, c1, 2)  # P^(1)_1 = x - c_1 = 0, F = +-inf
     assert eval_E(rec, c1, 2) == 0.0  # E = P^(1)_1 / P_2 vanishes there
+
+
+def test_E_and_F_at_infinity_are_their_limits():
+    # F = -P_d / P^(1)_{d-1} ~ -x and E = -1/F ~ 1/x: no pole at +-inf
+    rec = displaced_recurrence(0.5)
+    assert eval_F(rec, math.inf, 5) == -math.inf
+    assert eval_F(rec, -math.inf, 5) == math.inf
+    for x, sign in ((math.inf, 1.0), (-math.inf, -1.0)):
+        e = eval_E(rec, x, 5)
+        assert e == 0.0 and math.copysign(1.0, e) == sign
+
+
+@pytest.mark.parametrize("fn", [eval_E, eval_F], ids=["E", "F"])
+def test_E_and_F_at_nan_raise(fn):
+    with pytest.raises(ValueError, match="NaN"):
+        fn(displaced_recurrence(0.5), math.nan, 5)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _ef_points(draw):
+    """(rec, depth, x): a model, a depth, and a point drawn from the range of
+    its zeros, or exactly on a diagonal entry c_k, a zero of P_depth or a
+    zero of P^(1)_{depth-1}, or +-0 on a model whose c are 0."""
+    kind = draw(st.sampled_from(["rabi", "displaced", "random", "wide", "zero-diagonal"]))
+    depth = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "rabi":
+        kappa, delta = draw(st.floats(0.05, 5.0)), draw(st.floats(0.0, 1.0))
+        parity = draw(st.sampled_from("+-"))
+        rec = rabi_recurrence(RabiParams(kappa=kappa, delta=delta, parity=parity))
+    elif kind == "displaced":
+        rec = displaced_recurrence(draw(st.floats(0.05, 5.0)))
+    elif kind == "random":
+        rec = random_recurrence(rng, depth)
+    elif kind == "wide":
+        rec = wide_range_recurrence(rng, depth)
+    else:
+        rec = MonicRecurrence.from_arrays(np.zeros(depth), 2.0 ** rng.integers(-2, 3, depth - 1))
+    c, lam = rec.coeff_arrays(depth)
+    zeros = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))
+    poles = eigvalsh_tridiagonal(c[1:], np.sqrt(lam[2:])) if depth > 1 else zeros
+    where = draw(st.sampled_from(["range", "diagonal", "zero", "pole", "signed-zero"]))
+    if where == "range":
+        x = draw(st.floats(float(zeros[0]) - 1.0, float(zeros[-1]) + 1.0))
+    elif where == "signed-zero":
+        x = draw(st.sampled_from([0.0, -0.0]))
+    else:
+        ends = {"diagonal": c, "zero": zeros, "pole": poles}[where]
+        x = float(ends[draw(st.integers(0, ends.size - 1))])
+    return rec, depth, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ef_points())
+def test_E_and_F_are_bitwise_the_backward_fraction(case):
+    # eval_F and eval_E run the fraction in plain floats: the same IEEE
+    # operations as the vectorized kernel, with lambda / +-0 = +-inf
+    rec, depth, x = case
+    want = float(_backward_fraction(*rec.coeff_arrays(depth), np.array([x]))[0])
+    assert _bits(measure._eval_F_point(rec, x, depth)) == _bits(want)
+    if math.isinf(want):
+        with pytest.raises(PoleHit):
+            eval_F(rec, x, depth)
+    else:
+        assert _bits(eval_F(rec, x, depth)) == _bits(want)
+    if want == 0.0:
+        with pytest.raises(PoleHit):
+            eval_E(rec, x, depth)
+    else:
+        assert _bits(eval_E(rec, x, depth)) == _bits(-1.0 / want)
+
+
+@pytest.mark.parametrize("x, f", [(-0.0, -math.inf), (0.0, math.inf)])
+def test_F_divides_by_a_signed_zero_tail(x, f):
+    # c = 0: the innermost tail is x - 0 = +-0, lambda_1 / +-0 = +-inf, and
+    # F = -(x - (lambda_1 / t)) takes the sign of the zero
+    rec = MonicRecurrence.from_arrays([0.0, 0.0], [1.0])
+    assert measure._eval_F_point(rec, x, 2) == f
+    assert _backward_fraction(*rec.coeff_arrays(2), np.array([x]))[0] == f
+    with pytest.raises(PoleHit):
+        eval_F(rec, x, 2)
 
 
 def _mp_terminal(rec, x, depth):
@@ -164,7 +250,7 @@ def test_F_sign_matches_sturm_parity(rec, depth, x_min, x_max):
     # sign F = (-1)**(N_d(x) + N^(1)_{d-1}(x)), with N the zeros-below-x
     # counts of P_d and P^(1)_{d-1} (the kernel of count_zeros_below)
     grid = np.linspace(x_min, x_max, 200_001)
-    sign = np.sign(_eval_F_many(rec, grid, depth))
+    sign = np.sign(_backward_fraction(*rec.coeff_arrays(depth), grid))
     c, lam = rec.coeff_arrays(depth)
     ca, lama = rec.associated(1).coeff_arrays(depth - 1)
     parity = (_sturm_counts(c, lam, grid) + _sturm_counts(ca, lama, grid)) % 2
@@ -178,7 +264,7 @@ def test_sign_scan_misses_high_levels():
     # see only a handful: the invisibility regime
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
     grid = np.linspace(20.0, 40.0, 40_001)
-    f = _eval_F_many(rec, grid, 120)
+    f = _backward_fraction(*rec.coeff_arrays(120), grid)
     s = np.sign(f)
     ok = s != 0
     changes = int(np.count_nonzero((s[:-1] != s[1:]) & ok[:-1] & ok[1:]))
@@ -189,8 +275,56 @@ def test_sign_scan_misses_high_levels():
     assert changes < true_count  # far fewer visible sign changes than levels
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FINITE, _FINITE, st.one_of(st.integers(2, 100), st.integers(2, 10**6)))
+def test_linspace_is_bitwise_np_linspace(a, b, points):
+    # i * step + start, then the end point set to stop, as np.linspace;
+    # a range wider than the double range has no finite step and no grid
+    x_min, x_max = min(a, b), max(a, b)
+    assume(x_max > x_min and math.isfinite(x_max - x_min))
+    # near the top of the double range the last point's i * step overflows
+    # before it is set to stop, in np.linspace as well
+    with np.errstate(over="ignore"):
+        got = _Linspace(x_min, x_max, points)[np.arange(points)]
+        want = np.linspace(x_min, x_max, points)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, points",
+    [(0.0, 5e-324, 3), (-5e-324, 5e-324, 7), (1e-320, 2e-320, 10**6), (-1e-322, 0.0, 100)],
+)
+def test_linspace_whose_step_underflows_follows_np_linspace(x_min, x_max, points):
+    # step = delta / (points - 1) is 0: numpy scales by i / (points - 1)
+    # and then by delta instead, and so does _Linspace
+    grid = _Linspace(x_min, x_max, points)
+    assert grid.step == 0.0
+    got = grid[np.arange(points)]
+    assert got.tobytes() == np.linspace(x_min, x_max, points).tobytes()
+    assert got[0] == x_min and got[-1] == x_max
+
+
+@pytest.mark.parametrize(
+    "rec, depth, x_min, x_max",
+    [
+        (displaced_recurrence(0.5), 161, -0.3, 100.0),
+        (rabi_recurrence(RabiParams(kappa=1.0, delta=0.4, parity="-")), 120, -2.0, 50.0),
+    ],
+    ids=["displaced-0.5", "rabi-1"],
+)
+def test_sign_flips_through_the_lazy_grid_equal_the_array_grid(rec, depth, x_min, x_max):
+    points = 10**6 + 1
+    want = _sign_flips(rec, np.linspace(x_min, x_max, points), depth)
+    got = _sign_flips(rec, _Linspace(x_min, x_max, points), depth)
+    assert want.size >= 5
+    assert got.tobytes() == want.tobytes()
+
+
 def _full_scan_flips(rec, grid, depth):
-    f = _eval_F_many(rec, grid, depth)
+    f = _backward_fraction(*rec.coeff_arrays(depth), grid)
     return grid[:-1][(f[:-1] > 0.0) & (f[1:] < 0.0)]
 
 
@@ -267,7 +401,7 @@ def test_sign_flips_with_subgrid_points_on_exact_hits(depth, stride):
     # subgrid takes every stride-th point from -3
     rec = MonicRecurrence.from_arrays(np.zeros(300), np.ones(299))
     grid = 2.0**-10 * (np.arange(6145) - 3072)
-    sub = _eval_F_many(rec, grid[::stride], depth)
+    sub = _backward_fraction(*rec.coeff_arrays(depth), grid[::stride])
     assert np.count_nonzero((sub == 0.0) | np.isinf(sub)) >= 2
     with _stride(stride):
         got = _sign_flips(rec, grid, depth)
@@ -288,7 +422,7 @@ def test_sign_flips_where_count_and_F_round_a_zero_apart(rec):
     before = after = 0  # flips just below and just above such an x
     for r, z in enumerate(eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))[:10]):
         xs = z + np.spacing(abs(z)) * np.arange(-64, 65)
-        counts, f = _sturm_counts(c, lam, xs), _eval_F_many(rec, xs, depth)
+        counts, f = _sturm_counts(c, lam, xs), _backward_fraction(c, lam, xs)
         for x in xs[((counts == r) & (f < 0.0)) | ((counts == r + 1) & (f > 0.0))]:
             grid = x + h * (np.arange(801) - 400)
             want = _full_scan_flips(rec, grid, depth)
@@ -308,7 +442,7 @@ def test_sign_flips_keep_a_flip_between_two_batches():
     z = float(eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))[2])
     ulp = np.spacing(z)
     xs = z + ulp * np.arange(-64, 65)
-    f = _eval_F_many(rec, xs, 60)
+    f = _backward_fraction(c, lam, xs)
     x = float(xs[1:][(f[:-1] > 0.0) & (f[1:] < 0.0)][0])
     grid = x + ulp * (np.arange(_BLOCK_SIZE + 100) - _BLOCK_SIZE)
     want = _full_scan_flips(rec, grid, 60)
@@ -461,6 +595,16 @@ def test_discrete_measure_validation():
         DiscreteMeasure(nodes=np.array([1.0, 0.0]), weights=np.array([0.5, 0.5]), degree=2)
     with pytest.raises(ValueError):
         DiscreteMeasure(nodes=np.array([0.0, 1.0]), weights=np.array([0.9, 0.4]), degree=2)
+
+
+def test_stieltjes_at_a_node_raises_pole_hit():
+    # z - x_k = 0 there: the sum has a pole, not a value (nor a warning)
+    m = partial_fractions(displaced_recurrence(0.5), 5)
+    for k in (0, 4):
+        with pytest.raises(PoleHit, match=re.escape(f"x_{{5,{k + 1}}}")):
+            m.stieltjes(float(m.nodes[k]))
+    z = float(np.nextafter(m.nodes[0], -np.inf))
+    assert -math.inf < m.stieltjes(z) < -1e10  # one ulp below a node: finite
 
 
 # -- spectral masses ---------------------------------------------------------
