@@ -308,7 +308,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=1e-8,
-        help="enclosure width, finite and > 0: a converged level lies in [xi - tol, xi]",
+        help="enclosure width, finite and > 0: a converged level lies in [xi - tol, xi], "
+        "up to the bisection resolution of xi (2**-50 * max(1, |xi|))",
     )
     p.add_argument(
         "--override",

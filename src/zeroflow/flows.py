@@ -13,7 +13,12 @@ upward along a growth schedule.  By default the schedule starts at the
 degree where the tail bound of the minimal solution (Olver, J. Res. NBS
 71B, 1967), read off the coefficients, predicts that every flow certifies,
 so most requests solve one degree; it grows by 1.5 from there where the
-prediction falls short.  A flow stops at the first degree where the
+prediction falls short.  For 128 levels or more that degree is a step
+function N(x) of x, the same prediction taken at most count // 64 times
+under the top level, so that each point is counted at its own degree
+(recurrence._pivot_sweep's per-point stops) and a level is the point where
+the count of P_{N(x)} below x steps; the growth schedule grows each step.
+A flow stops at the first degree where the
 Sturm count frozen at degree infinity (recurrence._frozen_counts: exact at a
 table's length, or past a model's dominance index) finds at most l - 1
 spectral points below x_{n,l} - tol, which proves xi_l in
@@ -23,10 +28,12 @@ solved cold, from the Gershgorin bracket.  Brackets shrink by multisection,
 few brackets taking many probes per batched count (Lo, Philippe & Sameh,
 SIAM J. Sci. Stat. Comput. 8, 1987).  A solve of more than _PROBE_BATCH // 16
 zeros multisects the one bracket all of them share, spreading a wide batch of
-probes over the cells between probed points that still hold two or more
-zeros, until each zero is alone in its cell; it then takes safeguarded
-Newton steps on P_n, with P_n'/P_n from the same forward sweep as the
-count.  Every polished zero is re-counted half a tolerance on either side,
+probes below the Gershgorin end of the leading count + 1 rows and then over
+the cells between probed points that still hold two or more zeros, until
+each zero is alone in its cell; it then takes safeguarded Newton steps on
+P_n, with P_n'/P_n from the same forward sweep as the count, and from the
+second step on steps to the pole of a pole-plus-constant fit of the last
+two.  Every polished zero is re-counted half a tolerance on either side,
 where that side is not already proven by its bracket's counts, and one that
 fails goes back to multisection from the bracket those counts narrow.
 """
@@ -107,6 +114,26 @@ class GrowthSchedule:
 ScheduleLike = Union[GrowthSchedule, Sequence[int]]
 
 
+def _judged_rows(rec: MonicRecurrence, count: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """x_bar, the upper Gershgorin end of rows 0 .. count - 1, and the
+    coefficients (c, sqrt(lambda)) of the rows _first_degree judges."""
+    x_bar = _zero_bounds(*rec.coeff_arrays(count))[1]
+    if rec.n_cap is not None:
+        rows = rec.n_cap
+    else:
+        rows = 2 * int(rec.dominance_index(np.array([x_bar]))[0]) + 2
+    c, lam = rec.coeff_arrays(min(rows, _DEFAULT_N_MAX))
+    return x_bar, c, np.sqrt(lam)
+
+
+def _tail_degree(c: np.ndarray, root: np.ndarray, x: float, tol: float) -> int:
+    """The first row past which the minimal solution at x has shrunk, squared,
+    below tol / max(1, |x|) (recurrence._tail_cut); the last judged row where
+    none has."""
+    top = _tail_cut(c - x, root, 0.5 * math.log2(tol / max(1.0, abs(x))))[1]
+    return c.size if top is None else top
+
+
 def _first_degree(rec: MonicRecurrence, count: int, tol: float) -> int:
     """The degree at which the first `count` flows are expected to certify
     to within tol, read off the coefficients.
@@ -126,36 +153,97 @@ def _first_degree(rec: MonicRecurrence, count: int, tol: float) -> int:
     _DEFAULT_N_MAX) unless count is larger.  It predicts, it does not
     prove: the frozen count still certifies each level, and the growth
     schedule from this degree goes on where it does not."""
-    x_bar = _zero_bounds(*rec.coeff_arrays(count))[1]
-    if rec.n_cap is not None:
-        rows = rec.n_cap
-    else:
-        rows = 2 * int(rec.dominance_index(np.array([x_bar]))[0]) + 2
-    rows = min(rows, _DEFAULT_N_MAX)
-    c, lam = rec.coeff_arrays(rows)
-    bound = 0.5 * math.log2(tol / max(1.0, abs(x_bar)))
-    top = _tail_cut(c - x_bar, np.sqrt(lam), bound)[1]
-    return max(count, rows if top is None else top)
+    x_bar, c, root = _judged_rows(rec, count)
+    return max(count, _tail_degree(c, root, x_bar, tol))
+
+
+# A default solve of `count` levels has one degree per _STEP_LEVELS levels,
+# at most: count // _STEP_LEVELS steps, so fewer than 2 * _STEP_LEVELS levels
+# take _first_degree's one degree.
+_STEP_LEVELS = 64
+
+
+@dataclass(frozen=True, eq=False)
+class _Steps:
+    """A degree N(x) that never decreases in x: degrees[0] up to and at
+    ends[0], degrees[i] on (ends[i - 1], ends[i]], and degrees[-1] above
+    ends[-1].  A solve at N counts the zeros of P_{N(x)} below each x."""
+
+    ends: np.ndarray
+    degrees: np.ndarray
+
+    @property
+    def top(self) -> int:
+        return int(self.degrees[-1])
+
+    def at(self, xs: np.ndarray) -> np.ndarray:
+        return self.degrees[np.searchsorted(self.ends, xs, side="left")]
+
+
+def _steps(rec: MonicRecurrence, count: int, tol: float, top: int) -> Union[int, _Steps]:
+    """The default degree of a solve of `count` levels: `top` (_first_degree)
+    under fewer than 2 * _STEP_LEVELS levels, else a step function N(x) that
+    never exceeds it.
+
+    Each of the count // _STEP_LEVELS - 1 steps under the top one ends at
+    x_j, the upper Gershgorin end of the first k_j = _STEP_LEVELS * j rows,
+    which bounds the levels 1 .. k_j; its degree is _first_degree's rule
+    taken at x_j over the same judged rows, at least k_j, raised to the
+    degree of the step before and capped at `top`, the degree above the
+    last end.  C(x) = count of P_{N(x)} below x is monotone, as the count
+    of one degree is: the count is monotone in x, and a longer sweep only
+    adds pivots."""
+    pieces = count // _STEP_LEVELS
+    if pieces < 2:
+        return top
+    _, c, root = _judged_rows(rec, count)
+    head_c, head_lam = rec.coeff_arrays(count)
+    levels = _STEP_LEVELS * np.arange(1, pieces)
+    ends = np.maximum.accumulate([_zero_bounds(head_c[:k], head_lam[:k])[1] for k in levels])
+    degrees = [max(int(k), _tail_degree(c, root, float(x), tol)) for k, x in zip(levels, ends)]
+    degrees = np.minimum(np.maximum.accumulate(degrees + [top]), top)
+    return _Steps(ends=ends, degrees=degrees)
+
+
+def _grown(first: Union[int, _Steps]) -> Iterable[Union[int, _Steps]]:
+    """The growth schedule by the factor 1.5 from `first`, taken pointwise on
+    a step function: each step grows as GrowthSchedule(its degree) does,
+    staying at _DEFAULT_N_MAX once there."""
+    if not isinstance(first, _Steps):
+        yield from GrowthSchedule(first).degrees()
+        return
+    runs = [list(GrowthSchedule(int(d)).degrees()) for d in first.degrees]
+    for i in range(max(map(len, runs))):
+        yield _Steps(first.ends, np.array([run[min(i, len(run) - 1)] for run in runs]))
 
 
 def _degrees(
     rec: MonicRecurrence, count: int, tol: float, schedule: Optional[ScheduleLike] = None
-) -> list[int]:
-    """The cut-offs at which `count` flows are followed: a growth schedule
-    (by default one by the factor 1.5 from _first_degree, the degree the
-    coefficients predict will certify to within tol) or an explicit
-    increasing list.  On a tabulated model the first degree at or past the
-    table length becomes the last one, at that length; later degrees are
-    not read."""
+) -> list[Union[int, _Steps]]:
+    """The cut-offs at which `count` flows are followed: an explicit
+    increasing list, a growth schedule, or by default the growth schedule by
+    the factor 1.5 from _steps (_first_degree's degree, or under it a step
+    function of x for many levels).  On a tabulated model the first degree
+    at or past the table length becomes the last one, at that length; later
+    degrees are not read, and a step function is clamped step by step."""
     cap = rec.n_cap
     if cap is not None and cap < count:
         raise ValueError("tabulated model too short for the requested levels")
     if schedule is None:
-        schedule = GrowthSchedule(_first_degree(rec, count, tol))
-    if isinstance(schedule, GrowthSchedule):
+        first = _first_degree(rec, count, tol)
+        schedule = _grown(_steps(rec, count, tol, first))
+    elif isinstance(schedule, GrowthSchedule):
         schedule = schedule.degrees()
-    degrees: list[int] = []
-    for n in map(int, schedule):
+    degrees: list[Union[int, _Steps]] = []
+    for n in schedule:
+        if isinstance(n, _Steps):
+            if cap is not None:
+                n = _Steps(n.ends, np.minimum(n.degrees, cap))
+            degrees.append(n)
+            if n.degrees[0] == cap:
+                break
+            continue
+        n = int(n)
         if n < 1 or (degrees and n <= degrees[-1]):
             raise ValueError("schedule degrees must be positive and strictly increasing")
         degrees.append(n if cap is None or n < cap else cap)
@@ -163,7 +251,7 @@ def _degrees(
             break
     if not degrees:
         raise ValueError("schedule must contain at least one degree")
-    if degrees[0] < count:
+    if isinstance(degrees[0], int) and degrees[0] < count:
         raise ValueError(f"schedule degree {degrees[0]} is below the flow count {count}")
     return degrees
 
@@ -196,9 +284,11 @@ class ZeroFlow:
 
 @dataclass(frozen=True)
 class LevelResult:
-    """Level l: xi = x_{n,l} at the last degree n visited.  A converged
-    level is certified: the true level lies in [xi - tol, xi], up to the
-    bisection resolution of xi."""
+    """Level l: xi = x_{n,l} at the last degree n visited, n the level's
+    own degree (with a step function N, N(xi)).  A converged level is
+    certified at its own degree n_converged: the true level lies in
+    [xi - tol, xi], up to the bisection resolution of xi (2**-50 *
+    max(1, |xi|))."""
 
     l: int
     xi: float
@@ -239,24 +329,34 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     set), and [x - tol/2, x + tol/2] about a polished zero is re-counted
     at each end that lies inside its bracket, so an omission or a collision
     is detected rather than silently absorbed.
+
+    Inside run_flows n may also be a step function N(x) of x (_Steps): then
+    every count at x is that of P_{N(x)}, and zero l is the point where
+    that count, still monotone in x, steps from l-1 to l.
     """
-    if count < 1 or count > n:
-        raise ValueError(f"count must be in [1, n]; got count={count}, n={n}")
-    c, lam = rec.coeff_arrays(n)
+    steps = n if isinstance(n, _Steps) else None
+    top = n.top if steps else n
+    if count < 1 or count > top:
+        raise ValueError(f"count must be in [1, n]; got count={count}, n={top}")
+    c, lam = rec.coeff_arrays(top)
     lo_glob, hi_glob = _zero_bounds(c, lam)
     lo = np.full(count, lo_glob)
     hi = np.full(count, hi_glob)
-    # the counts at lo and hi; all n zeros lie between the Gershgorin ends
+    # the counts at lo and hi; all zeros of every degree up to top lie
+    # between the Gershgorin ends of its rows
     lo_ct = np.zeros(count, dtype=np.int64)
-    hi_ct = np.full(count, n, dtype=np.int64)
+    hi_ct = np.full(count, top, dtype=np.int64)
     targets = np.arange(1, count + 1, dtype=np.int64)
 
     zeros = np.full(count, np.nan)
     if count > _PROBE_BATCH // 16:
         # a few probes per bracket and pass would multisect for many passes:
-        # isolate the zeros in one wide multisection, then polish by Newton
-        iso = _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets)
-        x = _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, iso)
+        # isolate the zeros in one wide multisection, then polish by Newton.
+        # Zeros 1 .. count + 1 of every P_n lie below the Gershgorin end of
+        # rows 0 .. count, by interlacing
+        below = _zero_bounds(c[: count + 1], lam[: count + 1])[1] if count < top else hi_glob
+        iso = _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps)
+        x = _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, iso, steps)
         settled = np.isfinite(x)  # the others multisect below
         iso, x = iso[settled], x[settled]
         # a polished zero l must pass the re-count of [x - tol/2, x + tol/2]:
@@ -269,7 +369,7 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
         expect = np.stack((targets[iso] - 1, targets[iso]))
         cts = expect.copy()
         todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
-        cts[todo] = _sturm_counts(c, lam, pts[todo])
+        cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
         # a counted point lies inside the bracket: the highest one below
         # zero l becomes lo, the lowest one at or above it hi
         for k in (0, 1):
@@ -281,7 +381,7 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
         ok = (cts == expect).all(axis=0)
         zeros[iso[ok]] = x[ok]
     rest = np.flatnonzero(np.isnan(zeros))
-    _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, rest)
+    _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, rest, steps)
     zeros[rest] = 0.5 * (lo[rest] + hi[rest])
 
     # no-skip verification: each final bracket must hold exactly one zero;
@@ -291,18 +391,31 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
         and np.array_equal(hi_ct[rest], targets[rest])
     ):
         raise ZeroCoagulation(
-            f"bracket counts inconsistent at n={n}: zeros closer than bisection resolution"
+            f"bracket counts inconsistent at n={top}: zeros closer than bisection resolution"
         )
     # simplicity: zeros are provably simple, so near-coincidence means the
     # working precision is exhausted at this degree
     if count > 1:
         gap_tol = _SIMPLE_FACTOR * _bisect_tol(zeros[1:])
         if np.any(np.diff(zeros) <= gap_tol):
-            raise ZeroCoagulation(f"adjacent zeros at n={n} closer than {_SIMPLE_FACTOR}x tolerance")
-    return ZeroTableau(n=n, zeros=zeros)
+            raise ZeroCoagulation(f"adjacent zeros at n={top} closer than {_SIMPLE_FACTOR}x tolerance")
+    return ZeroTableau(n=top, zeros=zeros)
 
 
-def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active) -> None:
+def _sweep(kernel, c, lam, xs, steps):
+    """kernel (_sturm_counts or _sturm_newton) at the 1-D xs, for P_n with
+    n = len(c), or for P_{N(x)} at each x with a step function N (steps),
+    in one sweep over the xs in ascending order."""
+    if steps is None:
+        return kernel(c, lam, xs)
+    order = np.argsort(xs, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    out = kernel(c, lam, xs[order], steps.at(xs[order]))
+    return tuple(a[where] for a in out) if isinstance(out, tuple) else out[where]
+
+
+def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps=None) -> None:
     """Shrink the brackets [lo, hi] of the zeros with indices `active`, and
     the counts lo_ct, hi_ct at their ends, in place, to the bisection
     tolerance.  Each pass spends _PROBE_BATCH probes over the active
@@ -314,7 +427,7 @@ def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active) -> None:
         p = max(1, _PROBE_BATCH // active.size)
         e = np.arange(p, 0, -1)
         probes = hi_a[:, None] - width[:, None] * (e / (p + 1))
-        cts = _sturm_counts(c, lam, probes.ravel()).reshape(probes.shape)
+        cts = _sweep(_sturm_counts, c, lam, probes.ravel(), steps).reshape(probes.shape)
         k = np.count_nonzero(cts < targets[active, None], axis=1)
         ends = np.hstack((lo_a[:, None], probes, hi_a[:, None]))
         ends_ct = np.hstack((lo_ct[active, None], cts, hi_ct[active, None]))
@@ -329,7 +442,7 @@ def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active) -> None:
         active = active[keep]
 
 
-def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets) -> np.ndarray:
+def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps=None) -> np.ndarray:
     """Multisect the shared bracket [lo, hi] until each zero is alone
     in a cell between two probed points, set every bracket and the counts
     lo_ct, hi_ct at its ends, in place, to its zero's cell, and return the
@@ -340,17 +453,25 @@ def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets) -> np.ndarray:
     is isolated when those counts are l - 1 and l.  A cell splits while it
     holds two or more of the zeros 1..count + 1 (zero count must be split from
     the next one): each pass spreads max(_PROBE_BATCH, 2 * count) distinct
-    probes evenly over those cells, in proportion to how many each holds,
-    and pass 1 covers the whole bracket.  A cell no wider than the bisection
-    tolerance, or whose probes all round onto its ends, cannot split and is
-    closed; its zeros are left to multisection.  Every pass adds a point
-    inside each open cell or closes it, so the loop ends.
+    probes evenly over those cells, in proportion to how many each holds.
+    Pass 1 spreads them over (lo, below], `below` a point under which zeros
+    1..count + 1 lie, and counts `below` with them.  A cell no wider than
+    the bisection tolerance, or whose probes all round onto its ends,
+    cannot split and is closed; its zeros are left to multisection.  Every
+    pass adds a point inside each open cell or closes it, so the loop ends.
     """
     count = targets.size
     batch = max(_PROBE_BATCH, 2 * count)
     pts = np.array([lo[0], hi[0]])
     cts = np.array([lo_ct[0], hi_ct[0]])
-    closed = np.zeros(1, dtype=bool)  # per cell [pts[i], pts[i + 1]]
+    if below < hi[0]:
+        probes = lo[0] + (below - lo[0]) * (np.arange(1, batch + 1) / batch)
+        probes[-1] = below
+        probes = probes[probes > lo[0]]
+        probes = probes[np.append(True, probes[1:] > probes[:-1])]
+        pts = np.concatenate(([lo[0]], probes, [hi[0]]))
+        cts = np.concatenate(([lo_ct[0]], _sweep(_sturm_counts, c, lam, probes, steps), [hi_ct[0]]))
+    closed = np.zeros(pts.size - 1, dtype=bool)  # per cell [pts[i], pts[i + 1]]
     while True:
         weight = np.diff(np.minimum(cts, count + 1))
         cells = np.flatnonzero((weight >= 2) & ~closed)
@@ -372,7 +493,7 @@ def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets) -> np.ndarray:
             continue
         at = cells[cell] + 1
         pts = np.insert(pts, at, probes)
-        cts = np.insert(cts, at, _sturm_counts(c, lam, probes))
+        cts = np.insert(cts, at, _sweep(_sturm_counts, c, lam, probes, steps))
         closed = np.insert(closed, at, False)
     i = np.searchsorted(cts, targets - 1, side="right") - 1
     lo[:], hi[:] = pts[i], pts[i + 1]
@@ -380,24 +501,41 @@ def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets) -> np.ndarray:
     return np.flatnonzero((lo_ct == targets - 1) & (hi_ct == targets))
 
 
-def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx) -> np.ndarray:
-    """Safeguarded Newton iteration on P_n for the isolated zeros with
-    indices idx; returns their polished points, NaN where a zero did not
-    settle within _NEWTON_SWEEPS.  Each step takes the count and
+def _pole_fit(x0, s0, x1, s1):
+    """The two poles z of the fits s = 1 / (x - z) + g through (x0, s0) and
+    (x1, s1), NaN where there is none.  With d = x0 - x1 and t = (s1 - s0) d,
+    u = x1 - z solves u (u + d) = d^2 / t: u = 2 d / (t (1 + w)) or
+    -d (1 + w) / 2, w = sqrt(1 + 4 / t), each form free of cancellation."""
+    d = x0 - x1
+    t = (s1 - s0) * d
+    w = np.sqrt(1.0 + 4.0 / t)
+    return x1 - 2.0 * d / (t * (1.0 + w)), x1 + 0.5 * d * (1.0 + w)
+
+
+def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps=None) -> np.ndarray:
+    """Safeguarded Newton iteration with memory on P_n for the isolated
+    zeros with indices idx; returns their polished points, NaN where a zero
+    did not settle within _NEWTON_SWEEPS.  Each step takes the count and
     s = P_n'/P_n from one _sturm_newton sweep; the count shrinks the bracket
-    [lo, hi], with the counts lo_ct and hi_ct at its ends, in place, and a
-    Newton point that is not finite or leaves the
-    bracket is replaced by the bracket's midpoint.  A zero stops at a Newton
-    step no longer than the bisection tolerance, or when its bracket is
-    that narrow."""
+    [lo, hi], with the counts lo_ct and hi_ct at its ends, in place.  From
+    the second sweep on, s at the last two points is fitted with
+    1 / (x - z) + g, a pole for the zero and a constant for the pull of the
+    far zeros (as secant solvers of the secular equation do, R.-C. Li,
+    LAPACK Working Note 89, 1993), and the next point is the pole z strictly
+    inside the bracket (the one nearer the Newton point if both are).
+    Without one it is the Newton point if that is finite and inside the
+    bracket, else the bracket's midpoint.  A zero stops at a Newton step no
+    longer than the bisection tolerance, at the Newton point, or when its
+    bracket is that narrow."""
     out = np.full(idx.size, np.nan)
     pos = np.arange(idx.size)
     x = 0.5 * (lo[idx] + hi[idx])
+    x_old = s_old = np.full(idx.size, np.nan)
     for _ in range(_NEWTON_SWEEPS):
         if not pos.size:
             break
         active = idx[pos]
-        cts, s = _sturm_newton(c, lam, x)
+        cts, s = _sweep(_sturm_newton, c, lam, x, steps)
         below = cts < targets[active]
         lo_a = lo[active] = np.where(below, x, lo[active])
         hi_a = hi[active] = np.where(below, hi[active], x)
@@ -405,14 +543,21 @@ def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx) -> np.ndarray:
         hi_ct[active] = np.where(below, hi_ct[active], cts)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             newton = x - 1.0 / s
+            z1, z2 = _pole_fit(x_old, s_old, x, s)
+            nearer2 = np.abs(z2 - newton) < np.abs(z1 - newton)
         step = np.abs(newton - x)
         # s = inf is an exact zero at x, an end of the bracket; NaN is never ok
         ok = ((newton > lo_a) & (newton < hi_a)) | (step == 0.0)
-        x = np.where(ok, newton, 0.5 * (lo_a + hi_a))
-        tol = _bisect_tol(x)
+        x_new = np.where(ok, newton, 0.5 * (lo_a + hi_a))
+        tol = _bisect_tol(x_new)
         done = (ok & (step <= tol)) | (hi_a - lo_a <= tol)
-        out[pos[done]] = x[done]
-        pos, x = pos[~done], x[~done]
+        out[pos[done]] = x_new[done]
+        # a pole strictly inside the bracket, the one nearer the Newton point
+        # if both are; comparisons with NaN are false
+        in1, in2 = (z1 > lo_a) & (z1 < hi_a), (z2 > lo_a) & (z2 < hi_a)
+        x_new = np.where(in2 & (nearer2 | ~in1), z2, np.where(in1, z1, x_new))
+        x_old, s_old = x[~done], s[~done]
+        pos, x = pos[~done], x_new[~done]
     return out
 
 
@@ -442,34 +587,49 @@ def _track_flows(
     tol: float,
     schedule: Optional[ScheduleLike],
     watch: int,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The degrees visited, the tableaux of the first `count` zero flows at
-    those degrees (one row per degree), and the degree at which each flow
-    converged (0 if it did not), as run_flows defines them.  Stops once
-    every flow from index `watch` on has converged."""
-    degrees = _degrees(rec, count, tol, schedule)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degree of each of the first `count` zero flows at each cut-off
+    visited (one row per cut-off: the cut-off, or its step function at the
+    zero), the tableaux of those flows (one row per cut-off), and the degree
+    at which each flow converged (0 if it did not), as run_flows defines
+    them.  Stops once every flow from index `watch` on has converged."""
     rows: list[np.ndarray] = []
+    own: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
-    for n in degrees:
-        x = zeros_of(rec, n, count).zeros
+    flat = False
+    for n in _degrees(rec, count, tol, schedule):
+        n = n.top if flat and isinstance(n, _Steps) else n
+        try:
+            x = zeros_of(rec, n, count).zeros
+        except ZeroCoagulation:
+            # a step of N short at its end makes the count jump there by more
+            # than one level, a collision of the step function's own making:
+            # from here on each cut-off is its step function's top degree
+            if not isinstance(n, _Steps):
+                raise
+            n, flat = n.top, True
+            x = zeros_of(rec, n, count).zeros
+        deg = n.at(x) if isinstance(n, _Steps) else np.full(count, n)
         if rows:
             prev = rows[-1]
             up = np.flatnonzero(x > prev + _bisect_tol(np.maximum(np.abs(prev), np.abs(x))))
             if up.size:
                 i = int(up[0])
                 raise NonMonotoneFlow(
-                    f"flow l={i + 1} increased from x_{{{degrees[len(rows) - 1]}}}="
-                    f"{float(prev[i])!r} to x_{{{n}}}={float(x[i])!r}"
+                    f"flow l={i + 1} increased from x_{{{own[-1][i]}}}="
+                    f"{float(prev[i])!r} to x_{{{deg[i]}}}={float(x[i])!r}"
                 )
         rows.append(x)
+        own.append(deg)
         # open flows l (index l - 1) whose points x_{n,l} - tol have at most
         # l - 1 spectral points below them: xi_l lies in [x - tol, x]
         open_ = np.flatnonzero(n_conv == 0)
         below = _frozen_counts(rec, x[open_] - tol)
-        n_conv[open_[below <= open_]] = n
+        closed = open_[below <= open_]
+        n_conv[closed] = deg[closed]
         if n_conv[watch:].all():
             break
-    return degrees[: len(rows)], np.array(rows), n_conv
+    return np.array(own), np.array(rows), n_conv
 
 
 def run_flows(
@@ -483,8 +643,10 @@ def run_flows(
 
     The cut-offs follow `schedule`, by default a growth schedule by the
     factor 1.5 from the degree the coefficients predict will certify every
-    level to within tol (_first_degree), so that one degree usually
-    suffices.  tol, finite and > 0, is the width of the enclosure: a
+    level to within tol (_first_degree; for 128 levels or more a step
+    function of x under it, _steps), so that one solve usually suffices.
+    Each level's n_converged is its own degree.  tol, finite and > 0, is
+    the width of the enclosure, up to the bisection resolution of xi: a
     flow converges at the first degree n where the frozen Sturm count proves
     xi_l >= x_{n,l} - tol, which with xi_l <= x_{n,l} encloses the level; a
     model without that count (no table length, no dominance index) is
@@ -497,12 +659,13 @@ def run_flows(
     degrees, tableaux, n_conv = _track_flows(rec, n_levels, tol, schedule, watch=0)
     xi = tableaux[-1].tolist()
     dec = (tableaux[-2] - tableaux[-1]).tolist() if len(degrees) >= 2 else [math.nan] * n_levels
+    last = degrees[-1].tolist()
     return SpectrumResult(
         levels=tuple(
             LevelResult(
                 l=i + 1,
                 xi=xi[i],
-                n_converged=int(n_conv[i]) or degrees[-1],
+                n_converged=int(n_conv[i]) or last[i],
                 last_decrement=dec[i],
                 converged=bool(n_conv[i]),
             )
@@ -524,12 +687,13 @@ def flow_trace(
     run_flows's for l levels, whose first degree usually certifies, so the
     history then has one row; an explicit schedule gives a flow across
     several degrees), up to the degree at which it converged by run_flows's
-    rule; tol and the model are checked as in run_flows."""
+    rule, each n the flow's own degree; tol and the model are checked as in
+    run_flows."""
     if l < 1:
         raise ValueError("l must be >= 1")
     _check_request(rec, tol, override)
     degrees, tableaux, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)
-    history = tuple(zip(degrees, tableaux[:, l - 1].tolist()))
+    history = tuple(zip(degrees[:, l - 1].tolist(), tableaux[:, l - 1].tolist()))
     converged = bool(n_conv[l - 1])
     return ZeroFlow(
         l=l, history=history, converged=converged, xi=history[-1][1] if converged else None

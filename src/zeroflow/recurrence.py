@@ -337,8 +337,9 @@ def _block_rows(batch: int, buffers: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_SIZE // max(buffers * batch, 1)))
 
 
-def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs.
+def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) -> np.ndarray:
+    """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs
+    (with `stops`, for P_{stops[i]} at xs[i]; see _pivot_sweep).
 
     Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz, run on the
     negated pivots v_k = -q_k = -P_k(x) / P_{k-1}(x):
@@ -353,12 +354,13 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     canonicalized to +0.0 first.  The count is monotone in x
     in floating point (Demmel, Dhillon & Ren, ETNA 3, 1995).
     """
-    return _pivot_sweep(c, lam, xs, None, derivative=False)[0]
+    return _pivot_sweep(c, lam, xs, None, derivative=False, stops=stops)[0]
 
 
-def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) -> tuple[np.ndarray, np.ndarray]:
     """The zeros-below counts of _sturm_counts at each x in xs, bitwise, and
-    s = P_n'(x) / P_n(x) from the same pivot sweep: the Newton step is -1/s.
+    s = P_n'(x) / P_n(x) from the same pivot sweep (n = stops[i] at xs[i]
+    with `stops`): the Newton step is -1/s.
 
     P_n = (-1)^n prod v_k, so s = sum r_k with r_k = v_k' / v_k.  With the
     ratios q_k = lambda_{k-1} / v_{k-1} of the sweep, the derivative of
@@ -367,17 +369,28 @@ def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray) -> tuple[np.nd
     hit carries infinities into s and may leave it NaN; the caller falls back
     to bisection there.
     """
-    counts, _, s = _pivot_sweep(c, lam, xs, None, derivative=True)
+    counts, _, s = _pivot_sweep(c, lam, xs, None, derivative=True, stops=stops)
     return counts, s
 
 
-def _pivot_sweep(c, lam, xs, carry, derivative):
+def _pivot_sweep(c, lam, xs, carry, derivative, stops=None, starts=None):
     """The one block loop of both Sturm kernels: the counts of negative
     pivots v_k over rows 1..n at each x in xs from the pivots `carry` of the
     rows before (None: v_0 = +inf), the last pivots, and with `derivative`
     the sum s of r_k (see _sturm_newton), else None.  The last pivots are
     written into `carry`; resumed from those of rows 1..M, a sweep over rows
     M+1..M+n adds, bitwise, the counts of one sweep over rows 1..M+n.
+
+    `stops`, a nondecreasing integer array over the 1-D xs, at most n, gives
+    each point its own degree: point i is swept over rows 1..stops[i] only.
+    The rows run once, in order; at each stop the active points shrink to
+    the suffix of those with a later stop.  Each point's count and last
+    pivot are bitwise those of a sweep over rows 1..stops[i] alone, and
+    with equal stops (or None) the blocks, so the counts, carry and s, are
+    bitwise those of one sweep over rows 1..stops[0] (or 1..n).  `starts`,
+    nondecreasing and at most stops, resumes point i at row starts[i] + 1
+    from carry[i] (counts only: r restarts at 0), so the active points are
+    a window that also grows at each start.
 
     A block holds the differences c_{k-1} - x of its rows; each pivot step is
     two in-place ufuncs on one row, the ratio q_k into its own row of a
@@ -393,13 +406,25 @@ def _pivot_sweep(c, lam, xs, carry, derivative):
     xs = np.asarray(xs, dtype=float)
     c = c + 0.0  # -0.0 + 0.0 = +0.0; c_k - x = -0.0 needs c_k = -0.0
     lam = lam.tolist()
-    n = c.shape[0]
-    rows = max(1, min(n, _block_rows(xs.size, 2 if derivative else 1)))
-    block = np.empty((rows,) + xs.shape)
-    neg = np.empty(block.shape, dtype=bool)
-    ratios = np.empty(block.shape if derivative else xs.shape)
-    views = list(block)
-    qviews = list(ratios) if derivative else [ratios] * rows
+    # (first row, last row, first point, end point) of each run of rows
+    if stops is None and starts is None:
+        runs = [(0, c.shape[0], 0, xs.size)]
+    else:
+        stops = np.full(xs.size, c.shape[0]) if stops is None else np.asarray(stops)
+        starts = np.zeros(xs.size, dtype=np.int64) if starts is None else np.asarray(starts)
+        edges = np.sort(np.concatenate((starts, stops)))  # np.unique would import numpy.ma
+        edges = edges[np.flatnonzero(np.diff(edges, prepend=-1))]
+        # the points stopped and the points started at the first row of each run
+        stopped = np.searchsorted(stops, edges[:-1], side="right")
+        started = np.searchsorted(starts, edges[:-1], side="right")
+        runs = zip(edges[:-1].tolist(), edges[1:].tolist(), stopped.tolist(), started.tolist())
+        runs = [run for run in runs if run[2] < run[3]]
+    # the rows of each run's blocks; every run's blocks share one buffer
+    buffers = 2 if derivative else 1
+    heights = [max(1, min(stop - k0, _block_rows(j - i, buffers))) for k0, stop, i, j in runs]
+    size = max([m * (j - i) for m, (_, _, i, j) in zip(heights, runs)], default=0)
+    flat, flat_neg = np.empty(size), np.empty(size, dtype=bool)
+    flat_ratios = np.empty(size if derivative else xs.size)
     # lambda_0 / inf = 0 starts v_1 = c_0 - x
     carry = np.full(xs.shape, np.inf) if carry is None else carry
     counts = np.zeros(xs.shape, dtype=np.int64)
@@ -407,39 +432,51 @@ def _pivot_sweep(c, lam, xs, carry, derivative):
     r = np.zeros(xs.shape)  # r_0 = 0, then the last r_k of each block
     # the derivative meets inf - inf and 0 * inf at exact hits
     with np.errstate(divide="ignore", over="ignore", invalid="ignore" if derivative else None):
-        for k0 in range(0, n, rows):
-            m = min(rows, n - k0)
-            d = block[:m]
-            subtract(c[k0 : k0 + m, None], xs, d)
-            prev = carry
-            for lk, v, q in zip(lam[k0 : k0 + m], views, qviews):
-                divide(lk, prev, q)
-                subtract(v, q, v)
-                prev = v
-            less(d, 0.0, neg[:m])
-            counts += add_reduce(neg[:m].view(uint8), 0, uint8)
-            np.copyto(carry, prev)
-            if derivative:
-                a = ratios[:m]
-                divide(1.0, d, d)
-                multiply(a, d, a)
-                prev = r
-                for ak, inv in zip(qviews[:m], views):
-                    multiply(ak, prev, ak)
-                    subtract(ak, inv, ak)
-                    prev = ak
-                np.copyto(r, prev)
-                s += add_reduce(a, 0)
+        for (k0, stop, i, j), rows in zip(runs, heights):
+            x, last, cts, r_run = xs[i:j], carry[i:j], counts[i:j], r[i:j]
+            shape = (rows,) + x.shape
+            block = flat[: rows * x.size].reshape(shape)
+            neg = flat_neg[: rows * x.size].reshape(shape)
+            ratios = flat_ratios[: rows * x.size].reshape(shape) if derivative else flat_ratios.reshape(xs.shape)[i:j]
+            views = list(block)
+            qviews = list(ratios) if derivative else [ratios] * rows
+            for k0 in range(k0, stop, rows):
+                m = min(rows, stop - k0)
+                d = block[:m]
+                subtract(c[k0 : k0 + m, None], x, d)
+                prev = last
+                for lk, v, q in zip(lam[k0 : k0 + m], views, qviews):
+                    divide(lk, prev, q)
+                    subtract(v, q, v)
+                    prev = v
+                less(d, 0.0, neg[:m])
+                cts += add_reduce(neg[:m].view(uint8), 0, uint8)
+                np.copyto(last, prev)
+                if derivative:
+                    a = ratios[:m]
+                    divide(1.0, d, d)
+                    multiply(a, d, a)
+                    prev = r_run
+                    for ak, inv in zip(qviews[:m], views):
+                        multiply(ak, prev, ak)
+                        subtract(ak, inv, ak)
+                        prev = ak
+                    np.copyto(r_run, prev)
+                    s[i:j] += add_reduce(a, 0)
     return counts, carry, s
 
 
-# _frozen_counts takes the count over rows 0..M once the negated pivot v_M is
-# at least _FROZEN_MARGIN * sqrt(lambda_M) (exact arithmetic needs a factor 1;
-# the rest absorbs rounding), and carries the points that fail on from v_M,
-# _BLOCK_ROWS rows at a time, each until its pivot passes that margin at the
-# end of a chunk, over the rows up to 2M + 1, at most _FROZEN_ROUNDS times in
-# all.
+# _frozen_counts takes a point's count over rows 1..K once the negated pivot
+# v_K, at or past the point's dominance index M, is at least _FROZEN_MARGIN *
+# sqrt(lambda_K) (exact arithmetic needs a factor 1; the rest absorbs
+# rounding).  It first checks each point at the first multiple of
+# _FROZEN_ROWS at least _FROZEN_ROWS rows past its own M, where the pivot of
+# a point near a level has mostly left the level's decaying solution, and
+# carries the points that fail on from their pivots over twice as many rows
+# each time, up to the row 2M + 1 reaches from M in _FROZEN_ROUNDS - 1
+# doublings.
 _FROZEN_MARGIN = 2.0
+_FROZEN_ROWS = 16
 _FROZEN_ROUNDS = 8
 
 
@@ -453,6 +490,15 @@ def _require_frozen_count(rec: MonicRecurrence) -> None:
         )
 
 
+def _table_dominance(c: np.ndarray, root: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """One past the last row k of a table not Gershgorin dominated at each x
+    of the ascending xs, c_k - x < root_k + root_{k+1} with root_k =
+    sqrt(lambda_k) and root_{n_cap} = 0 (0 where every row is dominated);
+    nondecreasing in x."""
+    loose = c - (root[:-1] + root[1:])  # row k is loose at every x > loose[k]
+    return np.searchsorted(np.minimum.accumulate(loose[::-1])[::-1], xs, side="left")
+
+
 def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     """Number of spectral points strictly below each x in the 1-D array xs:
     the zeros-below count of P_N as N -> infinity.  ValueError when the model
@@ -462,41 +508,55 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
 
     A table's count at n_cap is exact.  Otherwise, with v_k the negated
     pivots of _sturm_counts: if every row k >= M is Gershgorin dominated at x,
-    c_k - x >= sqrt(lambda_k) + sqrt(lambda_{k+1}), and v_M >= sqrt(lambda_M),
-    then by induction v_{k+1} >= (sqrt(lambda_k) + sqrt(lambda_{k+1})) -
-    lambda_k / sqrt(lambda_k) = sqrt(lambda_{k+1}) > 0 for every k >= M.  No
-    row past M counts, so every P_N with N >= M has the count over rows
-    1..M.  M is the largest dominance index over the batch, which is valid
-    for every point in it.  The same induction from any row k >= M with
-    v_k >= sqrt(lambda_k) ends the count of a carried point at row k.
+    c_k - x >= sqrt(lambda_k) + sqrt(lambda_{k+1}), and v_K >= sqrt(lambda_K)
+    for some K >= M, then by induction v_{k+1} >= (sqrt(lambda_k) +
+    sqrt(lambda_{k+1})) - lambda_k / sqrt(lambda_k) = sqrt(lambda_{k+1}) >= 0
+    for every k >= K.  No row past K counts, so every P_N with N >= K has
+    the count over rows 1..K.  Each point has its own M: the model's
+    dominance index at it, or on a table one past the last row that is not
+    dominated, with lambda_{n_cap} = 0.  The points are swept in ascending
+    order, each over its own rows (_pivot_sweep's starts and stops), in one
+    sweep per round of the schedule above; a table's point stops at n_cap
+    at the latest.
     """
     _require_frozen_count(rec)
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("the zeros-below count needs finite points")
-    if rec.n_cap is not None:
-        return _sturm_counts(*rec.coeff_arrays(rec.n_cap), xs)
     counts = np.zeros(xs.shape, dtype=np.int64)
-    todo = np.arange(xs.size)
-    # the points in todo have been swept over rows 1..k, ending at pivots v
-    k, m, v = 0, int(np.max(rec.dominance_index(xs), initial=0)), None
-    for _ in range(_FROZEN_ROUNDS):
-        c, lam = rec.coeff_arrays(m + 1)
-        # rows 1..M in one sweep, then the carried points _BLOCK_ROWS at a time
-        while v is None or k < m:
-            k1 = m if v is None else min(k + _BLOCK_ROWS, m)
-            # the sweep overwrites v, a copy this loop owns (v[fail] below)
-            cts, v, _ = _pivot_sweep(c[k:k1], lam[k:k1], xs[todo], v, derivative=False)
-            counts[todo] += cts
-            fail = ~(v >= _FROZEN_MARGIN * np.sqrt(lam[k1]))
-            todo, v, k = todo[fail], v[fail], k1
-            if not todo.size:
-                return counts
-        m = 2 * m + 1
-    raise PrecisionExhausted(
-        f"the zeros-below count at x={float(xs[todo[0]])!r} of {rec.description or 'model'} "
-        f"does not freeze within {_FROZEN_ROUNDS} doublings of its dominance index"
-    )
+    order = np.argsort(xs, kind="stable")
+    x = xs[order]
+    table = rec.n_cap is not None
+    if table:
+        c, lam = rec.coeff_arrays(rec.n_cap)
+        root = np.sqrt(np.append(lam, 0.0))
+        m = _table_dominance(c, root, x)
+        last = np.full(x.size, rec.n_cap)
+    else:
+        m = np.maximum.accumulate(np.asarray(rec.dominance_index(x), dtype=np.int64))
+        last = 2 ** (_FROZEN_ROUNDS - 1) * (m + 1) - 1  # M doubled to 2M + 1, 7 times
+        c = lam = root = np.empty(0)
+    # the points x[todo] have been swept over rows 1..k, ending at pivots v
+    todo, k, v, rows = np.arange(x.size), None, None, _FROZEN_ROWS
+    while todo.size:
+        # on a grid of _FROZEN_ROWS rows, so that one sweep's stops take few values
+        stop = np.minimum(-(-(m[todo] + rows) // rows) * rows if k is None else k + rows, last[todo])
+        if stop[-1] >= root.size:
+            c, lam = rec.coeff_arrays(int(stop[-1]) + 1)
+            root = np.sqrt(lam)
+        cts, v, _ = _pivot_sweep(c, lam, x[todo], v, False, stops=stop, starts=k)
+        counts[order[todo]] += cts
+        fail = ~(v >= _FROZEN_MARGIN * root[stop])
+        if table:
+            fail &= stop < rec.n_cap
+        elif np.any(fail & (stop == last[todo])):
+            i = todo[np.flatnonzero(fail & (stop == last[todo]))[0]]
+            raise PrecisionExhausted(
+                f"the zeros-below count at x={float(x[i])!r} of {rec.description or 'model'} "
+                f"does not freeze within {_FROZEN_ROUNDS} doublings of its dominance index"
+            )
+        todo, v, k, rows = todo[fail], v[fail], stop[fail], 2 * rows
+    return counts
 
 
 def _tail_cut(gap: np.ndarray, root: np.ndarray, log_bound: float, first: int = 0):

@@ -491,14 +491,113 @@ def test_models_without_a_frozen_count_are_refused(monkeypatch):
 
 
 def test_deep_rabi_certifies_at_the_first_degree(monkeypatch):
-    # every one of the 1000 levels is certified at the first degree, 1039,
-    # so no other degree is solved
+    # every one of the 1000 levels is certified in the first solve, each at
+    # its own degree N(xi) of the first step function, which tops out at
+    # the first degree, 1039, so no other degree is solved
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
     assert flows._first_degree(rec, 1000, 1e-6) == 1039
     solved = _count_solves(monkeypatch)
     res = run_flows(rec, 1000, tol=1e-6)
-    assert solved == [1039]
-    assert res.complete and all(lv.n_converged == 1039 for lv in res.levels)
+    assert len(solved) == 1
+    assert res.complete
+    n_conv = np.array([lv.n_converged for lv in res.levels])
+    np.testing.assert_array_equal(n_conv, solved[0].at(res.xi))
+    assert n_conv.max() <= 1039
+    assert n_conv.sum() <= 0.6 * 1000 * 1039
+
+
+@pytest.mark.parametrize("kind", ["rabi", "displaced", "table"])
+@pytest.mark.parametrize("count", [20, 127, 128, 300, 1000])
+def test_default_steps_never_decrease_nor_pass_the_first_degree(kind, count):
+    # under 128 levels the default degree is _first_degree's one; from 128
+    # on it is a step function with at most count // 64 steps, nondecreasing
+    # in x and topped by the first degree
+    if kind == "rabi":
+        rec = rabi_recurrence(RabiParams(kappa=0.7, delta=0.4))
+    elif kind == "displaced":
+        rec = displaced_recurrence(1.5)
+    else:
+        rng = np.random.default_rng(count)
+        c = np.arange(1500.0) + rng.uniform(-0.3, 0.3, size=1500)
+        c[700] = -4.0
+        rec = MonicRecurrence.from_arrays(c, rng.uniform(0.02, 0.5, size=1499))
+    first = flows._first_degree(rec, count, 1e-8)
+    steps = flows._steps(rec, count, 1e-8, first)
+    if count < 128:
+        assert steps == first
+        return
+    assert 2 <= steps.degrees.size <= count // 64 and steps.ends.size == steps.degrees.size - 1
+    assert np.all(np.diff(steps.ends) >= 0) and np.all(np.diff(steps.degrees) >= 0)
+    assert steps.top == first and steps.degrees[0] >= 64
+    xs = np.linspace(steps.ends[0] - 10.0, steps.ends[-1] + 10.0, 999)
+    assert np.all(np.diff(steps.at(xs)) >= 0)
+    if kind == "table":
+        assert steps.degrees[0] > 700  # the deep site is below every level
+
+
+@pytest.mark.parametrize("cut", [14, None])
+def test_short_steps_grow_pointwise_and_still_certify(monkeypatch, cut):
+    # steps predicted 14 rows short fail to certify some levels: the growth
+    # schedule grows each step by 1.5 until they do.  Steps far too short
+    # (each at its own level count) make the count jump by many levels at
+    # their ends: that solve falls back to the step function's top degree,
+    # and so do the cut-offs after it.  Every level matches LAPACK
+    rec = rabi_recurrence(RabiParams(kappa=1.0, delta=0.4))
+    tail_degree = flows._tail_degree
+    short = (lambda c, root, x, tol: 0) if cut is None else (lambda c, root, x, tol: tail_degree(c, root, x, tol) - cut)
+    monkeypatch.setattr(flows, "_tail_degree", short)
+    solved = _count_solves(monkeypatch)
+    res = run_flows(rec, 300, tol=1e-8)
+    assert len(solved) >= 2 and isinstance(solved[0], flows._Steps)
+    for a, b in zip(solved, solved[1:]):
+        if isinstance(b, flows._Steps):
+            np.testing.assert_array_equal(b.degrees, np.maximum(np.ceil(1.5 * a.degrees), a.degrees + 1))
+        elif isinstance(a, flows._Steps):  # the fall-back solve
+            assert b == a.top
+        else:
+            assert b > a
+    assert isinstance(solved[-1], flows._Steps) == (cut is not None)
+    expect = jacobi_eigenvalues(rec, 3 * max(lv.n_converged for lv in res.levels), 300)
+    _assert_enclosed(res, expect, 1e-12 * 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(17, 120), st.booleans())
+def test_zeros_under_a_step_function_are_the_steps_of_its_count(seed, count, wide):
+    # with a degree N(x) per point, zero l is where C(x) = count of P_{N(x)}
+    # below x steps from l - 1 to l, checked against counts of each degree
+    # alone; a step of N inside a cell is found like any other
+    rng = np.random.default_rng(seed)
+    n = count + int(rng.integers(1, 200))
+    rec = (wide_range_recurrence if wide else random_recurrence)(rng, n)
+    c, lam = rec.coeff_arrays(n)
+    lo, hi = _zero_bounds(c, lam)
+    pieces = int(rng.integers(2, 6))
+    ends = np.sort(rng.uniform(lo, hi, pieces - 1))
+    degrees = np.sort(rng.integers(count, n + 1, pieces))
+    degrees[-1] = n
+    steps = flows._Steps(ends=ends, degrees=degrees)
+    try:
+        got = zeros_of(rec, steps, count).zeros
+    except ZeroCoagulation:
+        return  # C may step by two at an end of a step
+    half = 0.5 * _bisect_tol(got)
+
+    def count_at(x):
+        d = int(steps.at(np.array([x]))[0])
+        return int(flows._sturm_counts(c[:d], lam[:d], np.array([x]))[0])
+
+    for l, (x, h) in enumerate(zip(got, half), start=1):
+        assert count_at(x - h) <= l - 1 and count_at(x + h) >= l
+
+
+def test_pole_fit_finds_the_pole_of_a_pole_plus_constant():
+    # s = 1 / (x - z) + g sampled at two points on either side of z, or on
+    # one side, gives z back as one of the two fits
+    for z, g, x0, x1 in [(0.3, -7.5, 0.9, 0.6), (0.3, 4.0, -0.2, 0.1), (2.0, -1e3, 2.5, 2.2), (1.0, 0.0, 0.5, 1.25)]:
+        s0, s1 = 1.0 / (x0 - z) + g, 1.0 / (x1 - z) + g
+        fits = flows._pole_fit(np.array([x0]), np.array([s0]), np.array([x1]), np.array([s1]))
+        assert min(abs(float(f[0]) - z) for f in fits) <= 1e-12
 
 
 def test_every_scan_request_solves_one_degree(monkeypatch):

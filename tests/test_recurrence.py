@@ -23,7 +23,6 @@ from zeroflow import (
 
 from zeroflow import recurrence
 from zeroflow.recurrence import (
-    _BLOCK_ROWS,
     _BLOCK_SIZE,
     _backward_fraction,
     _frozen_counts,
@@ -364,6 +363,51 @@ def test_resumed_sweep_is_one_sweep_bitwise(split):
         assert np.array_equal(np.signbit(last), np.signbit(whole_last))
 
 
+def _same(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 600),
+    st.sampled_from([1, 7, 150, 1200]),
+    st.sampled_from(["random", "wide", "integer"]),
+    st.booleans(),
+)
+def test_per_point_stops_are_each_points_own_sweep(seed, n, batch, kind, derivative):
+    # under per-point stops each point's count and last pivot are bitwise
+    # those of a sweep over its own rows alone; equal stops give today's
+    # sweep of those rows bitwise, counts, carry and s; a sweep resumed at
+    # per-point starts adds, bitwise, to the sweep that stopped there
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        c, lam = list(_integer_tables(n))[seed % 3]
+        lam[0] = 1.0
+        xs = np.sort(np.concatenate((c[rng.integers(0, n, batch // 2)], rng.uniform(-4.0, n + 4.0, batch - batch // 2))))
+    else:
+        rec = (wide_range_recurrence if kind == "wide" else random_recurrence)(rng, max(n, 2))
+        c, lam = rec.coeff_arrays(n)
+        lo, hi = _zero_bounds(c, lam)
+        xs = np.sort(rng.uniform(lo - 1.0, hi + 1.0, batch))
+    stops = np.sort(rng.integers(0, n + 1, batch))
+    counts, carry, _ = _pivot_sweep(c, lam, xs, None, derivative, stops=stops)
+    for i in rng.choice(batch, min(batch, 25), replace=False):
+        own, own_carry, _ = _pivot_sweep(c[: stops[i]], lam[: stops[i]], xs[i : i + 1], None, derivative)
+        assert counts[i] == own[0] == _sturm_counts(c[: stops[i]], lam[: stops[i]], xs[i : i + 1])[0]
+        assert _same(carry[i : i + 1], own_carry)
+    t = int(rng.integers(0, n + 1))
+    for rows, equal in ((t, np.full(batch, t)), (n, None), (n, np.full(batch, n))):
+        got = _pivot_sweep(c, lam, xs, None, derivative, stops=equal)
+        today = _pivot_sweep(c[:rows], lam[:rows], xs, None, derivative)
+        assert all(a is b is None or _same(a, b) for a, b in zip(got, today))
+    starts = np.minimum(np.sort(rng.integers(0, n + 1, batch)), stops)
+    head, v, _ = _pivot_sweep(c, lam, xs, None, False, stops=starts)
+    tail, last, _ = _pivot_sweep(c, lam, xs, v, False, stops=stops, starts=starts)
+    assert _same(head + tail, _pivot_sweep(c, lam, xs, None, False, stops=stops)[0])
+    assert _same(last, _pivot_sweep(c, lam, xs, None, False, stops=stops)[1])
+
+
 def test_backward_fraction_in_chunks_is_one_pass_bitwise():
     # a grid over several _BLOCK_SIZE chunks, with the integer points of the
     # small integer tables spread through it (exact hits t = 0 carry +-inf
@@ -383,43 +427,106 @@ def test_backward_fraction_in_chunks_is_one_pass_bitwise():
     assert hits > 0
 
 
+def _frozen_schedule(rec, xs, first, rounds):
+    """The frozen count's sweeps and counts, simulated row by row apart from
+    the kernel: each point is checked first at the first multiple of
+    `first` at least `first` rows past its dominance index M, then twice as
+    many rows past each check that it fails, until its pivot passes the
+    margin.  Returns the counts, the (rows, points) of each round of sweeps
+    and each point's last checked row."""
+    m = np.maximum.accumulate(rec.dominance_index(xs))
+    checks = [first * ((m + 2 * first - 1) // first)]
+    while len(checks) < rounds:
+        checks.append(checks[-1] + first * 2 ** len(checks))
+    checks = np.array(checks)
+    c, lam = rec.coeff_arrays(int(checks.max()) + 1)
+    v, neg = np.full(xs.size, np.inf), np.zeros(xs.size, dtype=np.int64)
+    counts, passed = np.full(xs.size, -1), np.full(xs.size, rounds)
+    for k in range(int(checks.max())):
+        v = (c[k] - xs) - lam[k] / v
+        neg += v < 0.0
+        r = np.argmax(checks == k + 1, axis=0)
+        at = (passed == rounds) & (checks[r, np.arange(xs.size)] == k + 1)
+        ok = at & (v >= 2.0 * np.sqrt(lam[k + 1]))
+        counts[ok], passed[ok] = neg[ok], r[ok]
+    assert np.all(passed < rounds)
+    swept = []
+    for r in range(int(passed.max()) + 1):
+        alive = passed >= r
+        start = 0 if r == 0 else int(checks[r - 1, alive].min())
+        swept.append((int(checks[r, alive].max()) - start, int(alive.sum())))
+    return counts, swept, checks[passed, np.arange(xs.size)]
+
+
 def test_frozen_recount_resumes_from_the_carried_pivot():
-    # points whose pivot misses the margin at M are carried on from their
-    # pivot in chunks of _BLOCK_ROWS rows, each dropped at the first chunk end
-    # where its pivot passes the margin, with the counts of a fresh sweep over
-    # rows 1..2M+1; shorter chunks drop carried points over several sweeps
+    # each point is swept to its own check row past its own dominance index
+    # M; points whose pivot misses the margin there are carried on from
+    # their pivots, each dropped at the first check it passes, with the
+    # counts of a fresh sweep over rows 1..2M+1; shorter first steps drop
+    # carried points over several sweeps
     xs = np.linspace(0.0, 1000.0, 2001)
     pivot_sweep = recurrence._pivot_sweep
-    for kappa, block_rows in [(0.2, _BLOCK_ROWS), (0.2, 1), (3.0, 3)]:
+    for kappa, first in [(1.0, recurrence._FROZEN_ROWS), (0.2, 3), (3.0, 3)]:
         rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4))
         swept = []
 
-        def recording(c, lam, xs, carry, derivative):
-            swept.append((c.shape[0], xs.size))
-            return pivot_sweep(c, lam, xs, carry, derivative)
+        def recording(c, lam, xs, carry, derivative, stops, starts):
+            lo = 0 if starts is None else int(np.min(starts))
+            swept.append((int(np.max(stops)) - lo, xs.size))
+            return pivot_sweep(c, lam, xs, carry, derivative, stops=stops, starts=starts)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "_pivot_sweep", recording)
-            mp.setattr(recurrence, "_BLOCK_ROWS", block_rows)
+            mp.setattr(recurrence, "_FROZEN_ROWS", first)
             got = _frozen_counts(rec, xs)
-        m = int(np.max(rec.dominance_index(xs)))
-        c, lam = rec.coeff_arrays(2 * m + 2)
-        expect, k = [(m, xs.size)], m
-        _, v, _ = _pivot_sweep(c[:m], lam[:m], xs, None, False)
-        carried = ~(v >= 2.0 * np.sqrt(lam[m]))
-        alive = carried.copy()
-        while alive.any():
-            k1 = min(k + block_rows, 2 * m + 1)
-            expect.append((k1 - k, np.count_nonzero(alive)))
-            _, v, _ = _pivot_sweep(c[:k1], lam[:k1], xs, None, False)
-            alive &= ~(v >= 2.0 * np.sqrt(lam[k1]))
-            k = k1
-        assert swept == expect
+        expect, rounds, stop = _frozen_schedule(rec, xs, first, 8)
+        assert swept == rounds
+        np.testing.assert_array_equal(got, expect)
+        m = rec.dominance_index(xs)
+        carried = stop > m + first
         assert 0 < np.count_nonzero(carried) < xs.size
-        assert k < 2 * m + 1  # the carried points stop before the doubling's end
-        rows = 2 * m + 1
-        np.testing.assert_array_equal(got, _sturm_counts(c[:rows], lam[:rows], xs))
-        np.testing.assert_array_equal(got[~carried], _sturm_counts(c[:m], lam[:m], xs[~carried]))
+        rows = 2 * int(m.max()) + 1
+        assert stop.max() < rows  # the carried points stop before the batch's doubling
+        c, lam = rec.coeff_arrays(rows)
+        np.testing.assert_array_equal(got, _sturm_counts(c, lam, xs))
+        for i in np.flatnonzero(~carried)[::50]:
+            np.testing.assert_array_equal(got[i], _sturm_counts(c[: stop[i]], lam[: stop[i]], xs[i : i + 1]))
+
+
+def test_table_counts_freeze_at_their_own_dominance_row():
+    # a table's count at a point stops past the last row that is not
+    # dominated there (lambda_{n_cap} = 0), or runs the whole table; either
+    # way it is the count of the whole table, also with a deep site in the
+    # last rows and on the trap table
+    rng = np.random.default_rng(11)
+    trap_c = np.arange(400.0)
+    trap_c[200] = -5.0
+    tables = [(trap_c, np.full(399, 0.04))]
+    for n in (2, 30, 300):
+        for site in (n // 2, n - 2, n - 1):
+            c = np.arange(n, dtype=float) + rng.uniform(-0.3, 0.3, size=n)
+            c[max(site, 0)] = -float(rng.uniform(2.0, 6.0))
+            tables.append((c, rng.uniform(0.02, 0.5, size=n - 1)))
+    pivot_sweep = recurrence._pivot_sweep
+    for c, lam in tables:
+        rec = MonicRecurrence.from_arrays(c, lam)
+        cc, ll = rec.coeff_arrays(rec.n_cap)
+        eig = eigvalsh_tridiagonal(cc, np.sqrt(ll[1:]))
+        xs = np.concatenate((eig - 1e-9, eig + 1e-9, 0.5 * (eig[:-1] + eig[1:]), rng.uniform(-8.0, c.size + 2.0, 64)))
+        swept = []
+
+        def recording(c, lam, xs, carry, derivative, stops, starts):
+            swept.append((xs.copy(), np.asarray(stops).copy()))
+            return pivot_sweep(c, lam, xs, carry, derivative, stops=stops, starts=starts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "_pivot_sweep", recording)
+            got = _frozen_counts(rec, xs)
+        np.testing.assert_array_equal(got, _sturm_counts(cc, ll, xs))
+        if c.size == 400:
+            # the trap table's points below row 10 stop just past its site
+            x0, stops = swept[0]
+            assert stops[x0 < 10.0].max() < 250
 
 
 # -- associated recurrences --------------------------------------------------
