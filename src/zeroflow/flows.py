@@ -30,12 +30,16 @@ SIAM J. Sci. Stat. Comput. 8, 1987).  A solve of more than _PROBE_BATCH // 16
 zeros multisects the one bracket all of them share, spreading a wide batch of
 probes below the Gershgorin end of the leading count + 1 rows and then over
 the cells between probed points that still hold two or more zeros, until
-each zero is alone in its cell; it then takes safeguarded Newton steps on
-P_n, with P_n'/P_n from the same forward sweep as the count, and from the
+each zero is alone in its cell; it then takes safeguarded Newton steps, with
+the log-derivative from the same forward sweep as the count, and from the
 second step on steps to the pole of a pole-plus-constant fit of the last
-two.  Every polished zero is re-counted half a tolerance on either side,
-where that side is not already proven by its bracket's counts, and one that
-fails goes back to multisection from the bracket those counts narrow.
+two.  The sweep runs each point over a window of rows from below its
+turning point, so that log-derivative is that of the window's polynomial,
+P_n / P_{k0-1} in effect, which has the zeros of P_n near the point
+(recurrence._pivot_sweep).  Every polished zero is re-counted half a
+tolerance on either side, where that side is not already proven by its
+bracket's counts; one that fails counts a geometric ladder past that side
+in one sweep and goes back to multisection from the rungs that bracket it.
 """
 
 from __future__ import annotations
@@ -328,7 +332,11 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     its ends (each bracket carries the counts taken where its ends were
     set), and [x - tol/2, x + tol/2] about a polished zero is re-counted
     at each end that lies inside its bracket, so an omission or a collision
-    is detected rather than silently absorbed.
+    is detected rather than silently absorbed.  A zero that fails the
+    re-count lies beyond x - tol/2 or x + tol/2; the ladder x -/+ (tol/2)
+    16**j, j = 1, 2, ..., inside its bracket is counted in one sweep, and
+    the zero multisects from the two rungs (or bracket ends) either side of
+    it, a bracket at most 16 times its distance from x.
 
     Inside run_flows n may also be a step function N(x) of x (_Steps): then
     every count at x is that of P_{N(x)}, and zero l is the point where
@@ -362,24 +370,29 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
         # a polished zero l must pass the re-count of [x - tol/2, x + tol/2]:
         # count l - 1 below it and l at its top.  Its bracket's ends already
         # have those counts, so an end of the interval at or beyond its
-        # bracket needs no count.  A zero that fails multisects below from
-        # its bracket, narrowed by the counts of the re-count.
+        # bracket needs no count.
         half = 0.5 * _bisect_tol(x)
         pts = np.stack((x - half, x + half))
         expect = np.stack((targets[iso] - 1, targets[iso]))
         cts = expect.copy()
         todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
         cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
-        # a counted point lies inside the bracket: the highest one below
-        # zero l becomes lo, the lowest one at or above it hi
-        for k in (0, 1):
-            up = todo[k] & (cts[k] < expect[1])
-            lo[iso[up]], lo_ct[iso[up]] = pts[k, up], cts[k, up]
-        for k in (1, 0):
-            down = todo[k] & (cts[k] >= expect[1])
-            hi[iso[down]], hi_ct[iso[down]] = pts[k, down], cts[k, down]
+        _narrow(lo, hi, lo_ct, hi_ct, targets, iso, pts, cts, todo)
         ok = (cts == expect).all(axis=0)
         zeros[iso[ok]] = x[ok]
+        # a zero that fails lies below x - tol/2 (count l there) or above
+        # x + tol/2: count the ladder x -/+ (tol/2) 16**j, j >= 1, inside its
+        # bracket in one sweep, and multisect below from the rungs either
+        # side of the zero
+        fail, x, half = iso[~ok], x[~ok], half[~ok]
+        if fail.size:
+            side = np.where(cts[0, ~ok] == targets[fail], -half, half)
+            rungs = math.ceil(math.log(float(np.max((hi[fail] - lo[fail]) / half)), 16))
+            pts = x + side * 16.0 ** np.arange(1, max(rungs, 1) + 1)[:, None]
+            todo = (pts > lo[fail]) & (pts < hi[fail])
+            cts = np.zeros(pts.shape, dtype=np.int64)
+            cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
+            _narrow(lo, hi, lo_ct, hi_ct, targets, fail, pts, cts, todo)
     rest = np.flatnonzero(np.isnan(zeros))
     _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, rest, steps)
     zeros[rest] = 0.5 * (lo[rest] + hi[rest])
@@ -404,15 +417,24 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
 
 def _sweep(kernel, c, lam, xs, steps):
     """kernel (_sturm_counts or _sturm_newton) at the 1-D xs, for P_n with
-    n = len(c), or for P_{N(x)} at each x with a step function N (steps),
-    in one sweep over the xs in ascending order."""
-    if steps is None:
-        return kernel(c, lam, xs)
-    order = np.argsort(xs, kind="stable")
-    where = np.empty_like(order)
-    where[order] = np.arange(order.size)
-    out = kernel(c, lam, xs[order], steps.at(xs[order]))
-    return tuple(a[where] for a in out) if isinstance(out, tuple) else out[where]
+    n = len(c), or for P_{N(x)} at each x with a step function N (steps)."""
+    return kernel(c, lam, xs) if steps is None else kernel(c, lam, xs, steps.at(xs))
+
+
+def _narrow(lo, hi, lo_ct, hi_ct, targets, idx, pts, cts, counted) -> None:
+    """Move the brackets of the zeros with indices idx, and the counts at
+    their ends, in place, to the points pts[:, i] counted inside bracket
+    idx[i] (where counted[:, i]) with counts cts[:, i]: the highest with a
+    count below zero l becomes lo, the lowest with a count of at least l
+    hi."""
+    below = counted & (cts < targets[idx])
+    above = counted & (cts >= targets[idx])
+    cols = np.flatnonzero(below.any(axis=0))
+    i = np.argmax(np.where(below, pts, -np.inf), axis=0)[cols]
+    lo[idx[cols]], lo_ct[idx[cols]] = pts[i, cols], cts[i, cols]
+    cols = np.flatnonzero(above.any(axis=0))
+    i = np.argmin(np.where(above, pts, np.inf), axis=0)[cols]
+    hi[idx[cols]], hi_ct[idx[cols]] = pts[i, cols], cts[i, cols]
 
 
 def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps=None) -> None:
@@ -513,12 +535,13 @@ def _pole_fit(x0, s0, x1, s1):
 
 
 def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps=None) -> np.ndarray:
-    """Safeguarded Newton iteration with memory on P_n for the isolated
-    zeros with indices idx; returns their polished points, NaN where a zero
-    did not settle within _NEWTON_SWEEPS.  Each step takes the count and
-    s = P_n'/P_n from one _sturm_newton sweep; the count shrinks the bracket
-    [lo, hi], with the counts lo_ct and hi_ct at its ends, in place.  From
-    the second sweep on, s at the last two points is fitted with
+    """Safeguarded Newton iteration with memory for the isolated zeros with
+    indices idx; returns their polished points, NaN where a zero did not
+    settle within _NEWTON_SWEEPS.  Each step takes the count and s = Q'/Q
+    from one _sturm_newton sweep, Q the polynomial of the point's window
+    of rows, which has the zeros of P_n near the point; the count shrinks
+    the bracket [lo, hi], with the counts lo_ct and hi_ct at its ends, in
+    place.  From the second sweep on, s at the last two points is fitted with
     1 / (x - z) + g, a pole for the zero and a constant for the pull of the
     far zeros (as secant solvers of the secular equation do, R.-C. Li,
     LAPACK Working Note 89, 1993), and the next point is the pole z strictly
@@ -624,7 +647,15 @@ def _track_flows(
         # open flows l (index l - 1) whose points x_{n,l} - tol have at most
         # l - 1 spectral points below them: xi_l lies in [x - tol, x]
         open_ = np.flatnonzero(n_conv == 0)
-        below = _frozen_counts(rec, x[open_] - tol)
+        lower = x[open_] - tol
+        stuck = np.flatnonzero(lower == x[open_])
+        if stuck.size:
+            i = int(open_[stuck[0]])
+            raise ValueError(
+                f"tol={tol!r} is below the double spacing at level {i + 1}, x={float(x[i])!r} "
+                f"(|np.spacing(x)| = {abs(float(np.spacing(x[i])))!r}): x - tol rounds to x"
+            )
+        below = _frozen_counts(rec, lower)
         closed = open_[below <= open_]
         n_conv[closed] = deg[closed]
         if n_conv[watch:].all():

@@ -21,12 +21,18 @@ squares in the measure module run on orthonormal values whose squares are
 bounded by the sum they feed; all stay in range without any rescaling, at
 any degree.
 
-The two Sturm kernels, the count (_sturm_counts) and the count with
-P_n'/P_n for Newton steps (_sturm_newton), run one pivot sweep
+The two Sturm kernels, the count (_sturm_counts) and the count with a
+log-derivative for Newton steps (_sturm_newton), run one pivot sweep
 (_pivot_sweep): the same block loop and the same two ufuncs per pivot, so
 their counts agree bitwise.  The derivative adds two ufuncs per row, a
 linear recurrence whose coefficients come from the block's pivots and
-ratios at once.
+ratios at once.  The sweep runs each point over its own window of rows:
+far below the point's turning point every pivot counts, and the window
+starts _HEAD_ROWS rows below the first row where that is not proven, from
+an enclosure of the pivot whose two ends must coincide bitwise before the
+window's count is taken as the count of a sweep from row 1.  The
+log-derivative is then that of the window's polynomial, which has the
+zeros of P_n near the point.
 """
 
 from __future__ import annotations
@@ -339,7 +345,8 @@ def _block_rows(batch: int, buffers: int) -> int:
 
 def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) -> np.ndarray:
     """Vectorized zeros-below-x counts for P_n, n = len(c), at each x in xs
-    (with `stops`, for P_{stops[i]} at xs[i]; see _pivot_sweep).
+    (with `stops`, for P_{stops[i]} at xs[i]), each from a window of rows
+    that gives the count of a sweep from row 1 bitwise (_pivot_sweep).
 
     Pivot (LDL^T) form of the Sturm sequence, as in LAPACK dstebz, run on the
     negated pivots v_k = -q_k = -P_k(x) / P_{k-1}(x):
@@ -359,8 +366,10 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) ->
 
 def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) -> tuple[np.ndarray, np.ndarray]:
     """The zeros-below counts of _sturm_counts at each x in xs, bitwise, and
-    s = P_n'(x) / P_n(x) from the same pivot sweep (n = stops[i] at xs[i]
-    with `stops`): the Newton step is -1/s.
+    s = Q'(x) / Q(x) from the same pivot sweep: the Newton step is -1/s.
+    Q is P_n (n = stops[i] at xs[i] with `stops`) for a point swept from
+    row 1, and for a point with a head the polynomial of the rows k0 - 1..
+    n - 1, which has the zeros of P_n near x (_pivot_sweep).
 
     P_n = (-1)^n prod v_k, so s = sum r_k with r_k = v_k' / v_k.  With the
     ratios q_k = lambda_{k-1} / v_{k-1} of the sweep, the derivative of
@@ -373,97 +382,210 @@ def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) ->
     return counts, s
 
 
+# A sweep without carried pivots starts each point _HEAD_ROWS rows below its
+# head row K, the first row k that fails the head test x - c_k >= (sqrt(lambda_k)
+# + sqrt(lambda_{k+1})) (1 + _HEAD_SLACK) + _HEAD_SLACK |c_k|.  The slack, 2**9
+# times the unit roundoff, covers the rounding of the test and of the pivots
+# that _pivot_sweep's head enclosure needs.
+_HEAD_ROWS = 32
+_HEAD_SLACK = 2.0**-44
+
+
+def _head_rows(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """K at each x: every row k < K passes the head test (see _HEAD_ROWS), and
+    K is at most stops - 1, so that K depends on the rows before the stop
+    only.  One searchsorted on the prefix maximum of the points from which
+    on the rows pass."""
+    root = np.sqrt(lam)
+    width = root[:-1] + root[1:]
+    ends = c[:-1] + width + _HEAD_SLACK * (np.abs(c[:-1]) + width)
+    return np.minimum(np.searchsorted(np.maximum.accumulate(ends), xs, side="right"), stops - 1)
+
+
 def _pivot_sweep(c, lam, xs, carry, derivative, stops=None, starts=None):
-    """The one block loop of both Sturm kernels: the counts of negative
-    pivots v_k over rows 1..n at each x in xs from the pivots `carry` of the
-    rows before (None: v_0 = +inf), the last pivots, and with `derivative`
-    the sum s of r_k (see _sturm_newton), else None.  The last pivots are
-    written into `carry`; resumed from those of rows 1..M, a sweep over rows
-    M+1..M+n adds, bitwise, the counts of one sweep over rows 1..M+n.
+    """The one pivot sweep of both Sturm kernels: the counts of negative
+    pivots v_k over rows 1..stops[i] at each x = xs[i] (all n = len(c) rows
+    without stops), the last pivots, and with `derivative` the sum s of r_k
+    (see _sturm_newton), else None.  With `carry`, point i resumes at row
+    starts[i] + 1 (row 1 without starts) from the pivot carry[i] and counts
+    rows starts[i] + 1..stops[i] only, with r = 0 there; resumed from the
+    pivots of rows 1..M, a sweep over rows M+1..N adds, bitwise, to the
+    counts of one sweep over rows 1..N.
 
-    `stops`, a nondecreasing integer array over the 1-D xs, at most n, gives
-    each point its own degree: point i is swept over rows 1..stops[i] only.
-    The rows run once, in order; at each stop the active points shrink to
-    the suffix of those with a later stop.  Each point's count and last
-    pivot are bitwise those of a sweep over rows 1..stops[i] alone, and
-    with equal stops (or None) the blocks, so the counts, carry and s, are
-    bitwise those of one sweep over rows 1..stops[0] (or 1..n).  `starts`,
-    nondecreasing and at most stops, resumes point i at row starts[i] + 1
-    from carry[i] (counts only: r restarts at 0), so the active points are
-    a window that also grows at each start.
+    Without `carry` each point sweeps only the rows from k0 = K -
+    _HEAD_ROWS to its stop, K its head row (_head_rows), where K >
+    _HEAD_ROWS.  On the rows k <= K every negated pivot lies in [c_{k-1} -
+    x, -sqrt(lambda_k)], so every one counts: the map v -> (c_{k-1} - x) -
+    lambda_{k-1} / v increases for v < 0 and takes that interval into the
+    next one, and the head slack makes this hold for the float pivots too.
+    Both ends of the interval at row k0 are swept over the head rows k0 +
+    1..K.  The float map is monotone as well, so the float pivot of a sweep
+    from row 1 lies between the two ends at each row; where they coincide
+    bitwise at row K it equals them, and the point's sweep resumes there,
+    bitwise that sweep from row 1, with the K rows below counted.  Points
+    whose ends do not coincide take twice as many head rows, and are swept
+    from row 1 once K is no larger.  Heads are taken only where they
+    shorten the sweep's longest window, which sets its number of numpy
+    calls; else every point is swept from row 1.
 
-    A block holds the differences c_{k-1} - x of its rows; each pivot step is
-    two in-place ufuncs on one row, the ratio q_k into its own row of a
+    The derivative follows the lower end c_{k0-1} - x, the first pivot of
+    the polynomial Q of the rows k0 - 1..n - 1 alone (the associated
+    polynomial P^(k0-1)_{n-k0+1}), from its r = -1 / (c_{k0-1} - x): s is
+    Q'/Q, with Q = P_n for a point swept from row 1.  Q has the zeros of
+    P_n near x up to the square of their eigenvectors' decay over the head
+    rows, so Newton steps on s still converge to them.
+    """
+    xs = np.asarray(xs, dtype=float)
+    c = c + 0.0  # -0.0 + 0.0 = +0.0; c_k - x = -0.0 needs c_k = -0.0
+    n = c.shape[0]
+    equal = stops is None
+    stops = np.full(xs.size, n, dtype=np.int64) if equal else np.asarray(stops, dtype=np.int64)
+    start = np.zeros(xs.size, dtype=np.int64)
+    if carry is not None:
+        start = start if starts is None else np.asarray(starts, dtype=np.int64)
+        return _lockstep(c, lam, xs, start, stops, carry, None, derivative)[:3]
+    # lambda_0 / inf = 0 starts v_1 = c_0 - x
+    v, r, base, head = np.full(xs.size, np.inf), None, None, _HEAD_ROWS
+    if n > head + 1 and xs.size:
+        # heads pay only where they shorten the sweep: its numpy calls follow
+        # its longest window, and the pass over the head rows costs about
+        # twice as many again.  So each point within 2 * head rows of the
+        # top stop needs a head, and so x above c_0 .. c_head
+        top = n if equal else stops.max()
+        if (xs if equal else xs[stops >= top - 2 * head]).min() > c[: head + 1].max():
+            k = _head_rows(c, lam, xs, stops)
+            if (stops - np.where(k > head, k, 0)).max() + 2 * head < top:
+                base, r, s = np.zeros(xs.size, dtype=np.int64), np.zeros(xs.size), np.zeros(xs.size)
+                todo = np.flatnonzero(k > head)
+                while todo.size:
+                    # both ends of each head in one sweep: the lower end with
+                    # Q's first r, then the upper one
+                    x, k0, m = xs[todo], k[todo] - head, todo.size
+                    lower = c[k0 - 1] - x
+                    first = -1.0 / lower
+                    ends = np.concatenate((lower, -np.sqrt(lam[k0])))
+                    twice = np.tile(x, 2), np.tile(k0, 2), np.tile(k[todo], 2)
+                    cts, pivots, sums, rs = _lockstep(c, lam, *twice, ends, np.append(first, np.zeros(m)), derivative)
+                    ok = pivots[:m].view(np.int64) == pivots[m:].view(np.int64)
+                    i = todo[ok]
+                    start[i], base[i], v[i] = k[i], (k0 + cts[:m])[ok], pivots[:m][ok]
+                    if derivative:
+                        r[i], s[i] = rs[:m][ok], (first + sums[:m])[ok]
+                    head *= 2
+                    todo = todo[~ok]
+                    todo = todo[k[todo] > head]
+    if base is None:
+        # every point from row 1, and to row n where stops are equal
+        return _lockstep(c, lam, xs, None if equal else start, stops, v, r, derivative)[:3]
+    counts, last, sums, _ = _lockstep(c, lam, xs, start, stops, v, r, derivative)
+    return counts + base, last, s + sums if derivative else None
+
+
+def _lockstep(c, lam, xs, k0, stops, v, r, derivative):
+    """Counts, last pivots, s (with `derivative`, else None) and last r of
+    a sweep of each point x = xs[i] over rows k0[i] + 1..stops[i], k0[i] <=
+    stops[i] (rows 1..len(c) for every point where k0 is None), from the
+    negated pivot v[i] and r[i] (r = 0 where r is None); the float arrays v
+    and r may be overwritten.
+
+    Step t takes row k0 + t of the points whose window is longer than t;
+    sorted by window length, longest first, those are a prefix.  A block of
+    steps holds each active point's c_k - x, read from a slice of c where
+    all windows start at one row and gathered by window otherwise (with
+    lambda_k, a block of its own then, else one number per row).  Each step
+    is two in-place ufuncs on one row, the ratio q_k into its own row of a
     block (one row reused, without `derivative`), then v_k = (c_{k-1} - x)
-    - q_k.  The signs are counted once per block, and the last row carries
-    into the next block.  For the derivative the block's pivots become 1/v_k
-    and its ratios a_k, each in one ufunc over the block, and r_k takes one
-    multiply and one subtract per row, in place of a_k; the block's r_k are
-    summed into s at once.
+    - q_k.  The signs are counted once per block, rows past a window masked
+    out, and the last row carries into the next block.  For the derivative
+    the block's pivots become 1/v_k and its ratios a_k, each in one ufunc
+    over the block, and r_k takes one multiply and one subtract per row, in
+    place of a_k; the block's r_k are summed into s at once.  Blocks have
+    _block_rows of the active points, from step 0: with equal windows from
+    row 0 these are the blocks, and so the counts, pivots and s, of a sweep
+    over those rows without windows.
     """
     divide, subtract, multiply, less = np.divide, np.subtract, np.multiply, np.less
     add_reduce, uint8 = np.add.reduce, np.uint8
-    xs = np.asarray(xs, dtype=float)
-    c = c + 0.0  # -0.0 + 0.0 = +0.0; c_k - x = -0.0 needs c_k = -0.0
-    lam = lam.tolist()
-    # (first row, last row, first point, end point) of each run of rows
-    if stops is None and starts is None:
-        runs = [(0, c.shape[0], 0, xs.size)]
+    batch = xs.size
+    last = np.asarray(v, dtype=float)
+    r = np.zeros(batch) if r is None else r  # r_0 = 0, then the last r_k of each block
+    x, start, order = xs, k0, None
+    if k0 is None:
+        steps, shared = c.shape[0] if batch else 0, True
     else:
-        stops = np.full(xs.size, c.shape[0]) if stops is None else np.asarray(stops)
-        starts = np.zeros(xs.size, dtype=np.int64) if starts is None else np.asarray(starts)
-        edges = np.sort(np.concatenate((starts, stops)))  # np.unique would import numpy.ma
-        edges = edges[np.flatnonzero(np.diff(edges, prepend=-1))]
-        # the points stopped and the points started at the first row of each run
-        stopped = np.searchsorted(stops, edges[:-1], side="right")
-        started = np.searchsorted(starts, edges[:-1], side="right")
-        runs = zip(edges[:-1].tolist(), edges[1:].tolist(), stopped.tolist(), started.tolist())
-        runs = [run for run in runs if run[2] < run[3]]
-    # the rows of each run's blocks; every run's blocks share one buffer
-    buffers = 2 if derivative else 1
-    heights = [max(1, min(stop - k0, _block_rows(j - i, buffers))) for k0, stop, i, j in runs]
-    size = max([m * (j - i) for m, (_, _, i, j) in zip(heights, runs)], default=0)
+        length = stops - k0
+        if not (length[:-1] >= length[1:]).all():
+            order = np.argsort(-length, kind="stable")
+            x, start, length, last, r = (a[order] for a in (x, start, length, last, r))
+        shorter = -length  # the points whose window is longer than t: shorter < -t
+        steps = int(length[0]) if batch else 0
+        shared = batch == 0 or start.min() == start.max()
+    counts = np.zeros(batch, dtype=np.int64)
+    s = np.zeros(batch) if derivative else None
+    # a gathered block also holds lambda_k and the rows' indices
+    buffers = (2 if derivative else 1) + (0 if shared else 2)
+    size = min(max(_BLOCK_SIZE // buffers, batch), batch * min(_BLOCK_ROWS, steps))
     flat, flat_neg = np.empty(size), np.empty(size, dtype=bool)
-    flat_ratios = np.empty(size if derivative else xs.size)
-    # lambda_0 / inf = 0 starts v_1 = c_0 - x
-    carry = np.full(xs.shape, np.inf) if carry is None else carry
-    counts = np.zeros(xs.shape, dtype=np.int64)
-    s = np.zeros(xs.shape) if derivative else None
-    r = np.zeros(xs.shape)  # r_0 = 0, then the last r_k of each block
-    # the derivative meets inf - inf and 0 * inf at exact hits
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore" if derivative else None):
-        for (k0, stop, i, j), rows in zip(runs, heights):
-            x, last, cts, r_run = xs[i:j], carry[i:j], counts[i:j], r[i:j]
-            shape = (rows,) + x.shape
-            block = flat[: rows * x.size].reshape(shape)
-            neg = flat_neg[: rows * x.size].reshape(shape)
-            ratios = flat_ratios[: rows * x.size].reshape(shape) if derivative else flat_ratios.reshape(xs.shape)[i:j]
+    flat_lam = np.empty(0 if shared else size)
+    flat_ratios = np.empty(size if derivative else batch)
+    t0 = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while t0 < steps:
+            a = batch if k0 is None else int(shorter.searchsorted(-t0, side="left"))
+            m = min(_block_rows(a, buffers), steps - t0)
+            shape = (m, a)
+            block = flat[: m * a].reshape(shape)
+            neg = flat_neg[: m * a].reshape(shape)
+            if shared:
+                k = t0 if k0 is None else int(start[0]) + t0
+                subtract(c[k : k + m, None], x[:a], block)
+                lams = lam[k : k + m].tolist()
+            else:
+                rows = np.add.outer(np.arange(t0, t0 + m), start[:a])
+                np.take(c, rows, out=block, mode="clip")
+                subtract(block, x[:a], block)
+                lams = flat_lam[: m * a].reshape(shape)
+                np.take(lam, rows, out=lams, mode="clip")
+            ratios = flat_ratios[: m * a].reshape(shape) if derivative else flat_ratios[:a]
             views = list(block)
-            qviews = list(ratios) if derivative else [ratios] * rows
-            for k0 in range(k0, stop, rows):
-                m = min(rows, stop - k0)
-                d = block[:m]
-                subtract(c[k0 : k0 + m, None], x, d)
-                prev = last
-                for lk, v, q in zip(lam[k0 : k0 + m], views, qviews):
-                    divide(lk, prev, q)
-                    subtract(v, q, v)
-                    prev = v
-                less(d, 0.0, neg[:m])
-                cts += add_reduce(neg[:m].view(uint8), 0, uint8)
-                np.copyto(last, prev)
-                if derivative:
-                    a = ratios[:m]
-                    divide(1.0, d, d)
-                    multiply(a, d, a)
-                    prev = r_run
-                    for ak, inv in zip(qviews[:m], views):
-                        multiply(ak, prev, ak)
-                        subtract(ak, inv, ak)
-                        prev = ak
-                    np.copyto(r_run, prev)
-                    s[i:j] += add_reduce(a, 0)
-    return counts, carry, s
+            qviews = list(ratios) if derivative else [ratios] * m
+            prev = last[:a]
+            for lk, v, q in zip(lams, views, qviews):
+                divide(lk, prev, q)
+                subtract(v, q, v)
+                prev = v
+            less(block, 0.0, neg)
+            # windows that end inside the block: mask their later rows out,
+            # and take their last pivots (and r) from their last rows
+            full = a if k0 is None else int(shorter.searchsorted(-(t0 + m), side="right"))
+            dead = None
+            if full < a:
+                ending = (length[full:a] - t0 - 1, np.arange(full, a))
+                dead = ~np.less.outer(np.arange(t0, t0 + m), length[:a])
+                neg[dead] = False
+            counts[:a] += add_reduce(neg.view(uint8), 0, uint8)
+            np.copyto(last[:a], prev)
+            if dead is not None:
+                last[full:a] = block[ending]
+            if derivative:
+                divide(1.0, block, block)
+                multiply(ratios, block, ratios)
+                r_run = r[:a]
+                prev = r_run
+                for ak, inv in zip(qviews, views):
+                    multiply(ak, prev, ak)
+                    subtract(ak, inv, ak)
+                    prev = ak
+                np.copyto(r_run, prev)
+                if dead is not None:
+                    r[full:a] = ratios[ending]
+                    ratios[dead] = 0.0
+                s[:a] += add_reduce(ratios, 0)
+            t0 += m
+    if order is None:
+        return counts, last, s, r
+    where = np.argsort(order)
+    return tuple(None if a is None else a[where] for a in (counts, last, s, r))
 
 
 # _frozen_counts takes a point's count over rows 1..K once the negated pivot

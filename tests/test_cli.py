@@ -445,6 +445,13 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert err == "error: --tol must be finite and > 0\n"
 
 
+def test_tol_below_the_double_spacing_exits_1(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--model", "displaced", "--kappa", "100", "--levels", "3", "--tol", "1e-13")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tol=1e-13 is below the double spacing") and err.count("\n") == 1
+    assert "np.spacing(x)" in err
+
+
 @pytest.mark.parametrize("command", sorted(_SOLVER_COMMANDS))
 @pytest.mark.parametrize("omega", ["inf", "nan", "0", "-1"])
 def test_omega_must_be_finite_and_positive(capsys, command, omega):

@@ -278,6 +278,58 @@ def test_one_sided_recount_accepts_only_zeros_the_full_recount_passes(seed, n, w
     np.testing.assert_array_equal(flows._sturm_counts(c, lam, got + half), np.arange(1, count + 1))
 
 
+def test_recount_failures_multisect_from_a_ladder_bracket():
+    # "polished" points put off their zeros by 1.5 to 1.5 * 2**20 half
+    # re-count widths, inside brackets as wide as the isolating cells, fail
+    # the re-count; the ladder x -/+ (tol/2) 16**j counted in one sweep
+    # brackets each zero within 16 times its distance from x, so
+    # multisection starts there and not from the cell
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+    ref = _multisected(rec, 300, 200)
+    multisect = flows._multisect
+    moved, entered = {}, []
+
+    def off(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps=None):
+        shift = np.where(idx % 2, 1.5, -1.5) * 2.0 ** (idx % 21) * 0.5 * _bisect_tol(ref[idx])
+        y = np.clip(ref[idx] + shift, lo[idx], hi[idx])
+        moved.update(zip(idx.tolist(), y.tolist()))
+        return y
+
+    def recording(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps=None):
+        entered.extend(zip(active.tolist(), (hi[active] - lo[active]).tolist()))
+        multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_polish", off)
+        mp.setattr(flows, "_multisect", recording)
+        got = zeros_of(rec, 300, 200).zeros
+    assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
+    assert len(entered) > 150
+    for i, width in entered:
+        assert width <= 16.0 * (abs(moved[i] - ref[i]) + 4.0 * _bisect_tol(ref[i]))
+
+
+def test_tol_below_the_double_spacing_is_a_usage_error():
+    # at kappa = 100 the levels lie near -10**4, where doubles are 1.8e-12
+    # apart: x - 1e-13 rounds to x, so no count can prove an enclosure
+    rec = displaced_recurrence(100.0)
+    with pytest.raises(ValueError, match=r"tol=1e-13 .*np\.spacing\(x\)"):
+        run_flows(rec, 3, tol=1e-13)
+    res = run_flows(rec, 3, tol=1e-12)
+    assert res.complete
+
+
+def test_4000_displaced_levels_enclose_the_exact_ladder():
+    # levels k - kappa**2, k = 0 .. 3999: each lies in [xi - tol, xi] up to
+    # the bisection resolution of xi, 2**-50 * max(1, |xi|)
+    res = run_flows(displaced_recurrence(0.5), 4000, tol=1e-8)
+    exact = np.arange(4000) - 0.25
+    slack = _bisect_tol(res.xi)
+    assert res.complete
+    assert np.all(exact >= res.xi - res.tolerance - slack)
+    assert np.all(exact <= res.xi + slack)
+
+
 # -- interlacing (property) --------------------------------------------------
 
 

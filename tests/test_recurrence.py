@@ -1,4 +1,5 @@
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -263,7 +264,9 @@ def _integer_tables(n):
 
 def _sweep_rows(kernel, n, batch):
     """Rows per block of the kernel's sweep of n rows at this batch, as the
-    kernel itself asks recurrence._block_rows for them."""
+    kernel itself asks recurrence._block_rows for them: at x = 0 no row of
+    c = 0, lambda = 1 passes the head test, so every window starts at row 1
+    and every block asks for the same height."""
     asked = []
     block_rows = recurrence._block_rows
 
@@ -274,8 +277,17 @@ def _sweep_rows(kernel, n, batch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrence, "_block_rows", recording)
         kernel(np.zeros(n), np.ones(n), np.zeros(batch))
-    assert len(asked) == 1
+    assert len(set(asked)) == 1
     return min(asked[0], n)
+
+
+@contextlib.contextmanager
+def _head_rows_at(head_rows):
+    """Sweeps that start _HEAD_ROWS = head_rows rows below their head row;
+    head_rows >= n sweeps every point from row 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_HEAD_ROWS", head_rows)
+        yield
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 513])
@@ -283,14 +295,18 @@ def _sweep_rows(kernel, n, batch):
 def test_integer_tables_probed_at_diagonal_match_exact_count(n, batch):
     # x = c_k makes row k of the block exactly zero; with k on either side of
     # every block edge, and small integer tables, the pivots hit 0 and +-inf
-    # exactly there and carry them into the next block
+    # exactly there and carry them into the next block.  Block edges are
+    # rows of the table where every window starts at row 1 (head rows n);
+    # with the default head rows the windows move them
     rows = _sweep_rows(_sturm_counts, n, batch)
     edges = [k for e in range(rows, n + 1, rows) for k in (e - 2, e - 1, e, e + 1) if 0 <= k < n]
     for c, lam in _integer_tables(n):
         lam[0] = 1.0
         xs = c[np.resize(edges, batch)]
         exact = {x: _exact_count(c, lam, x) for x in set(xs.tolist())}
-        assert _sturm_counts(c, lam, xs).tolist() == [exact[x] for x in xs.tolist()]
+        for head_rows in (recurrence._HEAD_ROWS, n):
+            with _head_rows_at(head_rows):
+                assert _sturm_counts(c, lam, xs).tolist() == [exact[x] for x in xs.tolist()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,19 +318,59 @@ def test_integer_tables_probed_at_diagonal_match_exact_count(n, batch):
 )
 def test_newton_sweep_counts_and_log_derivative(seed, n, batch, wide):
     # the sweep's counts are the kernel's, bitwise, across block edges, and
-    # s = P_n'/P_n = sum_j 1/(x - x_j) over LAPACK's eigenvalues
+    # s = Q'/Q = sum_j 1/(x - x_j) over LAPACK's eigenvalues of the rows Q
+    # spans: all of them (Q = P_n) for a point swept from row 1, rows
+    # k0 - 1 .. n - 1 for a point whose head starts at row k0 > 0.  Points
+    # over the whole spectrum, then over its top fifth, where most sweeps
+    # take heads
     rng = np.random.default_rng(seed)
     c, lam = (wide_range_recurrence if wide else random_recurrence)(rng, n).coeff_arrays(n)
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]))
     scale = max(1.0, float(np.max(np.abs(eig))))
-    xs = rng.uniform(eig[0] - 1.0, eig[-1] + 1.0, size=batch)
-    counts, s = _sturm_newton(c, lam, xs)
-    np.testing.assert_array_equal(counts, _sturm_counts(c, lam, xs))
-    gap = np.min(np.abs(xs[:, None] - eig[None, :]), axis=1)
-    far = gap > 1e-3 * scale
-    expect = np.sum(1.0 / (xs[far, None] - eig[None, :]), axis=1)
-    bound = np.sum(1.0 / (xs[far, None] - eig[None, :]) ** 2, axis=1) * 1e-12 * scale
-    assert np.all(np.abs(s[far] - expect) <= bound)
+    for lo in (eig[0] - 1.0, eig[-1] - 0.2 * (eig[-1] - eig[0])):
+        xs = rng.uniform(lo, eig[-1] + 1.0, size=batch)
+        start = _window_starts(lambda: _sturm_newton(c, lam, xs), xs)
+        counts, s = _sturm_newton(c, lam, xs)
+        np.testing.assert_array_equal(counts, _sturm_counts(c, lam, xs))
+        for k0 in np.unique(start):
+            at = np.flatnonzero(start == k0)
+            top = max(k0 - 1, 0)
+            eig_q = eigvalsh_tridiagonal(c[top:], np.sqrt(lam[top + 1 :]))
+            gap = np.min(np.abs(xs[at, None] - eig_q[None, :]), axis=1)
+            far = at[gap > 1e-3 * scale]
+            expect = np.sum(1.0 / (xs[far, None] - eig_q[None, :]), axis=1)
+            bound = np.sum(1.0 / (xs[far, None] - eig_q[None, :]) ** 2, axis=1) * 1e-12 * scale
+            assert np.all(np.abs(s[far] - expect) <= bound)
+
+
+def _recorded_lockstep(sweep):
+    """The (xs, k0, stops) of each recurrence._lockstep call of sweep():
+    the head passes (lower ends, then upper ends, of the same points), and
+    last the sweep of every point from its start (k0 = 0 where the call
+    passes None, every point from row 1)."""
+    calls = []
+    lockstep = recurrence._lockstep
+
+    def recording(c, lam, x, k0, stops, v, r, derivative):
+        calls.append((x.copy(), np.zeros(x.size, dtype=np.int64) if k0 is None else k0.copy(), stops.copy()))
+        return lockstep(c, lam, x, k0, stops, v, r, derivative)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_lockstep", recording)
+        sweep()
+    return calls
+
+
+def _window_starts(sweep, xs):
+    """The row k0 from which the sweep run by sweep() took each x of xs:
+    the lower end's row of the head pass that it kept, 0 for a point swept
+    from row 1."""
+    *heads, (x, start, _) = _recorded_lockstep(sweep)
+    assert x.tobytes() == xs.tobytes()
+    k0 = {}
+    for x, k, _ in heads:
+        k0.update(zip(x[: x.size // 2].tolist(), k[: x.size // 2].tolist()))
+    return np.array([k0[x] if k > 0 else 0 for x, k in zip(xs.tolist(), start.tolist())])
 
 
 @pytest.mark.parametrize("n", [255, 513])
@@ -328,7 +384,9 @@ def test_newton_sweep_counts_exact_hits(n, batch):
         lam[0] = 1.0
         xs = c[np.resize(edges, batch)]
         exact = {x: _exact_count(c, lam, x) for x in set(xs.tolist())}
-        assert _sturm_newton(c, lam, xs)[0].tolist() == [exact[x] for x in xs.tolist()]
+        for head_rows in (recurrence._HEAD_ROWS, n):
+            with _head_rows_at(head_rows):
+                assert _sturm_newton(c, lam, xs)[0].tolist() == [exact[x] for x in xs.tolist()]
 
 
 @pytest.mark.parametrize("batch", [1, 64])
@@ -336,15 +394,19 @@ def test_newton_sweep_counts_exact_hits(n, batch):
 def test_every_pivot_negative_over_whole_blocks(kernel, batch):
     # above the Gershgorin bound every pivot is negative, so each full block
     # adds 255 to the count: the most its uint8 sum holds.  Batch 64 fills
-    # blocks of 255 rows in both kernels; 256-row blocks would wrap to 0
+    # blocks of 255 rows in both kernels; 256-row blocks would wrap to 0.
+    # Swept from row 1 (head rows n) the blocks are full; by default each
+    # point sweeps only a window past its head
     n = 3 * 255 + 1
     assert _sweep_rows(kernel, n, batch) >= 255
     rng = np.random.default_rng(batch)
     c, lam = random_recurrence(rng, n).coeff_arrays(n)
     xs = _zero_bounds(c, lam)[1] + rng.uniform(0.0, 10.0, size=batch)
-    counts = kernel(c, lam, xs)
-    counts = counts[0] if kernel is _sturm_newton else counts
-    assert counts.tolist() == [n] * batch
+    for head_rows in (recurrence._HEAD_ROWS, n):
+        with _head_rows_at(head_rows):
+            counts = kernel(c, lam, xs)
+        counts = counts[0] if kernel is _sturm_newton else counts
+        assert counts.tolist() == [n] * batch
 
 
 @pytest.mark.parametrize("split", [0, 1, 37, 256, 300])
@@ -406,6 +468,95 @@ def test_per_point_stops_are_each_points_own_sweep(seed, n, batch, kind, derivat
     tail, last, _ = _pivot_sweep(c, lam, xs, v, False, stops=stops, starts=starts)
     assert _same(head + tail, _pivot_sweep(c, lam, xs, None, False, stops=stops)[0])
     assert _same(last, _pivot_sweep(c, lam, xs, None, False, stops=stops)[1])
+
+
+def _row_by_row(c, lam, xs, stops):
+    """The counts and last negated pivots of each point's sweep over its
+    rows 1..stops[i], one row at a time from row 1 over all points, with
+    the kernel's IEEE operations: the oracle of the windowed sweep."""
+    c = c + 0.0
+    v = np.full(xs.size, np.inf)
+    counts = np.zeros(xs.size, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(int(stops.max(initial=0))):
+            live = k < stops
+            v[live] = (c[k] - xs[live]) - lam[k] / v[live]
+            counts[live] += v[live] < 0.0
+    return counts, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 700),
+    st.sampled_from([1, 7, 150, 1200]),
+    st.sampled_from(["random", "wide", "integer", "rabi"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_windowed_sweeps_are_full_sweeps_bitwise(seed, n, batch, kind, derivative, top):
+    # a point with a head sweeps only the rows from _HEAD_ROWS below its
+    # head row to its stop, yet its count and last pivot are bitwise those
+    # of a sweep from row 1; on integer tables half the points sit on a
+    # diagonal entry, so pivots hit 0 and +-inf.  With `top` the points lie
+    # in the top fifth of the range and the stops near n, where deep Rabi
+    # sweeps take heads
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        c, lam = list(_integer_tables(n))[seed % 3]
+        lam[0] = 1.0
+        lo, hi = -4.0, n + 4.0
+    elif kind == "rabi":
+        n += 300
+        c, lam = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4)).coeff_arrays(n)
+        lo, hi = -1.0, float(n)
+    else:
+        rec = (wide_range_recurrence if kind == "wide" else random_recurrence)(rng, max(n, 2))
+        c, lam = rec.coeff_arrays(n)
+        lo, hi = _zero_bounds(c, lam)
+        lo, hi = lo - 1.0, hi + 1.0
+    if top:
+        lo = hi - 0.2 * (hi - lo)
+    xs = rng.uniform(lo, hi, batch)
+    if kind == "integer":
+        xs[: batch // 2] = c[rng.integers(0, n, batch // 2)]
+    stops = rng.integers(n - n // 10 if top else 0, n + 1, batch)
+    stops[: batch // 2] = n
+    calls = _recorded_lockstep(lambda: _pivot_sweep(c, lam, xs, None, derivative, stops=stops))
+    counts, last, _ = _pivot_sweep(c, lam, xs, None, derivative, stops=stops)
+    expect, pivots = _row_by_row(c, lam, xs, stops)
+    np.testing.assert_array_equal(counts, expect)
+    assert _same(last, pivots)
+    if kind == "rabi" and top:
+        assert len(calls) > 1  # heads were taken
+
+
+def test_heads_whose_ends_differ_fall_back_to_the_full_sweep():
+    # with one head row the two ends of a head rarely coincide: those points
+    # take 2, 4, ... head rows, and are swept from row 1 once their head row
+    # is no larger; c = 0, lambda = 1 at x just above 2 contracts the ends
+    # slowly, so some points go all the way.  Counts and pivots stay those
+    # of the full sweep
+    n = 300
+    tables = [
+        (np.zeros(n), np.ones(n), np.linspace(2.0 + 1e-6, 2.5, 40)),
+        (*rabi_recurrence(RabiParams(kappa=0.2, delta=0.4)).coeff_arrays(n), np.linspace(50.0, 300.0, 200)),
+    ]
+    for c, lam, xs in tables:
+        for derivative in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recurrence, "_HEAD_ROWS", 1)
+                calls = _recorded_lockstep(lambda: _pivot_sweep(c, lam, xs, None, derivative))
+                counts, last, _ = _pivot_sweep(c, lam, xs, None, derivative)
+            expect, pivots = _row_by_row(c, lam, xs, np.full(xs.size, n))
+            np.testing.assert_array_equal(counts, expect)
+            assert _same(last, pivots)
+            *heads, (_, start, _) = calls
+            assert [np.unique(stops - k0).tolist() for _, k0, stops in heads] == [[2**i] for i in range(len(heads))]
+            sizes = [x.size for x, _, _ in heads]
+            assert len(heads) > 1 and all(a >= b for a, b in zip(sizes, sizes[1:]))
+            if c[0] == 0.0:
+                assert np.any(start == 0)  # swept from row 1 at the end
 
 
 def test_backward_fraction_in_chunks_is_one_pass_bitwise():
