@@ -16,9 +16,10 @@ solutions fail to normalize when
     (b'') 2 alpha = beta and (alpha > -1/2, or alpha = -1/2 and |t1| >= 1).
 
 Exponents are exact rationals, so every equality test here is combinatorial.
-The verdict is advisory: the conditions are sufficient for a discrete
-spectrum, not necessary, and the solver only refuses to run on a negative
-verdict without an explicit override.
+The verdict is the paper's statement about class R, and nothing else reads
+it: the conditions are sufficient for a discrete spectrum, not necessary,
+and the solver never consults them, since the frozen Sturm count certifies
+each level (or refuses a model it cannot certify) whatever the verdict.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ before convergence), 3 numerical fault (NonMonotoneFlow, ZeroCoagulation,
 Divergent, PrecisionExhausted).  Outputs are deterministic: identical
 configurations produce byte-identical files.  CSV numbers carry 17
 significant digits and JSON uses shortest round-trip floats, so either
-format reparses losslessly; a missing number is nan in csv and null in json.
+format reparses losslessly; a non-finite number would be nan in csv and null
+in json, never json's non-standard NaN token.
 """
 
 from __future__ import annotations
@@ -137,9 +138,7 @@ def _emit_rows(args, header: dict, key: str, columns: tuple[str, ...], rows) -> 
 
 def cmd_spectrum(args) -> int:
     rec = _recurrence(args, (args.levels >= 1, "--levels must be >= 1"))
-    result = run_flows(
-        rec, args.levels, tol=args.tol, schedule=_schedule(args), override=args.override
-    )
+    result = run_flows(rec, args.levels, tol=args.tol, schedule=_schedule(args))
     omega = args.omega
     header = {
         "model": result.model_descriptor,
@@ -147,11 +146,8 @@ def cmd_spectrum(args) -> int:
         "omega": omega,
         "complete": result.complete,
     }
-    rows = [
-        (lv.l, lv.xi * omega, lv.n_converged, lv.last_decrement * omega, lv.converged)
-        for lv in result.levels
-    ]
-    columns = ("l", "xi", "n_converged", "last_decrement", "converged")
+    rows = [(lv.l, lv.xi * omega, lv.n_converged, lv.converged) for lv in result.levels]
+    columns = ("l", "xi", "n_converged", "converged")
     _emit_rows(args, header, "levels", columns, rows)
     return 0 if result.complete else 2
 
@@ -161,7 +157,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_flow(args) -> int:
     rec = _recurrence(args, (args.level >= 1, "--level must be >= 1"))
-    trace = flow_trace(rec, args.level, _schedule(args), tol=args.tol, override=args.override)
+    trace = flow_trace(rec, args.level, _schedule(args), tol=args.tol)
     omega = args.omega
     header = {
         "model": rec.description,
@@ -195,9 +191,7 @@ def cmd_cf_compare(args) -> int:
     rows = []
     complete = True
     if total > 0:
-        result = run_flows(
-            rec, total, tol=args.tol, schedule=_schedule(args), override=args.override
-        )
+        result = run_flows(rec, total, tol=args.tol, schedule=_schedule(args))
         complete = result.complete
         xi = result.xi
         inside = xi[(xi >= args.x_min) & (xi < args.x_max)]
@@ -310,11 +304,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         default=1e-8,
         help="enclosure width, finite and > 0: a converged level lies in [xi - tol, xi], "
         "up to the bisection resolution of xi (2**-50 * max(1, |xi|))",
-    )
-    p.add_argument(
-        "--override",
-        action="store_true",
-        help="run even if the class-membership test is negative",
     )
     p.add_argument(
         "--schedule",

@@ -83,6 +83,8 @@ _PROBE_BATCH = 256
 # Newton sweeps per polished zero; one still moving after them multisects.
 _NEWTON_SWEEPS = 16
 _DEFAULT_N_MAX = 250_000
+# Factor by which a growth schedule raises the cut-off from one degree to the next.
+_GROWTH = 1.5
 
 
 def _bisect_tol(x: np.ndarray) -> np.ndarray:
@@ -91,17 +93,14 @@ def _bisect_tol(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrowthSchedule:
-    """Geometric cut-off schedule n_0, ceil(growth*n_0), ... capped at n_max."""
+    """Geometric cut-off schedule n_0, ceil(1.5 n_0), ... capped at n_max."""
 
     n_start: int
-    growth: float = 1.5
     n_max: int = _DEFAULT_N_MAX
 
     def __post_init__(self):
         if self.n_start < 1:
             raise ValueError("n_start must be >= 1")
-        if not (self.growth > 1.0):
-            raise ValueError("growth must be > 1")
         if self.n_max < self.n_start:
             raise ValueError("n_max must be >= n_start")
 
@@ -110,8 +109,7 @@ class GrowthSchedule:
         yield n
         while n < self.n_max:
             # a step that would reach n_max spends the remaining budget at once
-            grown = self.growth * n
-            n = self.n_max if grown >= self.n_max else max(math.ceil(grown), n + 1)
+            n = min(math.ceil(_GROWTH * n), self.n_max)
             yield n
 
 
@@ -292,12 +290,11 @@ class LevelResult:
     own degree (with a step function N, N(xi)).  A converged level is
     certified at its own degree n_converged: the true level lies in
     [xi - tol, xi], up to the bisection resolution of xi (2**-50 *
-    max(1, |xi|))."""
+    max(1, |xi|)).  The flow's history across degrees is flow_trace's."""
 
     l: int
     xi: float
     n_converged: int
-    last_decrement: float
     converged: bool
 
 
@@ -584,26 +581,6 @@ def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps=None) -> np.ndarra
     return out
 
 
-def _check_request(rec: MonicRecurrence, tol: float, override: bool) -> None:
-    """Entry gate of run_flows and flow_trace, before any zero is computed:
-    a finite tol > 0 and, even with override, a model whose count freezes.
-    The class verdict is advisory (its conditions are sufficient, not
-    necessary): only an explicit negative one is refused, unless override."""
-    if not (0.0 < tol < math.inf):
-        raise ValueError(f"tol must be finite and > 0; got {tol!r}")
-    _require_frozen_count(rec)
-    if override or rec.asymptotics is None:
-        return
-    from .classifier import classify
-
-    report = classify(rec.asymptotics)
-    if not report.in_class:
-        raise ValueError(
-            f"{rec.description or 'model'} is outside the supported recurrence class "
-            f"({report.detail}); pass override=True to run anyway"
-        )
-
-
 def _track_flows(
     rec: MonicRecurrence,
     count: int,
@@ -615,7 +592,13 @@ def _track_flows(
     visited (one row per cut-off: the cut-off, or its step function at the
     zero), the tableaux of those flows (one row per cut-off), and the degree
     at which each flow converged (0 if it did not), as run_flows defines
-    them.  Stops once every flow from index `watch` on has converged."""
+    them.  Stops once every flow from index `watch` on has converged.
+    Before any zero is computed, tol must be finite and > 0 and the model's
+    count must freeze (a table length or a dominance index), else
+    ValueError."""
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0; got {tol!r}")
+    _require_frozen_count(rec)
     rows: list[np.ndarray] = []
     own: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
@@ -668,7 +651,6 @@ def run_flows(
     n_levels: int,
     tol: float = 1e-8,
     schedule: Optional[ScheduleLike] = None,
-    override: bool = False,
 ) -> SpectrumResult:
     """Track the first n_levels zero flows until each has converged.
 
@@ -681,15 +663,14 @@ def run_flows(
     flow converges at the first degree n where the frozen Sturm count proves
     xi_l >= x_{n,l} - tol, which with xi_l <= x_{n,l} encloses the level; a
     model without that count (no table length, no dominance index) is
-    refused with ValueError.  If the schedule is exhausted first, the partial
-    result is returned with the affected levels flagged converged=False.
+    refused with ValueError; its class verdict (classify) is not consulted.
+    If the schedule is exhausted first, the partial result is returned with
+    the affected levels flagged converged=False.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    _check_request(rec, tol, override)
     degrees, tableaux, n_conv = _track_flows(rec, n_levels, tol, schedule, watch=0)
     xi = tableaux[-1].tolist()
-    dec = (tableaux[-2] - tableaux[-1]).tolist() if len(degrees) >= 2 else [math.nan] * n_levels
     last = degrees[-1].tolist()
     return SpectrumResult(
         levels=tuple(
@@ -697,7 +678,6 @@ def run_flows(
                 l=i + 1,
                 xi=xi[i],
                 n_converged=int(n_conv[i]) or last[i],
-                last_decrement=dec[i],
                 converged=bool(n_conv[i]),
             )
             for i in range(n_levels)
@@ -712,17 +692,16 @@ def flow_trace(
     l: int,
     schedule: Optional[ScheduleLike] = None,
     tol: float = 1e-8,
-    override: bool = False,
 ) -> ZeroFlow:
     """Full history of the single flow x_{n,l} over the schedule (by default
     run_flows's for l levels, whose first degree usually certifies, so the
     history then has one row; an explicit schedule gives a flow across
     several degrees), up to the degree at which it converged by run_flows's
     rule, each n the flow's own degree; tol and the model are checked as in
-    run_flows."""
+    run_flows.  This is where a level's decrements across degrees are read:
+    run_flows reports the last degree only."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    _check_request(rec, tol, override)
     degrees, tableaux, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)
     history = tuple(zip(degrees[:, l - 1].tolist(), tableaux[:, l - 1].tolist()))
     converged = bool(n_conv[l - 1])

@@ -135,9 +135,9 @@ class MonicRecurrence:
     degenerate and the model is outside the supported class.
 
     asymptotics, when present, describe the growth of the *raw* parent
-    coefficients (not of c, lambda) and are advisory metadata: the solver
-    consults them for the class-membership test and refuses to run only on an
-    explicit negative verdict without an override.
+    coefficients (not of c, lambda) and are metadata only, for
+    classifier.classify: the solver never reads them, since the frozen count
+    certifies each level whatever the class verdict.
 
     dominance_index, when present, maps an array of points x to integer
     indices M such that every row k >= M is Gershgorin dominated at x,
@@ -600,6 +600,9 @@ def _lockstep(c, lam, xs, k0, stops, v, r, derivative):
 _FROZEN_MARGIN = 2.0
 _FROZEN_ROWS = 16
 _FROZEN_ROUNDS = 8
+# The least dominance index M whose last row after _FROZEN_ROUNDS doublings,
+# 2**(_FROZEN_ROUNDS - 1) * (M + 1) - 1, is past the int64 row limit 2**63 - 1.
+_INDEX_LIMIT = 2 ** (64 - _FROZEN_ROUNDS)
 
 
 def _require_frozen_count(rec: MonicRecurrence) -> None:
@@ -625,8 +628,10 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     """Number of spectral points strictly below each x in the 1-D array xs:
     the zeros-below count of P_N as N -> infinity.  ValueError when the model
     has neither a table length nor a dominance index, or at a non-finite
-    point; PrecisionExhausted when M would overflow int64 or a count does not
-    freeze within _FROZEN_ROUNDS doublings of M.
+    point; PrecisionExhausted, before any sweep, when the last row a point
+    may need, 2**(_FROZEN_ROUNDS - 1) * (M + 1) - 1, is past the int64 row
+    limit 2**63 - 1, and when a count does not freeze within _FROZEN_ROUNDS
+    doublings of M.
 
     A table's count at n_cap is exact.  Otherwise, with v_k the negated
     pivots of _sturm_counts: if every row k >= M is Gershgorin dominated at x,
@@ -656,6 +661,13 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
         last = np.full(x.size, rec.n_cap)
     else:
         m = np.maximum.accumulate(np.asarray(rec.dominance_index(x), dtype=np.int64))
+        if m.size and m[-1] >= _INDEX_LIMIT:
+            i = int(np.argmax(m >= _INDEX_LIMIT))
+            raise PrecisionExhausted(
+                f"the zeros-below count at x={float(x[i])!r} of {rec.description or 'model'} "
+                f"may need rows up to {2 ** (_FROZEN_ROUNDS - 1)} * (M + 1) - 1 with M = "
+                f"{int(m[i])}, past the int64 row limit 2**63 - 1"
+            )
         last = 2 ** (_FROZEN_ROUNDS - 1) * (m + 1) - 1  # M doubled to 2M + 1, 7 times
         c = lam = root = np.empty(0)
     # the points x[todo] have been swept over rows 1..k, ending at pivots v

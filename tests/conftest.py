@@ -44,3 +44,22 @@ def wide_range_recurrence(rng: np.random.Generator, n: int = 64) -> MonicRecurre
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+class LargeAllocation(Exception):
+    """Raised by the small_coeff_arrays fixture in place of a large allocation."""
+
+
+@pytest.fixture
+def small_coeff_arrays(monkeypatch):
+    """MonicRecurrence.coeff_arrays refuses more than 10**6 rows with
+    LargeAllocation, so a test that reaches a huge degree fails at once
+    instead of allocating it."""
+    coeff_arrays = MonicRecurrence.coeff_arrays
+
+    def guarded(self, n):
+        if n > 10**6:
+            raise LargeAllocation(f"coeff_arrays({n})")
+        return coeff_arrays(self, n)
+
+    monkeypatch.setattr(MonicRecurrence, "coeff_arrays", guarded)

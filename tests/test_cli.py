@@ -1,6 +1,8 @@
+import argparse
 import csv
 import io
 import json
+import math
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -107,8 +109,7 @@ def test_spectrum_partial_budget_exits_2(capsys, tmp_path):
 
 
 def test_spectrum_partial_json_is_strict(capsys):
-    # a level with fewer than two schedule points has no decrement: the json
-    # must say null, not the non-standard NaN token
+    # a partial result is still strict json: no non-standard NaN token
     code, out, err = run_cli(
         capsys,
         "spectrum", "--model", "displaced", "--kappa", "1",
@@ -121,12 +122,12 @@ def test_spectrum_partial_json_is_strict(capsys):
 
     payload = json.loads(out, parse_constant=reject)
     assert payload["complete"] is False
-    assert [lv["last_decrement"] for lv in payload["levels"]] == [None, None, None]
     error = np.array([lv["xi"] for lv in payload["levels"]]) - displaced_oscillator_spectrum(1.0, 3)
     assert np.max(error) > payload["tolerance"]
 
 
 def test_spectrum_partial_csv_keeps_nan(capsys):
+    # a partial csv flags every open level and prints finite numbers only
     code, out, err = run_cli(
         capsys,
         "spectrum", "--model", "displaced", "--kappa", "1",
@@ -134,7 +135,8 @@ def test_spectrum_partial_csv_keeps_nan(capsys):
     )
     assert code == 2
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert [r["last_decrement"] for r in rows] == ["nan", "nan", "nan"]
+    assert [r["converged"] for r in rows] == ["false", "false", "false"]
+    assert "nan" not in out
     error = np.array([float(r["xi"]) for r in rows]) - displaced_oscillator_spectrum(1.0, 3)
     assert np.max(error) > 1e-8
 
@@ -330,8 +332,7 @@ _LAYOUTS = {
         ("spectrum", "--model", "displaced", "--kappa", "1", "--levels", "3", "--schedule", "8"),
         ("model", "tolerance", "omega", "complete"),
         "levels",
-        {"l": "int", "xi": "float", "n_converged": "int", "last_decrement": "float",
-         "converged": "bool"},
+        {"l": "int", "xi": "float", "n_converged": "int", "converged": "bool"},
     ),
     "flow": (
         ("flow", "--model", "displaced", "--kappa", "0.2", "--level", "1",
@@ -363,13 +364,14 @@ def test_output_layout(capsys, command):
         for kind, cell in zip(columns.values(), line.split(",")):
             if kind == "int":
                 assert cell.isdigit()
-            elif kind == "float":  # 17 significant digits, nan when missing
+            elif kind == "float":  # 17 significant digits
                 assert cell == format(float(cell), ".17g")
             else:
                 assert cell in ("true", "false")
             cells.append(cell)
-    if command == "spectrum":  # one degree: no decrement, nothing converged
-        assert {"nan", "false"} <= set(cells)
+    assert "nan" not in cells
+    if command == "spectrum":  # one degree too short: nothing converged
+        assert "false" in cells
         xi = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.max(xi - displaced_oscillator_spectrum(1.0, 3)) > 1e-8
     if command == "cf-compare":
@@ -511,9 +513,46 @@ def test_cf_compare_past_the_dominance_range_is_a_numerical_fault(capsys):
     assert "int64" in err
 
 
+def test_cf_compare_past_the_int64_row_limit_is_a_numerical_fault(capsys, small_coeff_arrays):
+    # the index at 8e16 fits int64, the rows of its frozen count would not
+    code, out, err = run_cli(
+        capsys,
+        "cf-compare", "--model", "displaced", "--kappa", "0.5",
+        "--x-min", "0", "--x-max", "8e16", "--points", "10",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "int64 row limit 2**63 - 1" in err
+
+
 def _readme_cli_commands():
     block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(cmd)[1:] for cmd in block.replace("\\\n", " ").splitlines() if cmd.strip()]
+
+
+@pytest.mark.parametrize("command", sorted(_SOLVER_COMMANDS))
+def test_override_is_an_unknown_flag(capsys, command):
+    # the class verdict gates nothing, so there is nothing to override
+    code, out, err = run_cli(capsys, *_SOLVER_COMMANDS[command], "--override")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --override" in err
+
+
+def test_emit_rows_writes_non_finite_numbers_as_nan_and_null(capsys):
+    rows = [(1, math.nan, True), (2, math.inf, False), (3, -math.inf, False), (4, 0.5, True)]
+    for fmt in ("csv", "json"):
+        cli._emit_rows(argparse.Namespace(format=fmt, out=None), {"h": 1}, "rows", ("i", "v", "b"), rows)
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            assert out == "i,v,b\n1,nan,true\n2,inf,false\n3,-inf,false\n4,0.5,true\n"
+        else:
+
+            def reject(token):
+                raise ValueError(f"non-standard json constant {token}")
+
+            payload = json.loads(out, parse_constant=reject)
+            assert payload["h"] == 1
+            assert [row["v"] for row in payload["rows"]] == [None, None, None, 0.5]
+            assert [row["b"] for row in payload["rows"]] == [True, False, False, True]
 
 
 @pytest.mark.parametrize("argv", _readme_cli_commands(), ids=lambda argv: argv[0])

@@ -15,6 +15,7 @@ from zeroflow import (
     RawRecurrence,
     RecurrenceAsymptotics,
     ZeroCoagulation,
+    classify,
     displaced_oscillator_spectrum,
     displaced_recurrence,
     flow_trace,
@@ -24,7 +25,7 @@ from zeroflow import (
     to_monic,
     zeros_of,
 )
-from zeroflow import flows
+from zeroflow import classifier, flows
 from zeroflow.flows import ZeroTableau, _bisect_tol
 from zeroflow.recurrence import _zero_bounds
 
@@ -521,19 +522,18 @@ def _count_solves(monkeypatch) -> list:
 
 
 def test_models_without_a_frozen_count_are_refused(monkeypatch):
-    # no frozen count, no stop rule: refused before any zero is computed,
-    # with or without override; with the Rabi index attached, the same
-    # to_monic model certifies its levels
+    # no frozen count, no stop rule: refused before any zero is computed;
+    # with the Rabi index attached, the same to_monic model certifies its
+    # levels
     p = RabiParams(kappa=0.5, delta=0.4)
     rec = to_monic(rabi_raw_recurrence(p))
     assert rec.dominance_index is None and rec.n_cap is None
     solved = _count_solves(monkeypatch)
     remedies = r"dataclasses\.replace\(to_monic\(raw\), dominance_index=m\).*from_arrays"
-    for override in (False, True):
-        with pytest.raises(ValueError, match=remedies):
-            run_flows(rec, 5, tol=1e-10, override=override)
-        with pytest.raises(ValueError, match=remedies):
-            flow_trace(rec, 1, tol=1e-10, override=override)
+    with pytest.raises(ValueError, match=remedies):
+        run_flows(rec, 5, tol=1e-10)
+    with pytest.raises(ValueError, match=remedies):
+        flow_trace(rec, 1, tol=1e-10)
     assert solved == []
     indexed = dataclasses.replace(rec, dominance_index=rabi_recurrence(p).dominance_index)
     res = run_flows(indexed, 5, tol=1e-10)
@@ -812,27 +812,45 @@ def test_flow_trace_validates_schedule():
         flow_trace(rec, 4, [2, 8])
 
 
-# -- advisory class membership -------------------------------------------------
+# -- the class verdict is not consulted ----------------------------------------
 
 
-def test_negative_class_verdict_refuses_without_override():
+def test_solver_never_consults_the_class_verdict(monkeypatch):
+    # the frozen count decides: with classify unusable, a Rabi model (which
+    # carries asymptotics) still solves and traces to certified levels
+    def refuse(asym):
+        raise AssertionError("the solver consulted classify")
+
+    monkeypatch.setattr(classifier, "classify", refuse)
+    rec = rabi_recurrence(RabiParams(kappa=0.5, delta=0.4))
+    assert rec.asymptotics is not None
+    res = run_flows(rec, 5, tol=1e-10)
+    assert res.complete
+    assert flow_trace(rec, 3, tol=1e-10).converged
+    assert flow_trace(rec, 2, [10, 20, 40, 80], tol=1e-10).converged
+
+
+def test_a_model_outside_the_class_is_certified():
+    # c = n, lambda = 1 carries a negative class verdict (beta = 0), yet its
+    # dominance index is correct, so every level certifies and matches LAPACK
     raw = RawRecurrence.from_affine(
         alpha=lambda n: np.ones(np.shape(n)),
         c=lambda n: np.asarray(n, dtype=float),
         b=lambda n: np.ones(np.shape(n)),
-        asymptotics=RecurrenceAsymptotics(0, 0, a=1.0, b=1.0),  # outside (beta = 0)
+        asymptotics=RecurrenceAsymptotics(0, 0, a=1.0, b=1.0),
     )
-    # c = n, lambda = 1: row k is dominated at x once k - x >= 2
+    assert not classify(raw.asymptotics).in_class
+    # row k is dominated at x once k - x >= 2
     rec = dataclasses.replace(
         to_monic(raw),
         dominance_index=lambda x: np.maximum(np.ceil(np.asarray(x) + 2.0), 0.0).astype(np.int64),
     )
-    with pytest.raises(ValueError, match="override"):
-        run_flows(rec, 2, tol=1e-8)
-    with pytest.raises(ValueError, match="override"):
-        flow_trace(rec, 1, [10, 20], tol=1e-8)
-    res = run_flows(rec, 2, tol=1e-8, override=True)
-    assert res.complete
+    expect = jacobi_eigenvalues(rec, 400, 10)
+    res = run_flows(rec, 10, tol=1e-8)
+    assert np.all(np.abs(res.xi - expect) <= res.tolerance)
+    _assert_enclosed(res, expect, 8 * _EPS * 402.0)
+    trace = flow_trace(rec, 2, [10, 20], tol=1e-8)
+    assert trace.converged and abs(trace.xi - expect[1]) <= 1e-8
 
 
 def test_unclassified_models_run_without_override():
@@ -867,21 +885,17 @@ def test_monotone_guard_triggers_on_real_increase(monkeypatch):
 
 
 def test_growth_schedule_degrees():
-    sched = GrowthSchedule(n_start=10, growth=1.5, n_max=40)
+    sched = GrowthSchedule(n_start=10, n_max=40)
     assert list(sched.degrees()) == [10, 15, 23, 35, 40]
-
-
-@pytest.mark.parametrize("growth", [math.inf, 1e308])
-def test_growth_past_the_float_range_steps_to_n_max(growth):
-    # ceil(growth * n) would raise OverflowError: the step goes to n_max
-    assert list(GrowthSchedule(5, growth=growth, n_max=40).degrees()) == [5, 40]
+    # each step goes at least one degree up, and never past n_max
+    assert list(GrowthSchedule(1, n_max=4).degrees()) == [1, 2, 3, 4]
 
 
 def test_growth_schedule_validation():
     with pytest.raises(ValueError):
         GrowthSchedule(n_start=0)
-    with pytest.raises(ValueError):
-        GrowthSchedule(n_start=10, growth=1.0)
+    with pytest.raises(TypeError):  # the factor is fixed at 1.5
+        GrowthSchedule(n_start=10, growth=2.0)
     with pytest.raises(ValueError):
         GrowthSchedule(n_start=10, n_max=5)
 

@@ -33,7 +33,7 @@ from zeroflow.recurrence import (
     _zero_bounds,
 )
 
-from conftest import hermite_recurrence, random_recurrence, wide_range_recurrence
+from conftest import LargeAllocation, hermite_recurrence, random_recurrence, wide_range_recurrence
 
 
 # -- monic normalization -----------------------------------------------------
@@ -763,6 +763,27 @@ def test_frozen_count_refuses_an_index_past_int64():
     # M ~ x past 2^63 ~ 9.2e18 would wrap in the int64 cast
     with pytest.raises(PrecisionExhausted, match="int64"):
         _frozen_counts(displaced_recurrence(0.5), np.array([0.0, 1e19]))
+
+
+def test_frozen_count_refuses_rows_past_int64_before_any_sweep(small_coeff_arrays):
+    # at x = 8e16 the displaced index M ~ 8e16 fits int64, but the last row
+    # of its doublings, 128 (M + 1) - 1, would wrap to a negative row
+    with pytest.raises(PrecisionExhausted, match=r"x=8e\+16 .*int64 row limit 2\*\*63 - 1"):
+        _frozen_counts(displaced_recurrence(0.5), np.array([0.0, 8e16]))
+
+
+@pytest.mark.parametrize("m", [2**56 - 1, 2**56])
+def test_frozen_count_row_limit_is_exact(small_coeff_arrays, m):
+    # 128 (M + 1) - 1 <= 2**63 - 1 exactly while M < 2**56: the largest such
+    # index passes the check and goes on to materialize its rows
+    rec = MonicRecurrence(
+        c=lambda n: np.asarray(n, dtype=float),
+        lam=lambda n: np.ones(np.shape(n)),
+        dominance_index=lambda x: np.full(np.shape(x), m, dtype=np.int64),
+    )
+    expect = LargeAllocation if m < 2**56 else PrecisionExhausted
+    with pytest.raises(expect):
+        _frozen_counts(rec, np.array([1.0]))
 
 
 def test_wrong_dominance_index_raises_instead_of_counting_on():
