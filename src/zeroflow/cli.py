@@ -309,8 +309,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         "--schedule",
         default=None,
         help="comma-separated increasing cut-off degrees (default: growth by 1.5 from the "
-        "degree the coefficients predict will certify every level, which usually does, "
-        "so a flow trace has one row; name degrees to follow a flow across them)",
+        "rows the frozen count first runs over at the top level, which usually certify every "
+        "level, so a flow trace has one row; name degrees to follow a flow across them)",
     )
 
 

@@ -10,20 +10,20 @@ solver computes the first `count` zeros of P_n on brackets of the pivot-form
 Sturm count, which is monotone in x in floating point (each zero is
 individually bracketed, so no zero can be skipped silently), and drives n
 upward along a growth schedule.  By default the schedule starts at the
-degree where the tail bound of the minimal solution (Olver, J. Res. NBS
-71B, 1967), read off the coefficients, predicts that every flow certifies,
-so most requests solve one degree; it grows by 1.5 from there where the
-prediction falls short.  For 128 levels or more that degree is a step
-function N(x) of x, the same prediction taken at most count // 64 times
-under the top level, so that each point is counted at its own degree
-(recurrence._pivot_sweep's per-point stops) and a level is the point where
-the count of P_{N(x)} below x steps; the growth schedule grows each step.
-A flow stops at the first degree where the
-Sturm count frozen at degree infinity (recurrence._frozen_counts: exact at a
-table's length, or past a model's dominance index) finds at most l - 1
-spectral points below x_{n,l} - tol, which proves xi_l in
-[x_{n,l} - tol, x_{n,l}].  That is the only stop rule, so a model with
-neither a table length nor a dominance index is refused.  Every degree is
+rows the frozen count below first runs over at the top level: the first
+multiple of 16 at least 16 rows past the dominance index there, so most
+requests solve one degree; it grows by 1.5 from there where those rows
+fall short.  For 128 levels or more that degree is a step function N(x)
+of x, the same rule taken at most count // 64 times under the top level,
+so that each point is counted at its own degree (recurrence._pivot_sweep's
+per-point stops) and a level is the point where the count of P_{N(x)}
+below x steps; the growth schedule grows each step.  No default degree
+depends on tol.  A flow stops at the first degree where the Sturm count
+frozen at degree infinity (recurrence._frozen_counts: exact at a table's
+length, or past a model's dominance index) finds at most l - 1 spectral
+points below x_{n,l} - tol, which proves xi_l in [x_{n,l} - tol, x_{n,l}].
+That is the only stop rule, so a model with neither a table length nor a
+dominance index is refused.  Every degree is
 solved cold, from the Gershgorin bracket.  Brackets shrink by multisection,
 few brackets taking many probes per batched count (Lo, Philippe & Sameh,
 SIAM J. Sci. Stat. Comput. 8, 1987).  A solve of more than _PROBE_BATCH // 16
@@ -53,11 +53,12 @@ import numpy as np
 from .errors import NonMonotoneFlow, ZeroCoagulation
 from .recurrence import (
     MonicRecurrence,
+    _dominance_rows,
+    _first_rows,
     _frozen_counts,
     _require_frozen_count,
     _sturm_counts,
     _sturm_newton,
-    _tail_cut,
     _zero_bounds,
 )
 
@@ -116,52 +117,9 @@ class GrowthSchedule:
 ScheduleLike = Union[GrowthSchedule, Sequence[int]]
 
 
-def _judged_rows(rec: MonicRecurrence, count: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """x_bar, the upper Gershgorin end of rows 0 .. count - 1, and the
-    coefficients (c, sqrt(lambda)) of the rows _first_degree judges."""
-    x_bar = _zero_bounds(*rec.coeff_arrays(count))[1]
-    if rec.n_cap is not None:
-        rows = rec.n_cap
-    else:
-        rows = 2 * int(rec.dominance_index(np.array([x_bar]))[0]) + 2
-    c, lam = rec.coeff_arrays(min(rows, _DEFAULT_N_MAX))
-    return x_bar, c, np.sqrt(lam)
-
-
-def _tail_degree(c: np.ndarray, root: np.ndarray, x: float, tol: float) -> int:
-    """The first row past which the minimal solution at x has shrunk, squared,
-    below tol / max(1, |x|) (recurrence._tail_cut); the last judged row where
-    none has."""
-    top = _tail_cut(c - x, root, 0.5 * math.log2(tol / max(1.0, abs(x))))[1]
-    return c.size if top is None else top
-
-
-def _first_degree(rec: MonicRecurrence, count: int, tol: float) -> int:
-    """The degree at which the first `count` flows are expected to certify
-    to within tol, read off the coefficients.
-
-    x_bar, the upper Gershgorin end of rows 0 .. count - 1, bounds the
-    levels xi_1 .. xi_count by interlacing.  m is one past the last row k
-    with c_k - x_bar < sqrt(lambda_k) + sqrt(lambda_{k+1}), so a deep site
-    holds m past itself however far up it lies.  Past m the minimal solution
-    p at each of those levels shrinks by at least the ratio bounds
-    r_k = sqrt(lambda_k) / (c_k - x_bar - sqrt(lambda_{k+1})) per row, and
-    the zeros of P_K lie above the levels by about the square of p_K.  The
-    degree is the first row K past m where the product of the r_k, squared,
-    is below tol / max(1, |x_bar|) (recurrence._tail_cut).  Rows are judged
-    up to a table's length, or up to twice the dominance index at x_bar,
-    and at most _DEFAULT_N_MAX; where none passes, the last of them is the
-    degree.  The result is at least count, and at most min(n_cap,
-    _DEFAULT_N_MAX) unless count is larger.  It predicts, it does not
-    prove: the frozen count still certifies each level, and the growth
-    schedule from this degree goes on where it does not."""
-    x_bar, c, root = _judged_rows(rec, count)
-    return max(count, _tail_degree(c, root, x_bar, tol))
-
-
 # A default solve of `count` levels has one degree per _STEP_LEVELS levels,
 # at most: count // _STEP_LEVELS steps, so fewer than 2 * _STEP_LEVELS levels
-# take _first_degree's one degree.
+# take one degree.
 _STEP_LEVELS = 64
 
 
@@ -182,29 +140,26 @@ class _Steps:
         return self.degrees[np.searchsorted(self.ends, xs, side="left")]
 
 
-def _steps(rec: MonicRecurrence, count: int, tol: float, top: int) -> Union[int, _Steps]:
-    """The default degree of a solve of `count` levels: `top` (_first_degree)
-    under fewer than 2 * _STEP_LEVELS levels, else a step function N(x) that
-    never exceeds it.
-
-    Each of the count // _STEP_LEVELS - 1 steps under the top one ends at
-    x_j, the upper Gershgorin end of the first k_j = _STEP_LEVELS * j rows,
-    which bounds the levels 1 .. k_j; its degree is _first_degree's rule
-    taken at x_j over the same judged rows, at least k_j, raised to the
-    degree of the step before and capped at `top`, the degree above the
-    last end.  C(x) = count of P_{N(x)} below x is monotone, as the count
-    of one degree is: the count is monotone in x, and a longer sweep only
-    adds pivots."""
+def _steps(rec: MonicRecurrence, count: int) -> Union[int, _Steps]:
+    """The default degree of a solve of `count` levels: one degree under
+    2 * _STEP_LEVELS levels, else a step function N(x) of count //
+    _STEP_LEVELS steps.  Step j ends at x_j, the upper Gershgorin end of
+    the first k_j = _STEP_LEVELS * j rows, which bounds the levels 1 .. k_j
+    (the top step, or the one degree, at k = count).  Its degree is the rows
+    the frozen count first runs over at x_j (recurrence._first_rows), at
+    least k_j, raised to the step before's and capped at n_cap and at
+    max(_DEFAULT_N_MAX, count).  C(x) = count of P_{N(x)} below x is
+    monotone, as the count of one degree is: the count is monotone in x,
+    and a longer sweep only adds pivots."""
     pieces = count // _STEP_LEVELS
+    levels = np.append(_STEP_LEVELS * np.arange(1, pieces), count)
+    c, lam = rec.coeff_arrays(count)
+    ends = np.maximum.accumulate([_zero_bounds(c[:k], lam[:k])[1] for k in levels])
+    degrees = np.maximum.accumulate(np.maximum(levels, _first_rows(_dominance_rows(rec, ends))))
+    degrees = np.minimum(degrees, min(rec.n_cap or math.inf, max(_DEFAULT_N_MAX, count)))
     if pieces < 2:
-        return top
-    _, c, root = _judged_rows(rec, count)
-    head_c, head_lam = rec.coeff_arrays(count)
-    levels = _STEP_LEVELS * np.arange(1, pieces)
-    ends = np.maximum.accumulate([_zero_bounds(head_c[:k], head_lam[:k])[1] for k in levels])
-    degrees = [max(int(k), _tail_degree(c, root, float(x), tol)) for k, x in zip(levels, ends)]
-    degrees = np.minimum(np.maximum.accumulate(degrees + [top]), top)
-    return _Steps(ends=ends, degrees=degrees)
+        return int(degrees[-1])
+    return _Steps(ends=ends[:-1], degrees=degrees)
 
 
 def _grown(first: Union[int, _Steps]) -> Iterable[Union[int, _Steps]]:
@@ -220,20 +175,20 @@ def _grown(first: Union[int, _Steps]) -> Iterable[Union[int, _Steps]]:
 
 
 def _degrees(
-    rec: MonicRecurrence, count: int, tol: float, schedule: Optional[ScheduleLike] = None
+    rec: MonicRecurrence, count: int, schedule: Optional[ScheduleLike] = None
 ) -> list[Union[int, _Steps]]:
     """The cut-offs at which `count` flows are followed: an explicit
     increasing list, a growth schedule, or by default the growth schedule by
-    the factor 1.5 from _steps (_first_degree's degree, or under it a step
-    function of x for many levels).  On a tabulated model the first degree
-    at or past the table length becomes the last one, at that length; later
-    degrees are not read, and a step function is clamped step by step."""
+    the factor 1.5 from _steps (the rows the frozen count first runs over,
+    one degree or a step function of x for many levels).  On a tabulated
+    model the first degree at or past the table length becomes the last
+    one, at that length; later degrees are not read, and a step function is
+    clamped step by step."""
     cap = rec.n_cap
     if cap is not None and cap < count:
         raise ValueError("tabulated model too short for the requested levels")
     if schedule is None:
-        first = _first_degree(rec, count, tol)
-        schedule = _grown(_steps(rec, count, tol, first))
+        schedule = _grown(_steps(rec, count))
     elif isinstance(schedule, GrowthSchedule):
         schedule = schedule.degrees()
     degrees: list[Union[int, _Steps]] = []
@@ -603,7 +558,7 @@ def _track_flows(
     own: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
     flat = False
-    for n in _degrees(rec, count, tol, schedule):
+    for n in _degrees(rec, count, schedule):
         n = n.top if flat and isinstance(n, _Steps) else n
         try:
             x = zeros_of(rec, n, count).zeros
@@ -655,9 +610,9 @@ def run_flows(
     """Track the first n_levels zero flows until each has converged.
 
     The cut-offs follow `schedule`, by default a growth schedule by the
-    factor 1.5 from the degree the coefficients predict will certify every
-    level to within tol (_first_degree; for 128 levels or more a step
-    function of x under it, _steps), so that one solve usually suffices.
+    factor 1.5 from the rows the frozen count first runs over at the top
+    level (for 128 levels or more a step function of x under them, _steps),
+    so that one solve usually suffices.
     Each level's n_converged is its own degree.  tol, finite and > 0, is
     the width of the enclosure, up to the bisection resolution of xi: a
     flow converges at the first degree n where the frozen Sturm count proves
@@ -694,12 +649,13 @@ def flow_trace(
     tol: float = 1e-8,
 ) -> ZeroFlow:
     """Full history of the single flow x_{n,l} over the schedule (by default
-    run_flows's for l levels, whose first degree usually certifies, so the
-    history then has one row; an explicit schedule gives a flow across
-    several degrees), up to the degree at which it converged by run_flows's
-    rule, each n the flow's own degree; tol and the model are checked as in
-    run_flows.  This is where a level's decrements across degrees are read:
-    run_flows reports the last degree only."""
+    run_flows's for l levels, whose first degree, the frozen count's first
+    rows, usually certifies, so the history then has one row; an explicit
+    schedule gives a flow across several degrees), up to the degree at which
+    it converged by run_flows's rule, each n the flow's own degree; tol and
+    the model are checked as in run_flows.  This is where a level's
+    decrements across degrees are read: run_flows reports the last degree
+    only."""
     if l < 1:
         raise ValueError("l must be >= 1")
     degrees, tableaux, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)

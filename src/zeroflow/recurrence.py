@@ -624,6 +624,20 @@ def _table_dominance(c: np.ndarray, root: np.ndarray, xs: np.ndarray) -> np.ndar
     return np.searchsorted(np.minimum.accumulate(loose[::-1])[::-1], xs, side="left")
 
 
+def _dominance_rows(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
+    """M at each x of the ascending xs, nondecreasing: the model's dominance
+    index, or a table's _table_dominance."""
+    if rec.n_cap is not None:
+        c, lam = rec.coeff_arrays(rec.n_cap)
+        return _table_dominance(c, np.sqrt(np.append(lam, 0.0)), xs)
+    return np.maximum.accumulate(np.asarray(rec.dominance_index(xs), dtype=np.int64))
+
+
+def _first_rows(m: np.ndarray) -> np.ndarray:
+    """The first multiple of _FROZEN_ROWS at least _FROZEN_ROWS rows past M."""
+    return -(-(m + _FROZEN_ROWS) // _FROZEN_ROWS) * _FROZEN_ROWS
+
+
 def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     """Number of spectral points strictly below each x in the 1-D array xs:
     the zeros-below count of P_N as N -> infinity.  ValueError when the model
@@ -654,27 +668,26 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     order = np.argsort(xs, kind="stable")
     x = xs[order]
     table = rec.n_cap is not None
+    m = _dominance_rows(rec, x)
+    if m.size and m[-1] >= _INDEX_LIMIT:  # a table's M is at most n_cap
+        i = int(np.argmax(m >= _INDEX_LIMIT))
+        raise PrecisionExhausted(
+            f"the zeros-below count at x={float(x[i])!r} of {rec.description or 'model'} "
+            f"may need rows up to {2 ** (_FROZEN_ROUNDS - 1)} * (M + 1) - 1 with M = "
+            f"{int(m[i])}, past the int64 row limit 2**63 - 1"
+        )
     if table:
         c, lam = rec.coeff_arrays(rec.n_cap)
         root = np.sqrt(np.append(lam, 0.0))
-        m = _table_dominance(c, root, x)
         last = np.full(x.size, rec.n_cap)
     else:
-        m = np.maximum.accumulate(np.asarray(rec.dominance_index(x), dtype=np.int64))
-        if m.size and m[-1] >= _INDEX_LIMIT:
-            i = int(np.argmax(m >= _INDEX_LIMIT))
-            raise PrecisionExhausted(
-                f"the zeros-below count at x={float(x[i])!r} of {rec.description or 'model'} "
-                f"may need rows up to {2 ** (_FROZEN_ROUNDS - 1)} * (M + 1) - 1 with M = "
-                f"{int(m[i])}, past the int64 row limit 2**63 - 1"
-            )
         last = 2 ** (_FROZEN_ROUNDS - 1) * (m + 1) - 1  # M doubled to 2M + 1, 7 times
         c = lam = root = np.empty(0)
     # the points x[todo] have been swept over rows 1..k, ending at pivots v
     todo, k, v, rows = np.arange(x.size), None, None, _FROZEN_ROWS
     while todo.size:
         # on a grid of _FROZEN_ROWS rows, so that one sweep's stops take few values
-        stop = np.minimum(-(-(m[todo] + rows) // rows) * rows if k is None else k + rows, last[todo])
+        stop = np.minimum(_first_rows(m[todo]) if k is None else k + rows, last[todo])
         if stop[-1] >= root.size:
             c, lam = rec.coeff_arrays(int(stop[-1]) + 1)
             root = np.sqrt(lam)

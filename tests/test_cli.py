@@ -230,11 +230,11 @@ def test_cf_compare_takes_schedule_flags(capsys):
     code, out, _ = run_cli(capsys, *base)
     assert code == 0
     assert json.loads(out)["true_levels"] == 6  # k - 0.25 for k = 0..5
-    # the default schedule grows from the degree the coefficients predict,
-    # 19 for these six levels at tol 1e-8; naming it changes nothing
+    # the default schedule grows from the frozen count's first rows, 32 for
+    # these six levels; naming it changes nothing
     rec = displaced_recurrence(0.5)
-    assert flows._first_degree(rec, 6, 1e-8) == 19
-    default = ",".join(map(str, GrowthSchedule(19).degrees()))
+    assert flows._steps(rec, 6) == 32
+    default = ",".join(map(str, GrowthSchedule(32).degrees()))
     assert run_cli(capsys, *base, "--schedule", default)[:2] == (0, out)
     # at degrees 7 and 8 the sixth flow is still 0.4 and 0.13 above k - 0.25:
     # partial results
@@ -651,7 +651,7 @@ def test_numerical_fault_exits_3(capsys, monkeypatch):
 
 def test_short_table_default_schedule_matches_api(capsys, tmp_path):
     # the CLI's default schedule is run_flows's: on this 25-entry table its
-    # first degree, 17, certifies every level
+    # first degree, the table length, certifies every level
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"c": list(range(25)), "lam": [0.3] * 24}))
     argv = ("spectrum", "--model", "tabulated", "--table", str(path), "--levels", "10")

@@ -27,7 +27,7 @@ from zeroflow import (
 )
 from zeroflow import classifier, flows
 from zeroflow.flows import ZeroTableau, _bisect_tol
-from zeroflow.recurrence import _zero_bounds
+from zeroflow.recurrence import _first_rows, _zero_bounds
 
 from conftest import (
     hermite_recurrence,
@@ -353,7 +353,7 @@ def test_run_flows_displaced_oracle():
     res = run_flows(rec, 5, tol=1e-10)
     assert res.complete
     np.testing.assert_allclose(res.xi, displaced_oscillator_spectrum(0.2, 5), atol=1e-10)
-    first = flows._first_degree(rec, 5, 1e-10)
+    first = flows._steps(rec, 5)
     for lv in res.levels:
         assert lv.converged and lv.n_converged == first
 
@@ -488,13 +488,27 @@ def test_scan_grid_enclosures_contain_lapack():
             _assert_enclosed(res, jacobi_eigenvalues(rec, 3 * n_final, 20), 8 * _EPS * norm)
 
 
+def test_scan_oracle_size_from_the_degrees_is_converged():
+    # the benchmark's scan checker sizes its LAPACK oracle as
+    # max(3 * max n_converged, 200) rows: at that size the 20 lowest
+    # eigenvalues of every Rabi request agree with 4000 rows within tol / 100
+    tol = 1e-10
+    for kappa in 0.25 * np.arange(1, 13):
+        for parity in "+-":
+            rec = rabi_recurrence(RabiParams(kappa=float(kappa), delta=0.4, parity=parity))
+            res = run_flows(rec, 20, tol=tol)
+            dim = max(3 * max(lv.n_converged for lv in res.levels), 200)
+            error = jacobi_eigenvalues(rec, dim, 20) - jacobi_eigenvalues(rec, 4000, 20)
+            assert np.max(np.abs(error)) <= tol / 100, (kappa, parity, dim)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(80, 240))
 def test_deep_site_beyond_the_first_degree_is_found(seed, count, n):
     # a table whose deep site lies past degree count + 20: a stop rule that
     # trusts slow flows misses it, the frozen count does not.  The default
-    # first degree reads the site off the coefficients; a growth from
-    # count + 20 reaches it only across several degrees
+    # first degree reads the site off the table's dominance rows; a growth
+    # from count + 20 reaches it only across several degrees
     rng = np.random.default_rng(seed)
     c = np.arange(n, dtype=float) + rng.uniform(-0.3, 0.3, size=n)
     site = int(rng.integers(count + 21, n))
@@ -545,25 +559,28 @@ def test_models_without_a_frozen_count_are_refused(monkeypatch):
 def test_deep_rabi_certifies_at_the_first_degree(monkeypatch):
     # every one of the 1000 levels is certified in the first solve, each at
     # its own degree N(xi) of the first step function, which tops out at
-    # the first degree, 1039, so no other degree is solved
+    # the frozen count's first rows at the top level, 1056, so no other
+    # degree is solved
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
-    assert flows._first_degree(rec, 1000, 1e-6) == 1039
+    assert flows._steps(rec, 1000).top == 1056
     solved = _count_solves(monkeypatch)
     res = run_flows(rec, 1000, tol=1e-6)
     assert len(solved) == 1
     assert res.complete
     n_conv = np.array([lv.n_converged for lv in res.levels])
     np.testing.assert_array_equal(n_conv, solved[0].at(res.xi))
-    assert n_conv.max() <= 1039
+    assert n_conv.max() <= 1056
     assert n_conv.sum() <= 0.6 * 1000 * 1039
 
 
 @pytest.mark.parametrize("kind", ["rabi", "displaced", "table"])
 @pytest.mark.parametrize("count", [20, 127, 128, 300, 1000])
 def test_default_steps_never_decrease_nor_pass_the_first_degree(kind, count):
-    # under 128 levels the default degree is _first_degree's one; from 128
-    # on it is a step function with at most count // 64 steps, nondecreasing
-    # in x and topped by the first degree
+    # under 128 levels the default degree is one; from 128 on it is a step
+    # function with at most count // 64 steps, nondecreasing in x.  Each
+    # degree is the frozen count's first rows, the first multiple of 16 at
+    # least 16 past the dominance rows M at its end, floored at its level
+    # count and at the step before, and capped at the table length
     if kind == "rabi":
         rec = rabi_recurrence(RabiParams(kappa=0.7, delta=0.4))
     elif kind == "displaced":
@@ -573,14 +590,30 @@ def test_default_steps_never_decrease_nor_pass_the_first_degree(kind, count):
         c = np.arange(1500.0) + rng.uniform(-0.3, 0.3, size=1500)
         c[700] = -4.0
         rec = MonicRecurrence.from_arrays(c, rng.uniform(0.02, 0.5, size=1499))
-    first = flows._first_degree(rec, count, 1e-8)
-    steps = flows._steps(rec, count, 1e-8, first)
+    head_c, head_lam = rec.coeff_arrays(count)
+    if rec.n_cap is None:
+        dominance = lambda x: int(rec.dominance_index(np.array([x]))[0])
+    else:
+        c, lam = rec.coeff_arrays(rec.n_cap)
+        root = np.sqrt(np.append(lam, 0.0))
+        # one past the last row k with c_k - x < sqrt(lambda_k) + sqrt(lambda_{k+1})
+        dominance = lambda x: int(np.flatnonzero(np.append(True, c - x < root[:-1] + root[1:]))[-1])
+    steps = flows._steps(rec, count)
     if count < 128:
-        assert steps == first
+        x = _zero_bounds(head_c, head_lam)[1]
+        assert steps == min(max(count, 16 * math.ceil((dominance(x) + 16) / 16)), rec.n_cap or math.inf)
         return
     assert 2 <= steps.degrees.size <= count // 64 and steps.ends.size == steps.degrees.size - 1
     assert np.all(np.diff(steps.ends) >= 0) and np.all(np.diff(steps.degrees) >= 0)
-    assert steps.top == first and steps.degrees[0] >= 64
+    assert steps.degrees[0] >= 64
+    levels = [64 * j for j in range(1, steps.degrees.size)] + [count]
+    before = 0
+    for k, degree in zip(levels, steps.degrees):
+        x = _zero_bounds(head_c[:k], head_lam[:k])[1]
+        if k < count:
+            assert x == steps.ends[k // 64 - 1]
+        before = min(max(k, 16 * math.ceil((dominance(x) + 16) / 16), before), rec.n_cap or math.inf)
+        assert degree == before
     xs = np.linspace(steps.ends[0] - 10.0, steps.ends[-1] + 10.0, 999)
     assert np.all(np.diff(steps.at(xs)) >= 0)
     if kind == "table":
@@ -589,15 +622,15 @@ def test_default_steps_never_decrease_nor_pass_the_first_degree(kind, count):
 
 @pytest.mark.parametrize("cut", [14, None])
 def test_short_steps_grow_pointwise_and_still_certify(monkeypatch, cut):
-    # steps predicted 14 rows short fail to certify some levels: the growth
-    # schedule grows each step by 1.5 until they do.  Steps far too short
-    # (each at its own level count) make the count jump by many levels at
-    # their ends: that solve falls back to the step function's top degree,
-    # and so do the cut-offs after it.  Every level matches LAPACK
+    # steps 14 rows short of the frozen count's first rows fail to certify
+    # some levels: the growth schedule grows each step by 1.5 until they
+    # do.  Steps far too short (each at its own level count) make the count
+    # jump by many levels at their ends: that solve falls back to the step
+    # function's top degree, and so do the cut-offs after it.  Every level
+    # matches LAPACK
     rec = rabi_recurrence(RabiParams(kappa=1.0, delta=0.4))
-    tail_degree = flows._tail_degree
-    short = (lambda c, root, x, tol: 0) if cut is None else (lambda c, root, x, tol: tail_degree(c, root, x, tol) - cut)
-    monkeypatch.setattr(flows, "_tail_degree", short)
+    short = (lambda m: 0 * m) if cut is None else (lambda m: _first_rows(m) - cut)
+    monkeypatch.setattr(flows, "_first_rows", short)
     solved = _count_solves(monkeypatch)
     res = run_flows(rec, 300, tol=1e-8)
     assert len(solved) >= 2 and isinstance(solved[0], flows._Steps)
@@ -674,16 +707,16 @@ def test_every_scan_request_solves_one_degree(monkeypatch):
         solved.clear()
         res = run_flows(rec, 20, tol=1e-10)
         assert res.complete
-        assert solved == [flows._first_degree(rec, 20, 1e-10)], rec.description
+        assert solved == [flows._steps(rec, 20)], rec.description
     assert solved[0] > 200  # the trap table's
 
 
 def test_a_short_first_degree_grows_by_the_schedule(monkeypatch):
-    # where the predicted degree falls short, the growth schedule from it
+    # where the default degree falls short, the growth schedule from it
     # goes on: forced to start at the flow count, Rabi kappa = 3 visits
     # ceil(1.5 * 20) = 30 next and still certifies every level
     rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
-    monkeypatch.setattr(flows, "_first_degree", lambda rec, count, tol: count)
+    monkeypatch.setattr(flows, "_steps", lambda rec, count: count)
     solved = _count_solves(monkeypatch)
     res = run_flows(rec, 20, tol=1e-10)
     assert solved[:2] == [20, 30]
@@ -693,13 +726,8 @@ def test_a_short_first_degree_grows_by_the_schedule(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 30),
-    st.sampled_from([1e-14, 1e-10, 1e-6, 1e-2, 10.0]),
-    st.sampled_from(["rabi", "table", "short"]),
-)
-def test_first_degree_is_clamped(seed, count, tol, kind):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from(["rabi", "table", "short"]))
+def test_first_degree_is_clamped(seed, count, kind):
     rng = np.random.default_rng(seed)
     if kind == "rabi":
         p = RabiParams(kappa=float(rng.uniform(0.05, 4.0)), delta=float(rng.uniform(-1, 1)))
@@ -711,24 +739,28 @@ def test_first_degree_is_clamped(seed, count, tol, kind):
         c = np.arange(n, dtype=float) + rng.uniform(-0.3, 0.3, size=n)
         c[int(rng.integers(0, n))] = -float(rng.uniform(0.0, 6.0))
         rec = MonicRecurrence.from_arrays(c, rng.uniform(0.02, 0.5, size=n - 1))
-    first = flows._first_degree(rec, count, tol)
+    first = flows._steps(rec, count)
     assert count <= first <= min(rec.n_cap or flows._DEFAULT_N_MAX, flows._DEFAULT_N_MAX)
 
 
 def test_first_degree_stays_under_the_default_budget(monkeypatch):
-    # a degree past _DEFAULT_N_MAX is never predicted, nor is one past a
-    # table; the flow count itself is the floor, also past that budget
+    # a default degree past _DEFAULT_N_MAX is never taken, nor is one past
+    # a table; the flow count itself is the floor, also past that budget.
+    # Displaced kappa = 600 has its dominance index near kappa^2 = 360000:
+    # its first degree is the budget, and a growth schedule from there is valid
+    assert flows._degrees(displaced_recurrence(600.0), 3)[0] == flows._DEFAULT_N_MAX
     rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
-    assert flows._first_degree(rec, 20, 1e-10) > 100
+    assert flows._steps(rec, 20) > 100
     monkeypatch.setattr(flows, "_DEFAULT_N_MAX", 100)
-    assert flows._first_degree(rec, 20, 1e-10) == 100
-    assert flows._first_degree(rec, 100, 1e-10) == 100
-    assert flows._first_degree(rec, 150, 1e-10) == 150
+    assert flows._steps(rec, 20) == 100
+    assert flows._steps(rec, 100) == 100
+    steps = flows._steps(rec, 150)
+    assert steps.top == 150 and 64 <= steps.degrees[0] <= 150
     c = np.arange(30.0)
     c[28] = -5.0  # loose up to the table's end: no row certifies
     table = MonicRecurrence.from_arrays(c, np.full(29, 0.04))
-    assert flows._first_degree(table, 5, 1e-10) == 30
-    assert flows._first_degree(table, 30, 1e-10) == 30
+    assert flows._steps(table, 5) == 30
+    assert flows._steps(table, 30) == 30
 
 
 def test_dominance_index_of_associated_models():
@@ -906,9 +938,9 @@ def test_list_schedule_past_a_table_ends_at_its_length():
     c = np.arange(25, dtype=float)
     lam = np.full(24, 0.3)
     rec = MonicRecurrence.from_arrays(c, lam)
-    assert flows._degrees(rec, 10, 1e-9, [11, 12, 30, 40]) == [11, 12, 25]
-    assert flows._degrees(rec, 10, 1e-9, [11, 25, 30]) == [11, 25]
-    assert flows._degrees(rec, 10, 1e-9, [11, 12]) == [11, 12]
+    assert flows._degrees(rec, 10, [11, 12, 30, 40]) == [11, 12, 25]
+    assert flows._degrees(rec, 10, [11, 25, 30]) == [11, 25]
+    assert flows._degrees(rec, 10, [11, 12]) == [11, 12]
     res = run_flows(rec, 10, tol=1e-9, schedule=[11, 12, 30])
     assert res.complete
     # levels 7 to 10 are still open at degree 12 and close at the table length
@@ -920,11 +952,11 @@ def test_list_schedule_past_a_table_ends_at_its_length():
 
 
 def test_flow_trace_default_schedule_is_run_flows_default():
-    # the default first degree for three flows at tol 1e-8 is 10, where the
-    # third flow certifies: a one-row history
+    # the default first degree for three flows is the frozen count's first
+    # rows, 32, where the third flow certifies: a one-row history
     rec = displaced_recurrence(0.2)
-    first = flows._first_degree(rec, 3, 1e-8)
-    assert first == 10
+    first = flows._steps(rec, 3)
+    assert first == 32
     trace = flow_trace(rec, 3)
     assert trace.history == flow_trace(rec, 3, GrowthSchedule(first)).history
     assert trace.history[0][0] == first
