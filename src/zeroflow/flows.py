@@ -26,11 +26,11 @@ That is the only stop rule, so a model with neither a table length nor a
 dominance index is refused.  Every degree is
 solved cold, from the Gershgorin bracket.  Brackets shrink by multisection,
 few brackets taking many probes per batched count (Lo, Philippe & Sameh,
-SIAM J. Sci. Stat. Comput. 8, 1987).  A solve of more than _PROBE_BATCH // 16
-zeros multisects the one bracket all of them share, spreading a wide batch of
-probes below the Gershgorin end of the leading count + 1 rows and then over
-the cells between probed points that still hold two or more zeros, until
-each zero is alone in its cell; it then takes safeguarded Newton steps, with
+SIAM J. Sci. Stat. Comput. 8, 1987).  A solve multisects the one bracket
+all its zeros share, spreading a wide batch of probes below the Gershgorin
+end of the leading count + 1 rows and then over the cells between probed
+points that still hold two or more zeros, until each zero is alone in its
+cell; it then takes safeguarded Newton steps, with
 the log-derivative from the same forward sweep as the count, and from the
 second step on steps to the pole of a pole-plus-constant fit of the last
 two.  The sweep runs each point over a window of rows from below its
@@ -274,10 +274,10 @@ class SpectrumResult:
 
 
 def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
-    """The `count` smallest zeros of P_n by multisection on Sturm-count
-    brackets.  Above _PROBE_BATCH // 16 zeros the shared bracket is
-    multisected into cells only until each zero is alone in one, and each
-    isolated zero is then polished by safeguarded Newton steps.
+    """The `count` smallest zeros of P_n on Sturm-count brackets.  The
+    shared bracket is multisected into cells only until each zero is alone
+    in one, each isolated zero is then polished by safeguarded Newton
+    steps, and multisection finishes the zeros the polish leaves.
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
     from l-1 to l; every final bracket must have the counts l-1 and l at
@@ -309,42 +309,39 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     targets = np.arange(1, count + 1, dtype=np.int64)
 
     zeros = np.full(count, np.nan)
-    if count > _PROBE_BATCH // 16:
-        # a few probes per bracket and pass would multisect for many passes:
-        # isolate the zeros in one wide multisection, then polish by Newton.
-        # Zeros 1 .. count + 1 of every P_n lie below the Gershgorin end of
-        # rows 0 .. count, by interlacing
-        below = _zero_bounds(c[: count + 1], lam[: count + 1])[1] if count < top else hi_glob
-        iso = _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps)
-        x = _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, iso, steps)
-        settled = np.isfinite(x)  # the others multisect below
-        iso, x = iso[settled], x[settled]
-        # a polished zero l must pass the re-count of [x - tol/2, x + tol/2]:
-        # count l - 1 below it and l at its top.  Its bracket's ends already
-        # have those counts, so an end of the interval at or beyond its
-        # bracket needs no count.
-        half = 0.5 * _bisect_tol(x)
-        pts = np.stack((x - half, x + half))
-        expect = np.stack((targets[iso] - 1, targets[iso]))
-        cts = expect.copy()
-        todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
+    # zeros 1 .. count + 1 of every P_n lie below the Gershgorin end of
+    # rows 0 .. count, by interlacing
+    below = _zero_bounds(c[: count + 1], lam[: count + 1])[1] if count < top else hi_glob
+    iso = _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps)
+    x = _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, iso, steps)
+    settled = np.isfinite(x)  # the others multisect below
+    iso, x = iso[settled], x[settled]
+    # a polished zero l must pass the re-count of [x - tol/2, x + tol/2]:
+    # count l - 1 below it and l at its top.  Its bracket's ends already
+    # have those counts, so an end of the interval at or beyond its
+    # bracket needs no count.
+    half = 0.5 * _bisect_tol(x)
+    pts = np.stack((x - half, x + half))
+    expect = np.stack((targets[iso] - 1, targets[iso]))
+    cts = expect.copy()
+    todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
+    cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
+    _narrow(lo, hi, lo_ct, hi_ct, targets, iso, pts, cts, todo)
+    ok = (cts == expect).all(axis=0)
+    zeros[iso[ok]] = x[ok]
+    # a zero that fails lies below x - tol/2 (count l there) or above
+    # x + tol/2: count the ladder x -/+ (tol/2) 16**j, j >= 1, inside its
+    # bracket in one sweep, and multisect below from the rungs either
+    # side of the zero
+    fail, x, half = iso[~ok], x[~ok], half[~ok]
+    if fail.size:
+        side = np.where(cts[0, ~ok] == targets[fail], -half, half)
+        rungs = math.ceil(math.log(float(np.max((hi[fail] - lo[fail]) / half)), 16))
+        pts = x + side * 16.0 ** np.arange(1, max(rungs, 1) + 1)[:, None]
+        todo = (pts > lo[fail]) & (pts < hi[fail])
+        cts = np.zeros(pts.shape, dtype=np.int64)
         cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
-        _narrow(lo, hi, lo_ct, hi_ct, targets, iso, pts, cts, todo)
-        ok = (cts == expect).all(axis=0)
-        zeros[iso[ok]] = x[ok]
-        # a zero that fails lies below x - tol/2 (count l there) or above
-        # x + tol/2: count the ladder x -/+ (tol/2) 16**j, j >= 1, inside its
-        # bracket in one sweep, and multisect below from the rungs either
-        # side of the zero
-        fail, x, half = iso[~ok], x[~ok], half[~ok]
-        if fail.size:
-            side = np.where(cts[0, ~ok] == targets[fail], -half, half)
-            rungs = math.ceil(math.log(float(np.max((hi[fail] - lo[fail]) / half)), 16))
-            pts = x + side * 16.0 ** np.arange(1, max(rungs, 1) + 1)[:, None]
-            todo = (pts > lo[fail]) & (pts < hi[fail])
-            cts = np.zeros(pts.shape, dtype=np.int64)
-            cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
-            _narrow(lo, hi, lo_ct, hi_ct, targets, fail, pts, cts, todo)
+        _narrow(lo, hi, lo_ct, hi_ct, targets, fail, pts, cts, todo)
     rest = np.flatnonzero(np.isnan(zeros))
     _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, rest, steps)
     zeros[rest] = 0.5 * (lo[rest] + hi[rest])

@@ -361,7 +361,7 @@ def _sturm_counts(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) ->
     canonicalized to +0.0 first.  The count is monotone in x
     in floating point (Demmel, Dhillon & Ren, ETNA 3, 1995).
     """
-    return _pivot_sweep(c, lam, xs, None, derivative=False, stops=stops)[0]
+    return _pivot_sweep(c, lam, xs, derivative=False, stops=stops)[0]
 
 
 def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) -> tuple[np.ndarray, np.ndarray]:
@@ -378,13 +378,13 @@ def _sturm_newton(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops=None) ->
     hit carries infinities into s and may leave it NaN; the caller falls back
     to bisection there.
     """
-    counts, _, s = _pivot_sweep(c, lam, xs, None, derivative=True, stops=stops)
+    counts, _, s = _pivot_sweep(c, lam, xs, derivative=True, stops=stops)
     return counts, s
 
 
-# A sweep without carried pivots starts each point _HEAD_ROWS rows below its
-# head row K, the first row k that fails the head test x - c_k >= (sqrt(lambda_k)
-# + sqrt(lambda_{k+1})) (1 + _HEAD_SLACK) + _HEAD_SLACK |c_k|.  The slack, 2**9
+# A sweep starts each point _HEAD_ROWS rows below its head row K, the first
+# row k that fails the head test x - c_k >= (sqrt(lambda_k) +
+# sqrt(lambda_{k+1})) (1 + _HEAD_SLACK) + _HEAD_SLACK |c_k|.  The slack, 2**9
 # times the unit roundoff, covers the rounding of the test and of the pivots
 # that _pivot_sweep's head enclosure needs.
 _HEAD_ROWS = 32
@@ -402,26 +402,22 @@ def _head_rows(c: np.ndarray, lam: np.ndarray, xs: np.ndarray, stops: np.ndarray
     return np.minimum(np.searchsorted(np.maximum.accumulate(ends), xs, side="right"), stops - 1)
 
 
-def _pivot_sweep(c, lam, xs, carry, derivative, stops=None, starts=None):
+def _pivot_sweep(c, lam, xs, derivative, stops=None):
     """The one pivot sweep of both Sturm kernels: the counts of negative
     pivots v_k over rows 1..stops[i] at each x = xs[i] (all n = len(c) rows
     without stops), the last pivots, and with `derivative` the sum s of r_k
-    (see _sturm_newton), else None.  With `carry`, point i resumes at row
-    starts[i] + 1 (row 1 without starts) from the pivot carry[i] and counts
-    rows starts[i] + 1..stops[i] only, with r = 0 there; resumed from the
-    pivots of rows 1..M, a sweep over rows M+1..N adds, bitwise, to the
-    counts of one sweep over rows 1..N.
+    (see _sturm_newton), else None.
 
-    Without `carry` each point sweeps only the rows from k0 = K -
-    _HEAD_ROWS to its stop, K its head row (_head_rows), where K >
-    _HEAD_ROWS.  On the rows k <= K every negated pivot lies in [c_{k-1} -
-    x, -sqrt(lambda_k)], so every one counts: the map v -> (c_{k-1} - x) -
-    lambda_{k-1} / v increases for v < 0 and takes that interval into the
-    next one, and the head slack makes this hold for the float pivots too.
+    Each point sweeps only the rows from k0 = K - _HEAD_ROWS to its stop,
+    K its head row (_head_rows), where K > _HEAD_ROWS.  On the rows k <= K
+    every negated pivot lies in [c_{k-1} - x, -sqrt(lambda_k)], so every
+    one counts: the map v -> (c_{k-1} - x) - lambda_{k-1} / v increases for
+    v < 0 and takes that interval into the next one, and the head slack
+    makes this hold for the float pivots too.
     Both ends of the interval at row k0 are swept over the head rows k0 +
     1..K.  The float map is monotone as well, so the float pivot of a sweep
     from row 1 lies between the two ends at each row; where they coincide
-    bitwise at row K it equals them, and the point's sweep resumes there,
+    bitwise at row K it equals them, and the point's sweep goes on there,
     bitwise that sweep from row 1, with the K rows below counted.  Points
     whose ends do not coincide take twice as many head rows, and are swept
     from row 1 once K is no larger.  Heads are taken only where they
@@ -441,9 +437,6 @@ def _pivot_sweep(c, lam, xs, carry, derivative, stops=None, starts=None):
     equal = stops is None
     stops = np.full(xs.size, n, dtype=np.int64) if equal else np.asarray(stops, dtype=np.int64)
     start = np.zeros(xs.size, dtype=np.int64)
-    if carry is not None:
-        start = start if starts is None else np.asarray(starts, dtype=np.int64)
-        return _lockstep(c, lam, xs, start, stops, carry, None, derivative)[:3]
     # lambda_0 / inf = 0 starts v_1 = c_0 - x
     v, r, base, head = np.full(xs.size, np.inf), None, None, _HEAD_ROWS
     if n > head + 1 and xs.size:
@@ -594,15 +587,14 @@ def _lockstep(c, lam, xs, k0, stops, v, r, derivative):
 # rounding).  It first checks each point at the first multiple of
 # _FROZEN_ROWS at least _FROZEN_ROWS rows past its own M, where the pivot of
 # a point near a level has mostly left the level's decaying solution, and
-# carries the points that fail on from their pivots over twice as many rows
-# each time, up to the row 2M + 1 reaches from M in _FROZEN_ROUNDS - 1
-# doublings.
+# sweeps the points that fail afresh to twice as many rows further each
+# time, up to the row 2M + 1 reaches from M in _FROZEN_ROUNDS - 1 doublings.
+# No round asks coeff_arrays for more than _ROW_LIMIT rows: c, lambda and
+# their roots then hold 96 MiB.
 _FROZEN_MARGIN = 2.0
 _FROZEN_ROWS = 16
 _FROZEN_ROUNDS = 8
-# The least dominance index M whose last row after _FROZEN_ROUNDS doublings,
-# 2**(_FROZEN_ROUNDS - 1) * (M + 1) - 1, is past the int64 row limit 2**63 - 1.
-_INDEX_LIMIT = 2 ** (64 - _FROZEN_ROUNDS)
+_ROW_LIMIT = 2**22
 
 
 def _require_frozen_count(rec: MonicRecurrence) -> None:
@@ -642,10 +634,9 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     """Number of spectral points strictly below each x in the 1-D array xs:
     the zeros-below count of P_N as N -> infinity.  ValueError when the model
     has neither a table length nor a dominance index, or at a non-finite
-    point; PrecisionExhausted, before any sweep, when the last row a point
-    may need, 2**(_FROZEN_ROUNDS - 1) * (M + 1) - 1, is past the int64 row
-    limit 2**63 - 1, and when a count does not freeze within _FROZEN_ROUNDS
-    doublings of M.
+    point; PrecisionExhausted when a round would need more than _ROW_LIMIT
+    rows, before it materializes them, and when a count does not freeze
+    within _FROZEN_ROUNDS doublings of M.
 
     A table's count at n_cap is exact.  Otherwise, with v_k the negated
     pivots of _sturm_counts: if every row k >= M is Gershgorin dominated at x,
@@ -656,9 +647,9 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     the count over rows 1..K.  Each point has its own M: the model's
     dominance index at it, or on a table one past the last row that is not
     dominated, with lambda_{n_cap} = 0.  The points are swept in ascending
-    order, each over its own rows (_pivot_sweep's starts and stops), in one
-    sweep per round of the schedule above; a table's point stops at n_cap
-    at the latest.
+    order, each from row 1 to its own stop (_pivot_sweep's stops), in one
+    fresh sweep per round of the schedule above; a table's point stops at
+    n_cap at the latest.
     """
     _require_frozen_count(rec)
     xs = np.asarray(xs, dtype=float)
@@ -669,13 +660,17 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     x = xs[order]
     table = rec.n_cap is not None
     m = _dominance_rows(rec, x)
-    if m.size and m[-1] >= _INDEX_LIMIT:  # a table's M is at most n_cap
-        i = int(np.argmax(m >= _INDEX_LIMIT))
+
+    def refuse(i, rows):
         raise PrecisionExhausted(
             f"the zeros-below count at x={float(x[i])!r} of {rec.description or 'model'} "
-            f"may need rows up to {2 ** (_FROZEN_ROUNDS - 1)} * (M + 1) - 1 with M = "
-            f"{int(m[i])}, past the int64 row limit 2**63 - 1"
+            f"needs {rows} rows from its dominance index M = {int(m[i])}, past the row "
+            f"limit {_ROW_LIMIT}"
         )
+
+    if not table and m.size and m[-1] >= _ROW_LIMIT:  # before any row arithmetic can wrap
+        i = int(np.argmax(m >= _ROW_LIMIT))
+        refuse(i, _first_rows(int(m[i])) + 1)
     if table:
         c, lam = rec.coeff_arrays(rec.n_cap)
         root = np.sqrt(np.append(lam, 0.0))
@@ -683,16 +678,19 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
     else:
         last = 2 ** (_FROZEN_ROUNDS - 1) * (m + 1) - 1  # M doubled to 2M + 1, 7 times
         c = lam = root = np.empty(0)
-    # the points x[todo] have been swept over rows 1..k, ending at pivots v
-    todo, k, v, rows = np.arange(x.size), None, None, _FROZEN_ROWS
+    # the points x[todo] failed the margin at rows k
+    todo, k, rows = np.arange(x.size), None, _FROZEN_ROWS
     while todo.size:
         # on a grid of _FROZEN_ROWS rows, so that one sweep's stops take few values
         stop = np.minimum(_first_rows(m[todo]) if k is None else k + rows, last[todo])
         if stop[-1] >= root.size:
+            if stop[-1] >= _ROW_LIMIT:
+                j = int(np.argmax(stop >= _ROW_LIMIT))
+                refuse(todo[j], int(stop[j]) + 1)
             c, lam = rec.coeff_arrays(int(stop[-1]) + 1)
             root = np.sqrt(lam)
-        cts, v, _ = _pivot_sweep(c, lam, x[todo], v, False, stops=stop, starts=k)
-        counts[order[todo]] += cts
+        cts, v, _ = _pivot_sweep(c, lam, x[todo], False, stops=stop)
+        counts[order[todo]] = cts
         fail = ~(v >= _FROZEN_MARGIN * root[stop])
         if table:
             fail &= stop < rec.n_cap
@@ -702,7 +700,7 @@ def _frozen_counts(rec: MonicRecurrence, xs: np.ndarray) -> np.ndarray:
                 f"the zeros-below count at x={float(x[i])!r} of {rec.description or 'model'} "
                 f"does not freeze within {_FROZEN_ROUNDS} doublings of its dominance index"
             )
-        todo, v, k, rows = todo[fail], v[fail], stop[fail], 2 * rows
+        todo, k, rows = todo[fail], stop[fail], 2 * rows
     return counts
 
 

@@ -514,14 +514,15 @@ def test_cf_compare_past_the_dominance_range_is_a_numerical_fault(capsys):
 
 
 def test_cf_compare_past_the_int64_row_limit_is_a_numerical_fault(capsys, small_coeff_arrays):
-    # the index at 8e16 fits int64, the rows of its frozen count would not
+    # the index at 8e16 fits int64, the rows of its frozen count would not:
+    # refused on the index, before any row is computed
     code, out, err = run_cli(
         capsys,
         "cf-compare", "--model", "displaced", "--kappa", "0.5",
         "--x-min", "0", "--x-max", "8e16", "--points", "10",
     )
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "int64 row limit 2**63 - 1" in err
+    assert err.startswith("error: ") and "past the row limit 4194304" in err
 
 
 def _readme_cli_commands():

@@ -25,7 +25,7 @@ from zeroflow import (
     to_monic,
     zeros_of,
 )
-from zeroflow import classifier, flows
+from zeroflow import classifier, flows, recurrence
 from zeroflow.flows import ZeroTableau, _bisect_tol
 from zeroflow.recurrence import _first_rows, _zero_bounds
 
@@ -139,12 +139,12 @@ def _multisected(rec, n, count):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(20, 400), st.booleans())
 def test_polished_zeros_match_multisection_and_lapack(seed, n, wide):
-    # more than 16 cold zeros: isolated in cells by a wide multisection of
-    # their shared bracket, then polished by Newton steps; the result must be
-    # the multisection one
+    # cold zeros, from one to all: isolated in cells by a wide multisection
+    # of their shared bracket, then polished by Newton steps; the result must
+    # be the multisection one
     rng = np.random.default_rng(seed)
     rec = (wide_range_recurrence if wide else random_recurrence)(rng, n)
-    count = int(rng.integers(17, n + 1))
+    count = int(rng.integers(1, n + 1))
     sweeps = [0]
     with pytest.MonkeyPatch.context() as mp:
         sturm_newton = flows._sturm_newton
@@ -161,6 +161,28 @@ def test_polished_zeros_match_multisection_and_lapack(seed, n, wide):
     c, lam = rec.coeff_arrays(n)
     norm = max(1.0, float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam))))
     np.testing.assert_allclose(got, jacobi_eigenvalues(rec, n, count), rtol=0, atol=1e-12 * norm)
+
+
+@pytest.mark.parametrize("count", [10, 16])
+def test_few_zeros_are_isolated_and_polished_in_few_sweeps(count):
+    # a solve of few zeros takes the path of a solve of many: one wide
+    # multisection isolates them, Newton polishes them, and the re-count
+    # checks them, in at most 8 pivot sweeps (multisection alone takes more)
+    rec = rabi_recurrence(RabiParams(1.0, 0.4))
+    sweeps = [0]
+    pivot_sweep = recurrence._pivot_sweep
+
+    def counting(*args, **kwargs):
+        sweeps[0] += 1
+        return pivot_sweep(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_pivot_sweep", counting)
+        got = zeros_of(rec, 48, count).zeros
+    assert sweeps[0] <= 8
+    c, lam = rec.coeff_arrays(48)
+    norm = max(1.0, float(np.max(np.abs(c)) + 2.0 * np.sqrt(np.max(lam))))
+    np.testing.assert_allclose(got, jacobi_eigenvalues(rec, 48, count), rtol=0, atol=1e-12 * norm)
 
 
 @pytest.mark.parametrize(

@@ -409,22 +409,6 @@ def test_every_pivot_negative_over_whole_blocks(kernel, batch):
         assert counts.tolist() == [n] * batch
 
 
-@pytest.mark.parametrize("split", [0, 1, 37, 256, 300])
-def test_resumed_sweep_is_one_sweep_bitwise(split):
-    # counting rows 1..k, then resuming from v_k over rows k+1..n, gives the
-    # counts and the last pivot of one sweep, infinities from exact hits too
-    n = 513
-    for c, lam in _integer_tables(n):
-        lam[0] = 1.0
-        xs = np.concatenate((c[:64], np.linspace(-3.0, n + 3.0, 200)))
-        head, v, _ = _pivot_sweep(c[:split], lam[:split], xs, None, False)
-        tail, last, _ = _pivot_sweep(c[split:], lam[split:], xs, v, False)
-        whole, whole_last, _ = _pivot_sweep(c, lam, xs, None, False)
-        np.testing.assert_array_equal(head + tail, whole)
-        np.testing.assert_array_equal(last, whole_last)
-        assert np.array_equal(np.signbit(last), np.signbit(whole_last))
-
-
 def _same(a, b):
     return a.tobytes() == b.tobytes()
 
@@ -440,8 +424,7 @@ def _same(a, b):
 def test_per_point_stops_are_each_points_own_sweep(seed, n, batch, kind, derivative):
     # under per-point stops each point's count and last pivot are bitwise
     # those of a sweep over its own rows alone; equal stops give today's
-    # sweep of those rows bitwise, counts, carry and s; a sweep resumed at
-    # per-point starts adds, bitwise, to the sweep that stopped there
+    # sweep of those rows bitwise, counts, last pivots and s
     rng = np.random.default_rng(seed)
     if kind == "integer":
         c, lam = list(_integer_tables(n))[seed % 3]
@@ -453,21 +436,16 @@ def test_per_point_stops_are_each_points_own_sweep(seed, n, batch, kind, derivat
         lo, hi = _zero_bounds(c, lam)
         xs = np.sort(rng.uniform(lo - 1.0, hi + 1.0, batch))
     stops = np.sort(rng.integers(0, n + 1, batch))
-    counts, carry, _ = _pivot_sweep(c, lam, xs, None, derivative, stops=stops)
+    counts, last, _ = _pivot_sweep(c, lam, xs, derivative, stops=stops)
     for i in rng.choice(batch, min(batch, 25), replace=False):
-        own, own_carry, _ = _pivot_sweep(c[: stops[i]], lam[: stops[i]], xs[i : i + 1], None, derivative)
+        own, own_last, _ = _pivot_sweep(c[: stops[i]], lam[: stops[i]], xs[i : i + 1], derivative)
         assert counts[i] == own[0] == _sturm_counts(c[: stops[i]], lam[: stops[i]], xs[i : i + 1])[0]
-        assert _same(carry[i : i + 1], own_carry)
+        assert _same(last[i : i + 1], own_last)
     t = int(rng.integers(0, n + 1))
     for rows, equal in ((t, np.full(batch, t)), (n, None), (n, np.full(batch, n))):
-        got = _pivot_sweep(c, lam, xs, None, derivative, stops=equal)
-        today = _pivot_sweep(c[:rows], lam[:rows], xs, None, derivative)
+        got = _pivot_sweep(c, lam, xs, derivative, stops=equal)
+        today = _pivot_sweep(c[:rows], lam[:rows], xs, derivative)
         assert all(a is b is None or _same(a, b) for a, b in zip(got, today))
-    starts = np.minimum(np.sort(rng.integers(0, n + 1, batch)), stops)
-    head, v, _ = _pivot_sweep(c, lam, xs, None, False, stops=starts)
-    tail, last, _ = _pivot_sweep(c, lam, xs, v, False, stops=stops, starts=starts)
-    assert _same(head + tail, _pivot_sweep(c, lam, xs, None, False, stops=stops)[0])
-    assert _same(last, _pivot_sweep(c, lam, xs, None, False, stops=stops)[1])
 
 
 def _row_by_row(c, lam, xs, stops):
@@ -522,8 +500,8 @@ def test_windowed_sweeps_are_full_sweeps_bitwise(seed, n, batch, kind, derivativ
         xs[: batch // 2] = c[rng.integers(0, n, batch // 2)]
     stops = rng.integers(n - n // 10 if top else 0, n + 1, batch)
     stops[: batch // 2] = n
-    calls = _recorded_lockstep(lambda: _pivot_sweep(c, lam, xs, None, derivative, stops=stops))
-    counts, last, _ = _pivot_sweep(c, lam, xs, None, derivative, stops=stops)
+    calls = _recorded_lockstep(lambda: _pivot_sweep(c, lam, xs, derivative, stops=stops))
+    counts, last, _ = _pivot_sweep(c, lam, xs, derivative, stops=stops)
     expect, pivots = _row_by_row(c, lam, xs, stops)
     np.testing.assert_array_equal(counts, expect)
     assert _same(last, pivots)
@@ -546,8 +524,8 @@ def test_heads_whose_ends_differ_fall_back_to_the_full_sweep():
         for derivative in (False, True):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(recurrence, "_HEAD_ROWS", 1)
-                calls = _recorded_lockstep(lambda: _pivot_sweep(c, lam, xs, None, derivative))
-                counts, last, _ = _pivot_sweep(c, lam, xs, None, derivative)
+                calls = _recorded_lockstep(lambda: _pivot_sweep(c, lam, xs, derivative))
+                counts, last, _ = _pivot_sweep(c, lam, xs, derivative)
             expect, pivots = _row_by_row(c, lam, xs, np.full(xs.size, n))
             np.testing.assert_array_equal(counts, expect)
             assert _same(last, pivots)
@@ -583,8 +561,8 @@ def _frozen_schedule(rec, xs, first, rounds):
     the kernel: each point is checked first at the first multiple of
     `first` at least `first` rows past its dominance index M, then twice as
     many rows past each check that it fails, until its pivot passes the
-    margin.  Returns the counts, the (rows, points) of each round of sweeps
-    and each point's last checked row."""
+    margin.  Returns the counts, the (rows, points) of each round of sweeps,
+    every sweep from row 1, and each point's last checked row."""
     m = np.maximum.accumulate(rec.dominance_index(xs))
     checks = [first * ((m + 2 * first - 1) // first)]
     while len(checks) < rounds:
@@ -604,43 +582,47 @@ def _frozen_schedule(rec, xs, first, rounds):
     swept = []
     for r in range(int(passed.max()) + 1):
         alive = passed >= r
-        start = 0 if r == 0 else int(checks[r - 1, alive].min())
-        swept.append((int(checks[r, alive].max()) - start, int(alive.sum())))
+        swept.append((int(checks[r, alive].max()), int(alive.sum())))
     return counts, swept, checks[passed, np.arange(xs.size)]
 
 
-def test_frozen_recount_resumes_from_the_carried_pivot():
+def test_frozen_recount_sweeps_afresh_to_the_next_stop():
     # each point is swept to its own check row past its own dominance index
-    # M; points whose pivot misses the margin there are carried on from
-    # their pivots, each dropped at the first check it passes, with the
-    # counts of a fresh sweep over rows 1..2M+1; shorter first steps drop
-    # carried points over several sweeps
+    # M; points whose pivot misses the margin there are swept afresh from
+    # row 1 to their next check, each dropped at the first check it passes,
+    # with the counts of a sweep over rows 1..2M+1; every round's counts and
+    # last pivots are bitwise one sweep to its stops.  Shorter first steps
+    # drop the re-counted points over several sweeps
     xs = np.linspace(0.0, 1000.0, 2001)
     pivot_sweep = recurrence._pivot_sweep
     for kappa, first in [(1.0, recurrence._FROZEN_ROWS), (0.2, 3), (3.0, 3)]:
         rec = rabi_recurrence(RabiParams(kappa=kappa, delta=0.4))
-        swept = []
+        calls = []
 
-        def recording(c, lam, xs, carry, derivative, stops, starts):
-            lo = 0 if starts is None else int(np.min(starts))
-            swept.append((int(np.max(stops)) - lo, xs.size))
-            return pivot_sweep(c, lam, xs, carry, derivative, stops=stops, starts=starts)
+        def recording(c, lam, xs, derivative, stops):
+            out = pivot_sweep(c, lam, xs, derivative, stops=stops)
+            calls.append((c, lam, xs.copy(), np.asarray(stops).copy(), out))
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "_pivot_sweep", recording)
             mp.setattr(recurrence, "_FROZEN_ROWS", first)
             got = _frozen_counts(rec, xs)
         expect, rounds, stop = _frozen_schedule(rec, xs, first, 8)
-        assert swept == rounds
+        assert [(int(stops.max()), x.size) for _, _, x, stops, _ in calls] == rounds
         np.testing.assert_array_equal(got, expect)
+        for c, lam, x, stops, (counts, last, _) in calls[1:]:
+            oracle, pivots = _row_by_row(c, lam, x, stops)
+            np.testing.assert_array_equal(counts, oracle)
+            assert _same(last, pivots)
         m = rec.dominance_index(xs)
-        carried = stop > m + first
-        assert 0 < np.count_nonzero(carried) < xs.size
+        recounted = stop > m + first
+        assert 0 < np.count_nonzero(recounted) < xs.size
         rows = 2 * int(m.max()) + 1
-        assert stop.max() < rows  # the carried points stop before the batch's doubling
+        assert stop.max() < rows  # the re-counted points stop before the batch's doubling
         c, lam = rec.coeff_arrays(rows)
         np.testing.assert_array_equal(got, _sturm_counts(c, lam, xs))
-        for i in np.flatnonzero(~carried)[::50]:
+        for i in np.flatnonzero(~recounted)[::50]:
             np.testing.assert_array_equal(got[i], _sturm_counts(c[: stop[i]], lam[: stop[i]], xs[i : i + 1]))
 
 
@@ -666,9 +648,9 @@ def test_table_counts_freeze_at_their_own_dominance_row():
         xs = np.concatenate((eig - 1e-9, eig + 1e-9, 0.5 * (eig[:-1] + eig[1:]), rng.uniform(-8.0, c.size + 2.0, 64)))
         swept = []
 
-        def recording(c, lam, xs, carry, derivative, stops, starts):
+        def recording(c, lam, xs, derivative, stops):
             swept.append((xs.copy(), np.asarray(stops).copy()))
-            return pivot_sweep(c, lam, xs, carry, derivative, stops=stops, starts=starts)
+            return pivot_sweep(c, lam, xs, derivative, stops=stops)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "_pivot_sweep", recording)
@@ -737,7 +719,7 @@ def test_frozen_counts_match_lapack(kappa, parity):
     eig = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 299))
     xs = np.concatenate(([eig[0] - 5.0], 0.5 * (eig[:-1] + eig[1:])))
     np.testing.assert_array_equal(_frozen_counts(rec, xs), np.arange(xs.size))
-    counts, pivot, _ = _pivot_sweep(c[:50], lam[:50], xs[:3], None, False)
+    counts, pivot, _ = _pivot_sweep(c[:50], lam[:50], xs[:3], False)
     np.testing.assert_array_equal(counts, _sturm_counts(c[:50], lam[:50], xs[:3]))
     assert np.all(pivot > 0.0)
 
@@ -767,23 +749,55 @@ def test_frozen_count_refuses_an_index_past_int64():
 
 def test_frozen_count_refuses_rows_past_int64_before_any_sweep(small_coeff_arrays):
     # at x = 8e16 the displaced index M ~ 8e16 fits int64, but the last row
-    # of its doublings, 128 (M + 1) - 1, would wrap to a negative row
-    with pytest.raises(PrecisionExhausted, match=r"x=8e\+16 .*int64 row limit 2\*\*63 - 1"):
+    # of its doublings, 128 (M + 1) - 1, would wrap to a negative row: M is
+    # checked against the row limit before any row is computed
+    with pytest.raises(PrecisionExhausted, match=r"x=8e\+16 .* M = \d+, past the row limit 4194304"):
         _frozen_counts(displaced_recurrence(0.5), np.array([0.0, 8e16]))
 
 
-@pytest.mark.parametrize("m", [2**56 - 1, 2**56])
-def test_frozen_count_row_limit_is_exact(small_coeff_arrays, m):
-    # 128 (M + 1) - 1 <= 2**63 - 1 exactly while M < 2**56: the largest such
-    # index passes the check and goes on to materialize its rows
+def test_frozen_count_refuses_a_billion_rows(small_coeff_arrays):
+    # x = 1e9 on displaced kappa = 0.5 would ask coeff_arrays for about 1e9
+    # rows, 16 GB of c and lambda
+    with pytest.raises(PrecisionExhausted, match=r"x=1000000000\.0 .*past the row limit"):
+        _frozen_counts(displaced_recurrence(0.5), np.array([1e9]))
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_frozen_count_row_limit_is_exact(small_coeff_arrays, past):
+    # the first check row of M = _ROW_LIMIT - 32 is _ROW_LIMIT - 16, so its
+    # round asks coeff_arrays for _ROW_LIMIT - 15 rows; one more M would
+    # need _ROW_LIMIT + 1 rows and is refused before they are materialized
+    m = recurrence._ROW_LIMIT - 2 * recurrence._FROZEN_ROWS + past
     rec = MonicRecurrence(
         c=lambda n: np.asarray(n, dtype=float),
         lam=lambda n: np.ones(np.shape(n)),
         dominance_index=lambda x: np.full(np.shape(x), m, dtype=np.int64),
     )
-    expect = LargeAllocation if m < 2**56 else PrecisionExhausted
-    with pytest.raises(expect):
+    with pytest.raises(LargeAllocation if past == 0 else PrecisionExhausted):
         _frozen_counts(rec, np.array([1.0]))
+
+
+def test_frozen_count_refuses_a_later_round_past_the_row_limit(monkeypatch):
+    # c = 0, lambda = 1 is dominated nowhere above 2 either, so a wrong
+    # index lets the rounds run on; the round whose stop would pass the
+    # limit is refused before coeff_arrays is asked for its rows
+    monkeypatch.setattr(recurrence, "_ROW_LIMIT", 4096)
+    rec = MonicRecurrence(
+        c=lambda n: np.zeros(np.shape(n)),
+        lam=lambda n: np.ones(np.shape(n)),
+        dominance_index=lambda x: np.full(np.shape(x), 1000),
+    )
+    asked = []
+    coeff_arrays = MonicRecurrence.coeff_arrays
+
+    def recording(self, n):
+        asked.append(n)
+        return coeff_arrays(self, n)
+
+    monkeypatch.setattr(MonicRecurrence, "coeff_arrays", recording)
+    with pytest.raises(PrecisionExhausted, match=r"x=5\.0 .*needs 5089 rows .*M = 1000, past the row limit 4096"):
+        _frozen_counts(rec, np.array([5.0]))
+    assert len(asked) > 1 and max(asked) <= 4096
 
 
 def test_wrong_dominance_index_raises_instead_of_counting_on():
