@@ -308,9 +308,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--schedule",
         default=None,
-        help="comma-separated increasing cut-off degrees (default: growth by 1.5 from the "
-        "rows the frozen count first runs over at the top level, which usually certify every "
-        "level, so a flow trace has one row; name degrees to follow a flow across them)",
+        help="comma-separated increasing cut-off degrees (default: growth by 1.5, up to the "
+        "table length and max(250000, levels), from the rows the frozen count first runs over, "
+        "per 64 levels from 128 on, which usually certify every level, so a flow trace has one "
+        "row; name degrees to follow a flow across them)",
     )
 
 

@@ -9,37 +9,37 @@ a limit xi_l <= x_{n,l}; the set of limits is the point spectrum.  The
 solver computes the first `count` zeros of P_n on brackets of the pivot-form
 Sturm count, which is monotone in x in floating point (each zero is
 individually bracketed, so no zero can be skipped silently), and drives n
-upward along a growth schedule.  By default the schedule starts at the
-rows the frozen count below first runs over at the top level: the first
-multiple of 16 at least 16 rows past the dominance index there, so most
-requests solve one degree; it grows by 1.5 from there where those rows
-fall short.  For 128 levels or more that degree is a step function N(x)
-of x, the same rule taken at most count // 64 times under the top level,
-so that each point is counted at its own degree (recurrence._pivot_sweep's
-per-point stops) and a level is the point where the count of P_{N(x)}
-below x steps; the growth schedule grows each step.  No default degree
-depends on tol.  A flow stops at the first degree where the Sturm count
-frozen at degree infinity (recurrence._frozen_counts: exact at a table's
-length, or past a model's dominance index) finds at most l - 1 spectral
-points below x_{n,l} - tol, which proves xi_l in [x_{n,l} - tol, x_{n,l}].
-That is the only stop rule, so a model with neither a table length nor a
-dominance index is refused.  Every degree is
-solved cold, from the Gershgorin bracket.  Brackets shrink by multisection,
-few brackets taking many probes per batched count (Lo, Philippe & Sameh,
-SIAM J. Sci. Stat. Comput. 8, 1987).  A solve multisects the one bracket
-all its zeros share, spreading a wide batch of probes below the Gershgorin
-end of the leading count + 1 rows and then over the cells between probed
-points that still hold two or more zeros, until each zero is alone in its
-cell; it then takes safeguarded Newton steps, with
-the log-derivative from the same forward sweep as the count, and from the
-second step on steps to the pole of a pole-plus-constant fit of the last
-two.  The sweep runs each point over a window of rows from below its
-turning point, so that log-derivative is that of the window's polynomial,
-P_n / P_{k0-1} in effect, which has the zeros of P_n near the point
+upward along a growth schedule.  Every cut-off is a step function N(x) of x
+that never decreases (_Steps; a constant degree has no ends): the count at x
+is that of P_{N(x)} (recurrence._pivot_sweep's per-point stops), and a level
+is the point where it steps.  By default the first cut-off is the rows the
+frozen count below first runs over at the top level, the first multiple of
+16 at least 16 rows past the dominance index there, taken at most count //
+64 times under the top level from 128 levels on, so that most requests
+solve one cut-off and each point is counted at its own degree.  Where those
+rows fall short each step grows by 1.5, up to one cap: the table length and
+max(250000, levels).  No default degree depends on tol.  A flow stops at
+the first degree where the Sturm count frozen at degree infinity
+(recurrence._frozen_counts: exact at a table's length, or past a model's
+dominance index) finds at most l - 1 spectral points below x_{n,l} - tol,
+which proves xi_l in [x_{n,l} - tol, x_{n,l}].  That is the only stop rule,
+so a model with neither a table length nor a dominance index is refused.
+Every degree is solved cold, from the Gershgorin bracket.  Brackets shrink
+by multisection, few brackets taking many probes per batched count (Lo,
+Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  A solve multisects
+the one bracket all its zeros share, spreading a wide batch of probes below
+the Gershgorin end of the leading count + 1 rows and then over the cells
+between probed points that still hold two or more zeros, until each zero is
+alone in its cell; it then takes safeguarded Newton steps, with the
+log-derivative from the same forward sweep as the count, and from the second
+step on steps to the pole of a pole-plus-constant fit of the last two.  The
+sweep runs each point over a window of rows from below its turning point, so
+that log-derivative is that of the window's polynomial, P_n / P_{k0-1} in
+effect, which has the zeros of P_n near the point
 (recurrence._pivot_sweep).  Every polished zero is re-counted half a
 tolerance on either side, where that side is not already proven by its
-bracket's counts; one that fails counts a geometric ladder past that side
-in one sweep and goes back to multisection from the rungs that bracket it.
+bracket's counts; one that fails counts a geometric ladder past that side in
+one sweep and goes back to multisection from the rungs that bracket it.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ _STEP_LEVELS = 64
 class _Steps:
     """A degree N(x) that never decreases in x: degrees[0] up to and at
     ends[0], degrees[i] on (ends[i - 1], ends[i]], and degrees[-1] above
-    ends[-1].  A solve at N counts the zeros of P_{N(x)} below each x."""
+    ends[-1]; a constant degree has no ends.  A solve at N counts the zeros
+    of P_{N(x)} below each x."""
 
     ends: np.ndarray
     degrees: np.ndarray
@@ -140,66 +141,68 @@ class _Steps:
         return self.degrees[np.searchsorted(self.ends, xs, side="left")]
 
 
-def _steps(rec: MonicRecurrence, count: int) -> Union[int, _Steps]:
-    """The default degree of a solve of `count` levels: one degree under
-    2 * _STEP_LEVELS levels, else a step function N(x) of count //
-    _STEP_LEVELS steps.  Step j ends at x_j, the upper Gershgorin end of
-    the first k_j = _STEP_LEVELS * j rows, which bounds the levels 1 .. k_j
-    (the top step, or the one degree, at k = count).  Its degree is the rows
-    the frozen count first runs over at x_j (recurrence._first_rows), at
-    least k_j, raised to the step before's and capped at n_cap and at
-    max(_DEFAULT_N_MAX, count).  C(x) = count of P_{N(x)} below x is
-    monotone, as the count of one degree is: the count is monotone in x,
-    and a longer sweep only adds pivots."""
+def _flat(n: int) -> _Steps:
+    """The constant degree n."""
+    return _Steps(ends=np.empty(0), degrees=np.array([n], dtype=np.int64))
+
+
+def _cap(rec: MonicRecurrence, count: int) -> int:
+    """The highest default degree: the table length, and max(_DEFAULT_N_MAX, count)."""
+    return min(rec.n_cap or math.inf, max(_DEFAULT_N_MAX, count))
+
+
+def _steps(rec: MonicRecurrence, count: int) -> _Steps:
+    """The default first cut-off of a solve of `count` levels: one degree
+    (no ends) under 2 * _STEP_LEVELS levels, else count // _STEP_LEVELS
+    steps.  Step j ends at x_j, the upper Gershgorin end of the first k_j =
+    _STEP_LEVELS * j rows, which bounds the levels 1 .. k_j (the top step at
+    k = count).  Its degree is the rows the frozen count first runs over at
+    x_j (recurrence._first_rows), at least k_j, raised to the step before's
+    and capped by _cap.  C(x) = count of P_{N(x)} below x is monotone, as
+    the count of one degree is: a longer sweep only adds pivots."""
     pieces = count // _STEP_LEVELS
     levels = np.append(_STEP_LEVELS * np.arange(1, pieces), count)
     c, lam = rec.coeff_arrays(count)
-    ends = np.maximum.accumulate([_zero_bounds(c[:k], lam[:k])[1] for k in levels])
+    # _zero_bounds(c[:k], lam[:k])[1] at each k of levels, bitwise, in one
+    # pass: prefix extremes of c -/+ both neighbours' roots, then the last
+    # row k - 1 with its lower neighbour's alone (row 0 has none)
+    root = np.sqrt(lam)
+    root[0] = 0.0
+    radius = root[:-1] + root[1:]
+    j = levels - 1
+    hi = np.maximum(np.maximum.accumulate(np.append(-np.inf, c[:-1] + radius))[j], c[j] + root[j])
+    lo = np.minimum(np.minimum.accumulate(np.append(np.inf, c[:-1] - radius))[j], c[j] - root[j])
+    ends = np.maximum.accumulate(hi + 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi))))
     degrees = np.maximum.accumulate(np.maximum(levels, _first_rows(_dominance_rows(rec, ends))))
-    degrees = np.minimum(degrees, min(rec.n_cap or math.inf, max(_DEFAULT_N_MAX, count)))
-    if pieces < 2:
-        return int(degrees[-1])
-    return _Steps(ends=ends[:-1], degrees=degrees)
+    return _Steps(ends=ends[:-1], degrees=np.minimum(degrees, _cap(rec, count)))
 
 
-def _grown(first: Union[int, _Steps]) -> Iterable[Union[int, _Steps]]:
-    """The growth schedule by the factor 1.5 from `first`, taken pointwise on
-    a step function: each step grows as GrowthSchedule(its degree) does,
-    staying at _DEFAULT_N_MAX once there."""
-    if not isinstance(first, _Steps):
-        yield from GrowthSchedule(first).degrees()
-        return
-    runs = [list(GrowthSchedule(int(d)).degrees()) for d in first.degrees]
+def _grown(first: _Steps, cap: int) -> Iterable[_Steps]:
+    """The growth by the factor 1.5 from `first`, pointwise: each step as
+    GrowthSchedule(its degree, cap), held at cap until every step is there."""
+    runs = [list(GrowthSchedule(int(d), cap).degrees()) for d in first.degrees]
     for i in range(max(map(len, runs))):
         yield _Steps(first.ends, np.array([run[min(i, len(run) - 1)] for run in runs]))
 
 
 def _degrees(
     rec: MonicRecurrence, count: int, schedule: Optional[ScheduleLike] = None
-) -> list[Union[int, _Steps]]:
-    """The cut-offs at which `count` flows are followed: an explicit
-    increasing list, a growth schedule, or by default the growth schedule by
-    the factor 1.5 from _steps (the rows the frozen count first runs over,
-    one degree or a step function of x for many levels).  On a tabulated
-    model the first degree at or past the table length becomes the last
-    one, at that length; later degrees are not read, and a step function is
-    clamped step by step."""
+) -> Iterable[_Steps]:
+    """The cut-offs at which `count` flows are followed, each a step
+    function: by default, lazily, the growth schedule by the factor 1.5 from
+    _steps up to _cap; else the constant degrees of an explicit increasing
+    list or a growth schedule, validated before any is solved.  On a
+    tabulated model the first explicit degree at or past the table length
+    becomes the last one, at that length; later degrees are not read."""
     cap = rec.n_cap
     if cap is not None and cap < count:
         raise ValueError("tabulated model too short for the requested levels")
     if schedule is None:
-        schedule = _grown(_steps(rec, count))
-    elif isinstance(schedule, GrowthSchedule):
+        return _grown(_steps(rec, count), _cap(rec, count))
+    if isinstance(schedule, GrowthSchedule):
         schedule = schedule.degrees()
-    degrees: list[Union[int, _Steps]] = []
+    degrees: list[int] = []
     for n in schedule:
-        if isinstance(n, _Steps):
-            if cap is not None:
-                n = _Steps(n.ends, np.minimum(n.degrees, cap))
-            degrees.append(n)
-            if n.degrees[0] == cap:
-                break
-            continue
         n = int(n)
         if n < 1 or (degrees and n <= degrees[-1]):
             raise ValueError("schedule degrees must be positive and strictly increasing")
@@ -208,9 +211,9 @@ def _degrees(
             break
     if not degrees:
         raise ValueError("schedule must contain at least one degree")
-    if isinstance(degrees[0], int) and degrees[0] < count:
+    if degrees[0] < count:
         raise ValueError(f"schedule degree {degrees[0]} is below the flow count {count}")
-    return degrees
+    return map(_flat, degrees)
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,7 @@ class SpectrumResult:
         return np.array([lv.xi for lv in self.levels])
 
 
-def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
+def zeros_of(rec: MonicRecurrence, n: Union[int, _Steps], count: int) -> ZeroTableau:
     """The `count` smallest zeros of P_n on Sturm-count brackets.  The
     shared bracket is multisected into cells only until each zero is alone
     in one, each isolated zero is then polished by safeguarded Newton
@@ -290,12 +293,12 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     the zero multisects from the two rungs (or bracket ends) either side of
     it, a bracket at most 16 times its distance from x.
 
-    Inside run_flows n may also be a step function N(x) of x (_Steps): then
-    every count at x is that of P_{N(x)}, and zero l is the point where
-    that count, still monotone in x, steps from l-1 to l.
+    n is a degree, or a step function N(x) as every cut-off of run_flows
+    is (_Steps): every count at x is that of P_{N(x)}, and zero l is the
+    point where that count, still monotone in x, steps from l-1 to l.
     """
-    steps = n if isinstance(n, _Steps) else None
-    top = n.top if steps else n
+    steps = n if isinstance(n, _Steps) else _flat(n)
+    top = steps.top
     if count < 1 or count > top:
         raise ValueError(f"count must be in [1, n]; got count={count}, n={top}")
     c, lam = rec.coeff_arrays(top)
@@ -325,7 +328,7 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     expect = np.stack((targets[iso] - 1, targets[iso]))
     cts = expect.copy()
     todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
-    cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
+    cts[todo] = _sturm_counts(c, lam, pts[todo], steps.at(pts)[todo])
     _narrow(lo, hi, lo_ct, hi_ct, targets, iso, pts, cts, todo)
     ok = (cts == expect).all(axis=0)
     zeros[iso[ok]] = x[ok]
@@ -340,7 +343,7 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
         pts = x + side * 16.0 ** np.arange(1, max(rungs, 1) + 1)[:, None]
         todo = (pts > lo[fail]) & (pts < hi[fail])
         cts = np.zeros(pts.shape, dtype=np.int64)
-        cts[todo] = _sweep(_sturm_counts, c, lam, pts[todo], steps)
+        cts[todo] = _sturm_counts(c, lam, pts[todo], steps.at(pts)[todo])
         _narrow(lo, hi, lo_ct, hi_ct, targets, fail, pts, cts, todo)
     rest = np.flatnonzero(np.isnan(zeros))
     _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, rest, steps)
@@ -364,12 +367,6 @@ def zeros_of(rec: MonicRecurrence, n: int, count: int) -> ZeroTableau:
     return ZeroTableau(n=top, zeros=zeros)
 
 
-def _sweep(kernel, c, lam, xs, steps):
-    """kernel (_sturm_counts or _sturm_newton) at the 1-D xs, for P_n with
-    n = len(c), or for P_{N(x)} at each x with a step function N (steps)."""
-    return kernel(c, lam, xs) if steps is None else kernel(c, lam, xs, steps.at(xs))
-
-
 def _narrow(lo, hi, lo_ct, hi_ct, targets, idx, pts, cts, counted) -> None:
     """Move the brackets of the zeros with indices idx, and the counts at
     their ends, in place, to the points pts[:, i] counted inside bracket
@@ -386,11 +383,12 @@ def _narrow(lo, hi, lo_ct, hi_ct, targets, idx, pts, cts, counted) -> None:
     hi[idx[cols]], hi_ct[idx[cols]] = pts[i, cols], cts[i, cols]
 
 
-def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps=None) -> None:
+def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps) -> None:
     """Shrink the brackets [lo, hi] of the zeros with indices `active`, and
     the counts lo_ct, hi_ct at their ends, in place, to the bisection
-    tolerance.  Each pass spends _PROBE_BATCH probes over the active
-    brackets, p per bracket, spaced evenly inside it."""
+    tolerance, for the count of P_{N(x)} with N = steps.  Each pass spends
+    _PROBE_BATCH probes over the active brackets, p per bracket, spaced
+    evenly inside it."""
     while active.size:
         lo_a, hi_a = lo[active], hi[active]
         width = hi_a - lo_a
@@ -398,7 +396,7 @@ def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps=None) -> Non
         p = max(1, _PROBE_BATCH // active.size)
         e = np.arange(p, 0, -1)
         probes = hi_a[:, None] - width[:, None] * (e / (p + 1))
-        cts = _sweep(_sturm_counts, c, lam, probes.ravel(), steps).reshape(probes.shape)
+        cts = _sturm_counts(c, lam, probes.ravel(), steps.at(probes).ravel()).reshape(probes.shape)
         k = np.count_nonzero(cts < targets[active, None], axis=1)
         ends = np.hstack((lo_a[:, None], probes, hi_a[:, None]))
         ends_ct = np.hstack((lo_ct[active, None], cts, hi_ct[active, None]))
@@ -413,7 +411,7 @@ def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps=None) -> Non
         active = active[keep]
 
 
-def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps=None) -> np.ndarray:
+def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps) -> np.ndarray:
     """Multisect the shared bracket [lo, hi] until each zero is alone
     in a cell between two probed points, set every bracket and the counts
     lo_ct, hi_ct at its ends, in place, to its zero's cell, and return the
@@ -441,7 +439,7 @@ def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps=None) -> np.nda
         probes = probes[probes > lo[0]]
         probes = probes[np.append(True, probes[1:] > probes[:-1])]
         pts = np.concatenate(([lo[0]], probes, [hi[0]]))
-        cts = np.concatenate(([lo_ct[0]], _sweep(_sturm_counts, c, lam, probes, steps), [hi_ct[0]]))
+        cts = np.concatenate(([lo_ct[0]], _sturm_counts(c, lam, probes, steps.at(probes)), [hi_ct[0]]))
     closed = np.zeros(pts.size - 1, dtype=bool)  # per cell [pts[i], pts[i + 1]]
     while True:
         weight = np.diff(np.minimum(cts, count + 1))
@@ -464,7 +462,7 @@ def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps=None) -> np.nda
             continue
         at = cells[cell] + 1
         pts = np.insert(pts, at, probes)
-        cts = np.insert(cts, at, _sweep(_sturm_counts, c, lam, probes, steps))
+        cts = np.insert(cts, at, _sturm_counts(c, lam, probes, steps.at(probes)))
         closed = np.insert(closed, at, False)
     i = np.searchsorted(cts, targets - 1, side="right") - 1
     lo[:], hi[:] = pts[i], pts[i + 1]
@@ -483,7 +481,7 @@ def _pole_fit(x0, s0, x1, s1):
     return x1 - 2.0 * d / (t * (1.0 + w)), x1 + 0.5 * d * (1.0 + w)
 
 
-def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps=None) -> np.ndarray:
+def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps) -> np.ndarray:
     """Safeguarded Newton iteration with memory for the isolated zeros with
     indices idx; returns their polished points, NaN where a zero did not
     settle within _NEWTON_SWEEPS.  Each step takes the count and s = Q'/Q
@@ -507,7 +505,7 @@ def _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps=None) -> np.ndarra
         if not pos.size:
             break
         active = idx[pos]
-        cts, s = _sweep(_sturm_newton, c, lam, x, steps)
+        cts, s = _sturm_newton(c, lam, x, steps.at(x))
         below = cts < targets[active]
         lo_a = lo[active] = np.where(below, x, lo[active])
         hi_a = hi[active] = np.where(below, hi[active], x)
@@ -541,8 +539,8 @@ def _track_flows(
     watch: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The degree of each of the first `count` zero flows at each cut-off
-    visited (one row per cut-off: the cut-off, or its step function at the
-    zero), the tableaux of those flows (one row per cut-off), and the degree
+    visited (one row per cut-off: its step function at the zero), the
+    tableaux of those flows (one row per cut-off), and the degree
     at which each flow converged (0 if it did not), as run_flows defines
     them.  Stops once every flow from index `watch` on has converged.
     Before any zero is computed, tol must be finite and > 0 and the model's
@@ -556,18 +554,18 @@ def _track_flows(
     n_conv = np.zeros(count, dtype=np.int64)
     flat = False
     for n in _degrees(rec, count, schedule):
-        n = n.top if flat and isinstance(n, _Steps) else n
+        n = _flat(n.top) if flat else n
         try:
             x = zeros_of(rec, n, count).zeros
         except ZeroCoagulation:
             # a step of N short at its end makes the count jump there by more
             # than one level, a collision of the step function's own making:
             # from here on each cut-off is its step function's top degree
-            if not isinstance(n, _Steps):
+            if not n.ends.size:
                 raise
-            n, flat = n.top, True
+            n, flat = _flat(n.top), True
             x = zeros_of(rec, n, count).zeros
-        deg = n.at(x) if isinstance(n, _Steps) else np.full(count, n)
+        deg = n.at(x)
         if rows:
             prev = rows[-1]
             up = np.flatnonzero(x > prev + _bisect_tol(np.maximum(np.abs(prev), np.abs(x))))
@@ -609,7 +607,8 @@ def run_flows(
     The cut-offs follow `schedule`, by default a growth schedule by the
     factor 1.5 from the rows the frozen count first runs over at the top
     level (for 128 levels or more a step function of x under them, _steps),
-    so that one solve usually suffices.
+    so that one solve usually suffices, up to the table length and
+    max(250000, n_levels) for any n_levels.
     Each level's n_converged is its own degree.  tol, finite and > 0, is
     the width of the enclosure, up to the bisection resolution of xi: a
     flow converges at the first degree n where the frozen Sturm count proves

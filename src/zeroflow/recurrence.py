@@ -434,8 +434,7 @@ def _pivot_sweep(c, lam, xs, derivative, stops=None):
     xs = np.asarray(xs, dtype=float)
     c = c + 0.0  # -0.0 + 0.0 = +0.0; c_k - x = -0.0 needs c_k = -0.0
     n = c.shape[0]
-    equal = stops is None
-    stops = np.full(xs.size, n, dtype=np.int64) if equal else np.asarray(stops, dtype=np.int64)
+    stops = np.full(xs.size, n, dtype=np.int64) if stops is None else np.asarray(stops, dtype=np.int64)
     start = np.zeros(xs.size, dtype=np.int64)
     # lambda_0 / inf = 0 starts v_1 = c_0 - x
     v, r, base, head = np.full(xs.size, np.inf), None, None, _HEAD_ROWS
@@ -444,8 +443,8 @@ def _pivot_sweep(c, lam, xs, derivative, stops=None):
         # its longest window, and the pass over the head rows costs about
         # twice as many again.  So each point within 2 * head rows of the
         # top stop needs a head, and so x above c_0 .. c_head
-        top = n if equal else stops.max()
-        if (xs if equal else xs[stops >= top - 2 * head]).min() > c[: head + 1].max():
+        top = stops.max()
+        if xs[stops >= top - 2 * head].min() > c[: head + 1].max():
             k = _head_rows(c, lam, xs, stops)
             if (stops - np.where(k > head, k, 0)).max() + 2 * head < top:
                 base, r, s = np.zeros(xs.size, dtype=np.int64), np.zeros(xs.size), np.zeros(xs.size)
@@ -468,8 +467,8 @@ def _pivot_sweep(c, lam, xs, derivative, stops=None):
                     todo = todo[~ok]
                     todo = todo[k[todo] > head]
     if base is None:
-        # every point from row 1, and to row n where stops are equal
-        return _lockstep(c, lam, xs, None if equal else start, stops, v, r, derivative)[:3]
+        # every point from row 1, and to row n where every stop is n
+        return _lockstep(c, lam, xs, None if stops.min(initial=n) == n else start, stops, v, r, derivative)[:3]
     counts, last, sums, _ = _lockstep(c, lam, xs, start, stops, v, r, derivative)
     return counts + base, last, s + sums if derivative else None
 

@@ -233,7 +233,8 @@ def test_cf_compare_takes_schedule_flags(capsys):
     # the default schedule grows from the frozen count's first rows, 32 for
     # these six levels; naming it changes nothing
     rec = displaced_recurrence(0.5)
-    assert flows._steps(rec, 6) == 32
+    steps = flows._steps(rec, 6)
+    assert steps.ends.size == 0 and steps.top == 32
     default = ",".join(map(str, GrowthSchedule(32).degrees()))
     assert run_cli(capsys, *base, "--schedule", default)[:2] == (0, out)
     # at degrees 7 and 8 the sixth flow is still 0.4 and 0.13 above k - 0.25:

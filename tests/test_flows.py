@@ -132,7 +132,7 @@ def _multisected(rec, n, count):
     lo, hi = np.full(count, lo_glob), np.full(count, hi_glob)
     targets = np.arange(1, count + 1)
     lo_ct, hi_ct = np.zeros(count, dtype=np.int64), np.full(count, n, dtype=np.int64)
-    flows._multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, np.arange(count))
+    flows._multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, np.arange(count), flows._flat(n))
     return 0.5 * (lo + hi)
 
 
@@ -149,9 +149,9 @@ def test_polished_zeros_match_multisection_and_lapack(seed, n, wide):
     with pytest.MonkeyPatch.context() as mp:
         sturm_newton = flows._sturm_newton
 
-        def counting(c, lam, xs):
+        def counting(c, lam, xs, stops):
             sweeps[0] += 1
-            return sturm_newton(c, lam, xs)
+            return sturm_newton(c, lam, xs, stops)
 
         mp.setattr(flows, "_sturm_newton", counting)
         got = zeros_of(rec, n, count).zeros
@@ -202,8 +202,8 @@ def test_wrong_newton_steps_cannot_pass_silently(monkeypatch, wrong):
     ref = _multisected(rec, 300, 200)
     sturm_newton = flows._sturm_newton
 
-    def lying(c, lam, xs):
-        counts, s = sturm_newton(c, lam, xs)
+    def lying(c, lam, xs, stops):
+        counts, s = sturm_newton(c, lam, xs, stops)
         with np.errstate(divide="ignore"):
             return counts, wrong(xs, s)
 
@@ -223,8 +223,8 @@ def test_exact_hits_in_the_newton_sweep():
     nonfinite = [0]
     sturm_newton = flows._sturm_newton
 
-    def watching(c, lam, xs):
-        counts, s = sturm_newton(c, lam, xs)
+    def watching(c, lam, xs, stops):
+        counts, s = sturm_newton(c, lam, xs, stops)
         nonfinite[0] += int(np.count_nonzero(~np.isfinite(s)))
         return counts, s
 
@@ -248,9 +248,9 @@ def test_cold_degree_takes_few_kernel_calls(monkeypatch, n):
     sturm_counts, sturm_newton = flows._sturm_counts, flows._sturm_newton
 
     def counting(kernel, name):
-        def wrapped(c, lam, xs):
+        def wrapped(c, lam, xs, stops):
             calls.append((name, xs.size))
-            return kernel(c, lam, xs)
+            return kernel(c, lam, xs, stops)
 
         return wrapped
 
@@ -284,9 +284,9 @@ def test_one_sided_recount_accepts_only_zeros_the_full_recount_passes(seed, n, w
     count = int(rng.integers(17, n + 1))
     sturm_newton = flows._sturm_newton
 
-    def lying(c, lam, xs):
+    def lying(c, lam, xs, stops):
         with np.errstate(divide="ignore"):
-            return sturm_newton(c, lam, xs)[0], 1.0 / (xs - np.round(xs, 3))
+            return sturm_newton(c, lam, xs, stops)[0], 1.0 / (xs - np.round(xs, 3))
 
     try:
         with pytest.MonkeyPatch.context() as mp:
@@ -312,13 +312,13 @@ def test_recount_failures_multisect_from_a_ladder_bracket():
     multisect = flows._multisect
     moved, entered = {}, []
 
-    def off(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps=None):
+    def off(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps):
         shift = np.where(idx % 2, 1.5, -1.5) * 2.0 ** (idx % 21) * 0.5 * _bisect_tol(ref[idx])
         y = np.clip(ref[idx] + shift, lo[idx], hi[idx])
         moved.update(zip(idx.tolist(), y.tolist()))
         return y
 
-    def recording(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps=None):
+    def recording(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps):
         entered.extend(zip(active.tolist(), (hi[active] - lo[active]).tolist()))
         multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps)
 
@@ -375,7 +375,7 @@ def test_run_flows_displaced_oracle():
     res = run_flows(rec, 5, tol=1e-10)
     assert res.complete
     np.testing.assert_allclose(res.xi, displaced_oscillator_spectrum(0.2, 5), atol=1e-10)
-    first = flows._steps(rec, 5)
+    (first,) = _constant([flows._steps(rec, 5)])
     for lv in res.levels:
         assert lv.converged and lv.n_converged == first
 
@@ -557,6 +557,14 @@ def _count_solves(monkeypatch) -> list:
     return solved
 
 
+def _constant(cutoffs) -> list:
+    """The degrees of cut-offs that must each be constant: a step function
+    with no ends."""
+    cutoffs = list(cutoffs)
+    assert all(n.ends.size == 0 and n.degrees.size == 1 for n in cutoffs)
+    return [n.top for n in cutoffs]
+
+
 def test_models_without_a_frozen_count_are_refused(monkeypatch):
     # no frozen count, no stop rule: refused before any zero is computed;
     # with the Rabi index attached, the same to_monic model certifies its
@@ -623,7 +631,7 @@ def test_default_steps_never_decrease_nor_pass_the_first_degree(kind, count):
     steps = flows._steps(rec, count)
     if count < 128:
         x = _zero_bounds(head_c, head_lam)[1]
-        assert steps == min(max(count, 16 * math.ceil((dominance(x) + 16) / 16)), rec.n_cap or math.inf)
+        assert _constant([steps]) == [min(max(count, 16 * math.ceil((dominance(x) + 16) / 16)), rec.n_cap or math.inf)]
         return
     assert 2 <= steps.degrees.size <= count // 64 and steps.ends.size == steps.degrees.size - 1
     assert np.all(np.diff(steps.ends) >= 0) and np.all(np.diff(steps.degrees) >= 0)
@@ -655,15 +663,15 @@ def test_short_steps_grow_pointwise_and_still_certify(monkeypatch, cut):
     monkeypatch.setattr(flows, "_first_rows", short)
     solved = _count_solves(monkeypatch)
     res = run_flows(rec, 300, tol=1e-8)
-    assert len(solved) >= 2 and isinstance(solved[0], flows._Steps)
+    assert len(solved) >= 2 and solved[0].ends.size
     for a, b in zip(solved, solved[1:]):
-        if isinstance(b, flows._Steps):
+        if b.ends.size:
             np.testing.assert_array_equal(b.degrees, np.maximum(np.ceil(1.5 * a.degrees), a.degrees + 1))
-        elif isinstance(a, flows._Steps):  # the fall-back solve
-            assert b == a.top
+        elif a.ends.size:  # the fall-back solve
+            assert _constant([b]) == [a.top]
         else:
-            assert b > a
-    assert isinstance(solved[-1], flows._Steps) == (cut is not None)
+            assert b.top > a.top
+    assert bool(solved[-1].ends.size) == (cut is not None)
     expect = jacobi_eigenvalues(rec, 3 * max(lv.n_converged for lv in res.levels), 300)
     _assert_enclosed(res, expect, 1e-12 * 300)
 
@@ -729,8 +737,8 @@ def test_every_scan_request_solves_one_degree(monkeypatch):
         solved.clear()
         res = run_flows(rec, 20, tol=1e-10)
         assert res.complete
-        assert solved == [flows._steps(rec, 20)], rec.description
-    assert solved[0] > 200  # the trap table's
+        assert _constant(solved) == _constant([flows._steps(rec, 20)]), rec.description
+    assert solved[0].top > 200  # the trap table's
 
 
 def test_a_short_first_degree_grows_by_the_schedule(monkeypatch):
@@ -738,10 +746,10 @@ def test_a_short_first_degree_grows_by_the_schedule(monkeypatch):
     # goes on: forced to start at the flow count, Rabi kappa = 3 visits
     # ceil(1.5 * 20) = 30 next and still certifies every level
     rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
-    monkeypatch.setattr(flows, "_steps", lambda rec, count: count)
+    monkeypatch.setattr(flows, "_steps", lambda rec, count: flows._flat(count))
     solved = _count_solves(monkeypatch)
     res = run_flows(rec, 20, tol=1e-10)
-    assert solved[:2] == [20, 30]
+    assert _constant(solved[:2]) == [20, 30]
     assert res.complete
     expect = jacobi_eigenvalues(rec, 3 * max(lv.n_converged for lv in res.levels), 20)
     np.testing.assert_allclose(res.xi, expect, rtol=0, atol=1e-10)
@@ -761,7 +769,7 @@ def test_first_degree_is_clamped(seed, count, kind):
         c = np.arange(n, dtype=float) + rng.uniform(-0.3, 0.3, size=n)
         c[int(rng.integers(0, n))] = -float(rng.uniform(0.0, 6.0))
         rec = MonicRecurrence.from_arrays(c, rng.uniform(0.02, 0.5, size=n - 1))
-    first = flows._steps(rec, count)
+    (first,) = _constant([flows._steps(rec, count)])
     assert count <= first <= min(rec.n_cap or flows._DEFAULT_N_MAX, flows._DEFAULT_N_MAX)
 
 
@@ -770,19 +778,57 @@ def test_first_degree_stays_under_the_default_budget(monkeypatch):
     # a table; the flow count itself is the floor, also past that budget.
     # Displaced kappa = 600 has its dominance index near kappa^2 = 360000:
     # its first degree is the budget, and a growth schedule from there is valid
-    assert flows._degrees(displaced_recurrence(600.0), 3)[0] == flows._DEFAULT_N_MAX
+    assert _constant(flows._degrees(displaced_recurrence(600.0), 3))[0] == flows._DEFAULT_N_MAX
     rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
-    assert flows._steps(rec, 20) > 100
+    assert _constant([flows._steps(rec, 20)])[0] > 100
     monkeypatch.setattr(flows, "_DEFAULT_N_MAX", 100)
-    assert flows._steps(rec, 20) == 100
-    assert flows._steps(rec, 100) == 100
+    assert _constant([flows._steps(rec, 20)]) == [100]
+    assert _constant([flows._steps(rec, 100)]) == [100]
     steps = flows._steps(rec, 150)
     assert steps.top == 150 and 64 <= steps.degrees[0] <= 150
     c = np.arange(30.0)
     c[28] = -5.0  # loose up to the table's end: no row certifies
     table = MonicRecurrence.from_arrays(c, np.full(29, 0.04))
-    assert flows._steps(table, 5) == 30
-    assert flows._steps(table, 30) == 30
+    assert _constant([flows._steps(table, 5)]) == [30]
+    assert _constant([flows._steps(table, 30)]) == [30]
+
+
+def test_default_schedule_past_the_budget_reaches_the_level_count():
+    # 260000 levels lie past the default budget of 250000: the cap is the
+    # level count, so the first cut-off tops out there and the growth from
+    # it stops there, with no step past it
+    rec = rabi_recurrence(RabiParams(0.2, 0.4))
+    first = next(iter(flows._degrees(rec, 260_000)))
+    assert first.top == 260_000 and first.degrees.max() == 260_000
+    assert first.ends.size == first.degrees.size - 1 == 260_000 // 64 - 1
+    cutoffs = list(flows._degrees(rec, 260_000))
+    assert all(np.all(b.degrees >= a.degrees) for a, b in zip(cutoffs, cutoffs[1:]))
+    assert max(n.degrees.max() for n in cutoffs) == 260_000
+    assert np.all(cutoffs[-1].degrees == 260_000)
+
+
+def test_step_ends_are_the_gershgorin_ends_of_each_prefix_bitwise():
+    # the default steps end at _zero_bounds' upper end of the first 64 j
+    # rows, pad included, bitwise, raised to the end before: one pass over
+    # the rows gives what one _zero_bounds per step gave.  Two random
+    # tables: one rises with a spike on the last row of every step, which
+    # then sets the step's end; one falls, so that row 0 sets every end and
+    # the lower end sets the pad
+    rng = np.random.default_rng(3000)
+    drift = np.cumsum(rng.uniform(-1.0, 2.0, 3000))
+    rising = rng.uniform(-5.0, 5.0, 3000) + drift
+    rising[63::64] += 50.0
+    falling = rng.uniform(-1.0, 1.0, 3000) - 10.0 * np.arange(3000)
+    models = [
+        (rabi_recurrence(RabiParams(0.2, 0.4)), 1000),
+        (rabi_recurrence(RabiParams(3.0, 0.4)), 1000),
+        (displaced_recurrence(1.5), 1000),
+    ] + [(MonicRecurrence.from_arrays(c, rng.uniform(1e-3, 4.0, 2999)), 3000) for c in (rising, falling)]
+    for rec, n in models:
+        c, lam = rec.coeff_arrays(n)
+        loop = [_zero_bounds(c[:k], lam[:k])[1] for k in range(64, n - 63, 64)]
+        steps = flows._steps(rec, n)
+        assert steps.ends.tobytes() == np.maximum.accumulate(loop).tobytes(), rec.description
 
 
 def test_dominance_index_of_associated_models():
@@ -922,8 +968,8 @@ def test_monotone_guard_triggers_on_real_increase(monkeypatch):
     def rising(rise):
         def tableau(rec, n, count):
             zeros = np.array([0.5, 1.0, 1.5])
-            zeros[1] += rise if n == 15 else 0.0
-            return ZeroTableau(n=n, zeros=zeros)
+            zeros[1] += rise if n.top == 15 else 0.0
+            return ZeroTableau(n=n.top, zeros=zeros)
 
         return tableau
 
@@ -960,9 +1006,9 @@ def test_list_schedule_past_a_table_ends_at_its_length():
     c = np.arange(25, dtype=float)
     lam = np.full(24, 0.3)
     rec = MonicRecurrence.from_arrays(c, lam)
-    assert flows._degrees(rec, 10, [11, 12, 30, 40]) == [11, 12, 25]
-    assert flows._degrees(rec, 10, [11, 25, 30]) == [11, 25]
-    assert flows._degrees(rec, 10, [11, 12]) == [11, 12]
+    assert _constant(flows._degrees(rec, 10, [11, 12, 30, 40])) == [11, 12, 25]
+    assert _constant(flows._degrees(rec, 10, [11, 25, 30])) == [11, 25]
+    assert _constant(flows._degrees(rec, 10, [11, 12])) == [11, 12]
     res = run_flows(rec, 10, tol=1e-9, schedule=[11, 12, 30])
     assert res.complete
     # levels 7 to 10 are still open at degree 12 and close at the table length
@@ -977,7 +1023,7 @@ def test_flow_trace_default_schedule_is_run_flows_default():
     # the default first degree for three flows is the frozen count's first
     # rows, 32, where the third flow certifies: a one-row history
     rec = displaced_recurrence(0.2)
-    first = flows._steps(rec, 3)
+    (first,) = _constant([flows._steps(rec, 3)])
     assert first == 32
     trace = flow_trace(rec, 3)
     assert trace.history == flow_trace(rec, 3, GrowthSchedule(first)).history

@@ -20,9 +20,10 @@ from zeroflow import (
     rabi_raw_recurrence,
     rabi_recurrence,
     to_monic,
+    zeros_of,
 )
 
-from zeroflow import recurrence
+from zeroflow import flows, recurrence
 from zeroflow.recurrence import (
     _BLOCK_SIZE,
     _backward_fraction,
@@ -346,13 +347,13 @@ def test_newton_sweep_counts_and_log_derivative(seed, n, batch, wide):
 def _recorded_lockstep(sweep):
     """The (xs, k0, stops) of each recurrence._lockstep call of sweep():
     the head passes (lower ends, then upper ends, of the same points), and
-    last the sweep of every point from its start (k0 = 0 where the call
-    passes None, every point from row 1)."""
+    last the sweep of every point from its start (k0 None where the call
+    sweeps every point over all rows from row 1, without windows)."""
     calls = []
     lockstep = recurrence._lockstep
 
     def recording(c, lam, x, k0, stops, v, r, derivative):
-        calls.append((x.copy(), np.zeros(x.size, dtype=np.int64) if k0 is None else k0.copy(), stops.copy()))
+        calls.append((x.copy(), None if k0 is None else k0.copy(), stops.copy()))
         return lockstep(c, lam, x, k0, stops, v, r, derivative)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -367,6 +368,7 @@ def _window_starts(sweep, xs):
     from row 1."""
     *heads, (x, start, _) = _recorded_lockstep(sweep)
     assert x.tobytes() == xs.tobytes()
+    start = np.zeros(xs.size, dtype=np.int64) if start is None else start
     k0 = {}
     for x, k, _ in heads:
         k0.update(zip(x[: x.size // 2].tolist(), k[: x.size // 2].tolist()))
@@ -507,6 +509,31 @@ def test_windowed_sweeps_are_full_sweeps_bitwise(seed, n, batch, kind, derivativ
     assert _same(last, pivots)
     if kind == "rabi" and top:
         assert len(calls) > 1  # heads were taken
+
+
+def test_constant_degrees_sweep_without_windows():
+    # a constant degree is the step function with no ends: zeros_of gives
+    # the same zeros for it as for its int, bitwise, and each of its counts
+    # that takes no head sweeps every point over all rows on _lockstep's
+    # no-window path (k0 None), as a count without stops does
+    rng = np.random.default_rng(11)
+    models = [(rabi_recurrence(RabiParams(1.0, 0.4)), 400, 300), (random_recurrence(rng, 300), 300, 200)]
+    pivot_sweep = recurrence._pivot_sweep
+    for rec, n, count in models:
+        sweeps = []
+
+        def recording(*args, **kwargs):
+            out = []
+            sweeps.append(_recorded_lockstep(lambda: out.append(pivot_sweep(*args, **kwargs))))
+            return out[0]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "_pivot_sweep", recording)
+            got = zeros_of(rec, flows._flat(n), count).zeros
+        assert got.tobytes() == zeros_of(rec, n, count).zeros.tobytes()
+        plain = [calls[0] for calls in sweeps if len(calls) == 1]
+        assert len(plain) >= 3
+        assert all(k0 is None and np.all(stops == n) for _, k0, stops in plain)
 
 
 def test_heads_whose_ends_differ_fall_back_to_the_full_sweep():
