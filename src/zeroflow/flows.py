@@ -23,23 +23,27 @@ the first degree where the Sturm count frozen at degree infinity
 (recurrence._frozen_counts: exact at a table's length, or past a model's
 dominance index) finds at most l - 1 spectral points below x_{n,l} - tol,
 which proves xi_l in [x_{n,l} - tol, x_{n,l}].  That is the only stop rule,
-so a model with neither a table length nor a dominance index is refused.
-Every degree is solved cold, from the Gershgorin bracket.  Brackets shrink
-by multisection, few brackets taking many probes per batched count (Lo,
-Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  A solve multisects
-the one bracket all its zeros share, spreading a wide batch of probes below
-the Gershgorin end of the leading count + 1 rows and then over the cells
-between probed points that still hold two or more zeros, until each zero is
-alone in its cell; it then takes safeguarded Newton steps, with the
-log-derivative from the same forward sweep as the count, and from the second
-step on steps to the pole of a pole-plus-constant fit of the last two.  The
-sweep runs each point over a window of rows from below its turning point, so
-that log-derivative is that of the window's polynomial, P_n / P_{k0-1} in
-effect, which has the zeros of P_n near the point
+so a model with neither a table length nor a dominance index is refused; a
+default solve also ends, with those levels unconverged, once every open
+flow sits on a step already at the cap, where growth cannot move it.
+Every degree is solved cold, from the Gershgorin bracket, by one
+multisection (_split) over a sorted list of counted points, each pass
+spreading a batch of probes over the open cells between them in one batched
+count (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  It first
+spreads a wide batch below the Gershgorin end of the leading count + 1 rows
+and then over the cells that still hold two or more zeros, until each zero
+is alone in its cell; each zero then takes safeguarded Newton steps, with
+the log-derivative from the same forward sweep as the count, and from the
+second step on steps to the pole of a pole-plus-constant fit of the last
+two.  The sweep runs each point over a window of rows from below its
+turning point, so that log-derivative is that of the window's polynomial,
+P_n / P_{k0-1} in effect, which has the zeros of P_n near the point
 (recurrence._pivot_sweep).  Every polished zero is re-counted half a
 tolerance on either side, where that side is not already proven by its
 bracket's counts; one that fails counts a geometric ladder past that side in
-one sweep and goes back to multisection from the rungs that bracket it.
+one sweep.  The zeros left, never isolated, not settled by Newton or failing
+the re-count, finish in one more multisection from the points counted for
+them, until each is in a cell no wider than the bisection tolerance.
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ __all__ = [
 _BISECT_TOL = 2.0**-50
 # How many bisection tolerances two zeros must be apart to count as simple.
 _SIMPLE_FACTOR = 4.0
-# Probes per pass over all active brackets: the Sturm kernel's cost per step
-# is nearly flat up to this batch, so few brackets get many probes each.
+# Least probes per multisection pass over all open cells: the Sturm kernel's
+# cost per step is nearly flat up to this batch, so few cells get many each.
 _PROBE_BATCH = 256
 # Newton sweeps per polished zero; one still moving after them multisects.
 _NEWTON_SWEEPS = 16
@@ -280,7 +284,7 @@ def zeros_of(rec: MonicRecurrence, n: Union[int, _Steps], count: int) -> ZeroTab
     """The `count` smallest zeros of P_n on Sturm-count brackets.  The
     shared bracket is multisected into cells only until each zero is alone
     in one, each isolated zero is then polished by safeguarded Newton
-    steps, and multisection finishes the zeros the polish leaves.
+    steps, and multisection finishes the zeros the polish leaves (_split).
 
     Each zero x_{n,l} is the unique point where the zeros-below count steps
     from l-1 to l; every final bracket must have the counts l-1 and l at
@@ -289,9 +293,11 @@ def zeros_of(rec: MonicRecurrence, n: Union[int, _Steps], count: int) -> ZeroTab
     at each end that lies inside its bracket, so an omission or a collision
     is detected rather than silently absorbed.  A zero that fails the
     re-count lies beyond x - tol/2 or x + tol/2; the ladder x -/+ (tol/2)
-    16**j, j = 1, 2, ..., inside its bracket is counted in one sweep, and
-    the zero multisects from the two rungs (or bracket ends) either side of
-    it, a bracket at most 16 times its distance from x.
+    16**j, j = 1, 2, ..., inside its bracket is counted in one sweep.  Every
+    zero not yet done then multisects in one _split from the points counted
+    for it, its bracket's ends, re-count points and rungs, so a zero that
+    failed the re-count starts from a cell at most 16 times its distance
+    from x.
 
     n is a degree, or a step function N(x) as every cut-off of run_flows
     is (_Steps): every count at x is that of P_{N(x)}, and zero l is the
@@ -302,20 +308,31 @@ def zeros_of(rec: MonicRecurrence, n: Union[int, _Steps], count: int) -> ZeroTab
     if count < 1 or count > top:
         raise ValueError(f"count must be in [1, n]; got count={count}, n={top}")
     c, lam = rec.coeff_arrays(top)
+    # all zeros of every degree up to top lie between the Gershgorin ends
+    # of its rows, where the counts are 0 and top
     lo_glob, hi_glob = _zero_bounds(c, lam)
-    lo = np.full(count, lo_glob)
-    hi = np.full(count, hi_glob)
-    # the counts at lo and hi; all zeros of every degree up to top lie
-    # between the Gershgorin ends of its rows
-    lo_ct = np.zeros(count, dtype=np.int64)
-    hi_ct = np.full(count, top, dtype=np.int64)
+    pts, cts = np.array([lo_glob, hi_glob]), np.array([0, top])
+    # zeros 1 .. count + 1 of every P_n lie below the Gershgorin end of
+    # rows 0 .. count, by interlacing: the first pass spreads the batch
+    # of _split over (lo_glob, below] and counts below with it
+    below = _zero_bounds(c[: count + 1], lam[: count + 1])[1] if count < top else hi_glob
+    if below < hi_glob:
+        batch = max(_PROBE_BATCH, 2 * count)
+        probes = lo_glob + (below - lo_glob) * (np.arange(1, batch + 1) / batch)
+        probes[-1] = below
+        probes = probes[probes > lo_glob]
+        probes = probes[np.append(True, probes[1:] > probes[:-1])]
+        pts = np.concatenate(([lo_glob], probes, [hi_glob]))
+        cts = np.concatenate(([0], _sturm_counts(c, lam, probes, steps.at(probes)), [top]))
+    pts, cts = _split(c, lam, pts, cts, count, steps)
+    # the bracket of zero l: the last point with a count of at most l - 1
+    # and the next one; l is isolated when their counts are l - 1 and l
     targets = np.arange(1, count + 1, dtype=np.int64)
+    i = np.searchsorted(cts, targets - 1, side="right") - 1
+    lo, hi, lo_ct, hi_ct = pts[i], pts[i + 1], cts[i], cts[i + 1]
+    iso = np.flatnonzero((lo_ct == targets - 1) & (hi_ct == targets))
 
     zeros = np.full(count, np.nan)
-    # zeros 1 .. count + 1 of every P_n lie below the Gershgorin end of
-    # rows 0 .. count, by interlacing
-    below = _zero_bounds(c[: count + 1], lam[: count + 1])[1] if count < top else hi_glob
-    iso = _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps)
     x = _polish(c, lam, lo, hi, lo_ct, hi_ct, targets, iso, steps)
     settled = np.isfinite(x)  # the others multisect below
     iso, x = iso[settled], x[settled]
@@ -329,35 +346,40 @@ def zeros_of(rec: MonicRecurrence, n: Union[int, _Steps], count: int) -> ZeroTab
     cts = expect.copy()
     todo = np.stack((pts[0] > lo[iso], pts[1] < hi[iso]))
     cts[todo] = _sturm_counts(c, lam, pts[todo], steps.at(pts)[todo])
-    _narrow(lo, hi, lo_ct, hi_ct, targets, iso, pts, cts, todo)
     ok = (cts == expect).all(axis=0)
     zeros[iso[ok]] = x[ok]
+    # every zero not yet done multisects from the points counted for it:
+    # its bracket's ends and, where it failed the re-count, the counted
+    # ends of [x - tol/2, x + tol/2] and its ladder
+    rest = np.flatnonzero(np.isnan(zeros))
+    todo &= ~ok
+    seed_pts, seed_cts = [lo[rest], hi[rest], pts[todo]], [lo_ct[rest], hi_ct[rest], cts[todo]]
     # a zero that fails lies below x - tol/2 (count l there) or above
     # x + tol/2: count the ladder x -/+ (tol/2) 16**j, j >= 1, inside its
-    # bracket in one sweep, and multisect below from the rungs either
-    # side of the zero
+    # bracket in one sweep
     fail, x, half = iso[~ok], x[~ok], half[~ok]
     if fail.size:
         side = np.where(cts[0, ~ok] == targets[fail], -half, half)
         rungs = math.ceil(math.log(float(np.max((hi[fail] - lo[fail]) / half)), 16))
         pts = x + side * 16.0 ** np.arange(1, max(rungs, 1) + 1)[:, None]
-        todo = (pts > lo[fail]) & (pts < hi[fail])
-        cts = np.zeros(pts.shape, dtype=np.int64)
-        cts[todo] = _sturm_counts(c, lam, pts[todo], steps.at(pts)[todo])
-        _narrow(lo, hi, lo_ct, hi_ct, targets, fail, pts, cts, todo)
-    rest = np.flatnonzero(np.isnan(zeros))
-    _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, rest, steps)
-    zeros[rest] = 0.5 * (lo[rest] + hi[rest])
-
-    # no-skip verification: each final bracket must hold exactly one zero;
-    # every end was counted where it was set, or is a Gershgorin end
-    if not (
-        np.array_equal(lo_ct[rest], targets[rest] - 1)
-        and np.array_equal(hi_ct[rest], targets[rest])
-    ):
-        raise ZeroCoagulation(
-            f"bracket counts inconsistent at n={top}: zeros closer than bisection resolution"
-        )
+        pts = pts[(pts > lo[fail]) & (pts < hi[fail])]
+        seed_pts.append(pts)
+        seed_cts.append(_sturm_counts(c, lam, pts, steps.at(pts)))
+    if rest.size:
+        pts, first = np.unique(np.concatenate(seed_pts), return_index=True)
+        cts = np.concatenate(seed_cts)[first]
+        pts, cts = _split(c, lam, pts, cts, count, steps, finish=targets[rest])
+        i = np.searchsorted(cts, targets[rest] - 1, side="right") - 1
+        zeros[rest] = 0.5 * (pts[i] + pts[i + 1])
+        # no-skip verification: each final bracket must hold exactly one
+        # zero; every end was counted where it was set, or is a Gershgorin end
+        if not (
+            np.array_equal(cts[i], targets[rest] - 1)
+            and np.array_equal(cts[i + 1], targets[rest])
+        ):
+            raise ZeroCoagulation(
+                f"bracket counts inconsistent at n={top}: zeros closer than bisection resolution"
+            )
     # simplicity: zeros are provably simple, so near-coincidence means the
     # working precision is exhausted at this degree
     if count > 1:
@@ -367,87 +389,38 @@ def zeros_of(rec: MonicRecurrence, n: Union[int, _Steps], count: int) -> ZeroTab
     return ZeroTableau(n=top, zeros=zeros)
 
 
-def _narrow(lo, hi, lo_ct, hi_ct, targets, idx, pts, cts, counted) -> None:
-    """Move the brackets of the zeros with indices idx, and the counts at
-    their ends, in place, to the points pts[:, i] counted inside bracket
-    idx[i] (where counted[:, i]) with counts cts[:, i]: the highest with a
-    count below zero l becomes lo, the lowest with a count of at least l
-    hi."""
-    below = counted & (cts < targets[idx])
-    above = counted & (cts >= targets[idx])
-    cols = np.flatnonzero(below.any(axis=0))
-    i = np.argmax(np.where(below, pts, -np.inf), axis=0)[cols]
-    lo[idx[cols]], lo_ct[idx[cols]] = pts[i, cols], cts[i, cols]
-    cols = np.flatnonzero(above.any(axis=0))
-    i = np.argmin(np.where(above, pts, np.inf), axis=0)[cols]
-    hi[idx[cols]], hi_ct[idx[cols]] = pts[i, cols], cts[i, cols]
+def _split(c, lam, pts, cts, count, steps, finish=None) -> tuple[np.ndarray, np.ndarray]:
+    """Multisect the cells between the sorted points pts, with the counts
+    cts of P_{N(x)} (N = steps) there, and return the grown sorted lists.
+    Cell [pts[i], pts[i + 1]] holds the zeros cts[i] + 1 .. cts[i + 1].
 
-
-def _multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps) -> None:
-    """Shrink the brackets [lo, hi] of the zeros with indices `active`, and
-    the counts lo_ct, hi_ct at their ends, in place, to the bisection
-    tolerance, for the count of P_{N(x)} with N = steps.  Each pass spends
-    _PROBE_BATCH probes over the active brackets, p per bracket, spaced
-    evenly inside it."""
-    while active.size:
-        lo_a, hi_a = lo[active], hi[active]
-        width = hi_a - lo_a
-        # p probes per bracket, ascending, so that k below indexes the sorted ends
-        p = max(1, _PROBE_BATCH // active.size)
-        e = np.arange(p, 0, -1)
-        probes = hi_a[:, None] - width[:, None] * (e / (p + 1))
-        cts = _sturm_counts(c, lam, probes.ravel(), steps.at(probes).ravel()).reshape(probes.shape)
-        k = np.count_nonzero(cts < targets[active, None], axis=1)
-        ends = np.hstack((lo_a[:, None], probes, hi_a[:, None]))
-        ends_ct = np.hstack((lo_ct[active, None], cts, hi_ct[active, None]))
-        rows = np.arange(active.size)
-        new_lo, new_hi = ends[rows, k], ends[rows, k + 1]
-        lo[active], hi[active] = new_lo, new_hi
-        lo_ct[active], hi_ct[active] = ends_ct[rows, k], ends_ct[rows, k + 1]
-        # an end that did not move means every probe rounded onto lo or hi:
-        # float resolution (a wide width may round to itself and still move)
-        moved = (new_lo > lo_a) | (new_hi < hi_a)
-        keep = (new_hi - new_lo > _bisect_tol(0.5 * (new_lo + new_hi))) & moved
-        active = active[keep]
-
-
-def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps) -> np.ndarray:
-    """Multisect the shared bracket [lo, hi] until each zero is alone
-    in a cell between two probed points, set every bracket and the counts
-    lo_ct, hi_ct at its ends, in place, to its zero's cell, and return the
-    indices of the isolated zeros.
-
-    The probed points are kept sorted with their counts; the bracket of zero
-    l is [last point with count <= l - 1, first point with count >= l], and l
-    is isolated when those counts are l - 1 and l.  A cell splits while it
-    holds two or more of the zeros 1..count + 1 (zero count must be split from
-    the next one): each pass spreads max(_PROBE_BATCH, 2 * count) distinct
-    probes evenly over those cells, in proportion to how many each holds.
-    Pass 1 spreads them over (lo, below], `below` a point under which zeros
-    1..count + 1 lie, and counts `below` with them.  A cell no wider than
-    the bisection tolerance, or whose probes all round onto its ends,
-    cannot split and is closed; its zeros are left to multisection.  Every
-    pass adds a point inside each open cell or closes it, so the loop ends.
-    """
-    count = targets.size
-    batch = max(_PROBE_BATCH, 2 * count)
-    pts = np.array([lo[0], hi[0]])
-    cts = np.array([lo_ct[0], hi_ct[0]])
-    if below < hi[0]:
-        probes = lo[0] + (below - lo[0]) * (np.arange(1, batch + 1) / batch)
-        probes[-1] = below
-        probes = probes[probes > lo[0]]
-        probes = probes[np.append(True, probes[1:] > probes[:-1])]
-        pts = np.concatenate(([lo[0]], probes, [hi[0]]))
-        cts = np.concatenate(([lo_ct[0]], _sturm_counts(c, lam, probes, steps.at(probes)), [hi_ct[0]]))
+    Without `finish` a cell is open while it holds two or more of the zeros
+    1..count + 1 (zero count must be split from the next one), so that each
+    zero ends alone in its cell; with `finish`, sorted zero numbers l, a
+    cell is open while it holds one of those, so that each ends in a cell no
+    wider than the bisection tolerance.  Each pass spreads max(_PROBE_BATCH,
+    2 * count) distinct probes (2 * len(finish) when finishing) evenly over
+    the open cells, in proportion to how many of those zeros each holds, at
+    least 2 per cell (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8,
+    1987).  A cell no wider than the bisection tolerance, or whose probes all
+    round onto its ends, cannot split and is closed.  Every pass adds a point
+    inside each open cell or closes it, so the loop ends."""
+    if finish is None:
+        least, batch = 2, max(_PROBE_BATCH, 2 * count)
+    else:
+        least, batch = 1, max(_PROBE_BATCH, 2 * finish.size)
     closed = np.zeros(pts.size - 1, dtype=bool)  # per cell [pts[i], pts[i + 1]]
     while True:
-        weight = np.diff(np.minimum(cts, count + 1))
-        cells = np.flatnonzero((weight >= 2) & ~closed)
+        # how many of the wanted zeros, 1..count + 1 or finish, each cell holds
+        if finish is None:
+            weight = np.diff(np.minimum(cts, count + 1))
+        else:
+            weight = np.diff(np.searchsorted(finish, cts, side="right"))
+        cells = np.flatnonzero((weight >= least) & ~closed)
         if not cells.size:
-            break
+            return pts, cts
         a, b, w = pts[cells], pts[cells + 1], weight[cells]
-        p = batch * w // w.sum()  # at least 2: w >= 2, w.sum() <= count + 1
+        p = batch * w // w.sum()  # at least 2: w >= least, w.sum() <= batch * least / 2
         p[b - a <= _bisect_tol(0.5 * (a + b))] = 0
         cell = np.repeat(np.arange(cells.size), p)
         j = np.arange(cell.size) - (np.cumsum(p) - p)[cell] + 1
@@ -464,10 +437,6 @@ def _isolate(c, lam, lo, hi, lo_ct, hi_ct, targets, below, steps) -> np.ndarray:
         pts = np.insert(pts, at, probes)
         cts = np.insert(cts, at, _sturm_counts(c, lam, probes, steps.at(probes)))
         closed = np.insert(closed, at, False)
-    i = np.searchsorted(cts, targets - 1, side="right") - 1
-    lo[:], hi[:] = pts[i], pts[i + 1]
-    lo_ct[:], hi_ct[:] = cts[i], cts[i + 1]
-    return np.flatnonzero((lo_ct == targets - 1) & (hi_ct == targets))
 
 
 def _pole_fit(x0, s0, x1, s1):
@@ -542,7 +511,8 @@ def _track_flows(
     visited (one row per cut-off: its step function at the zero), the
     tableaux of those flows (one row per cut-off), and the degree
     at which each flow converged (0 if it did not), as run_flows defines
-    them.  Stops once every flow from index `watch` on has converged.
+    them.  Stops once every flow from index `watch` on has converged or,
+    on the default schedule, sits on a step already at its cap.
     Before any zero is computed, tol must be finite and > 0 and the model's
     count must freeze (a table length or a dominance index), else
     ValueError."""
@@ -552,6 +522,8 @@ def _track_flows(
     rows: list[np.ndarray] = []
     own: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
+    # growth cannot move a flow whose step is at the default schedule's cap
+    ceiling = _cap(rec, count) if schedule is None else math.inf
     flat = False
     for n in _degrees(rec, count, schedule):
         n = _flat(n.top) if flat else n
@@ -591,7 +563,7 @@ def _track_flows(
         below = _frozen_counts(rec, lower)
         closed = open_[below <= open_]
         n_conv[closed] = deg[closed]
-        if n_conv[watch:].all():
+        if np.all(deg[watch:][n_conv[watch:] == 0] >= ceiling):
             break
     return np.array(own), np.array(rows), n_conv
 
@@ -615,8 +587,9 @@ def run_flows(
     xi_l >= x_{n,l} - tol, which with xi_l <= x_{n,l} encloses the level; a
     model without that count (no table length, no dominance index) is
     refused with ValueError; its class verdict (classify) is not consulted.
-    If the schedule is exhausted first, the partial result is returned with
-    the affected levels flagged converged=False.
+    If the schedule is exhausted first, or the default schedule can no
+    longer grow any open level's degree (each at the cap), the partial
+    result is returned with the affected levels flagged converged=False.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")

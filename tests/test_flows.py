@@ -111,7 +111,7 @@ def test_zeros_far_above_the_gershgorin_bound():
     # two sublattices, diagonal 0 and 1e6 with couplings 1e3: the Gershgorin
     # bound is near -2000, the first zero near -4.  The 200 zeros sit in one
     # cell of the first pass's wide isolation; multisection alone gives each
-    # bracket one probe per pass, halving it from the Gershgorin bound
+    # zero's cell two probes per pass once the zeros are apart
     n, count = 600, 200
     rec = MonicRecurrence.from_arrays(
         np.where(np.arange(n) % 2 == 0, 0.0, 1e6), np.full(n, 1e6)
@@ -126,14 +126,17 @@ def test_zeros_far_above_the_gershgorin_bound():
 
 
 def _multisected(rec, n, count):
-    """The cold zeros by multisection alone, to the bisection tolerance."""
+    """The cold zeros by multisection alone, to the bisection tolerance:
+    every zero finished by _split from the Gershgorin bracket."""
     c, lam = rec.coeff_arrays(n)
-    lo_glob, hi_glob = _zero_bounds(c, lam)
-    lo, hi = np.full(count, lo_glob), np.full(count, hi_glob)
     targets = np.arange(1, count + 1)
-    lo_ct, hi_ct = np.zeros(count, dtype=np.int64), np.full(count, n, dtype=np.int64)
-    flows._multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, np.arange(count), flows._flat(n))
-    return 0.5 * (lo + hi)
+    pts, cts = flows._split(
+        c, lam, np.array(_zero_bounds(c, lam)), np.array([0, n]), count, flows._flat(n), targets
+    )
+    i = np.searchsorted(cts, targets - 1, side="right") - 1
+    np.testing.assert_array_equal(cts[i], targets - 1)
+    np.testing.assert_array_equal(cts[i + 1], targets)
+    return 0.5 * (pts[i] + pts[i + 1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -309,7 +312,7 @@ def test_recount_failures_multisect_from_a_ladder_bracket():
     # multisection starts there and not from the cell
     rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
     ref = _multisected(rec, 300, 200)
-    multisect = flows._multisect
+    split = flows._split
     moved, entered = {}, []
 
     def off(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps):
@@ -318,18 +321,59 @@ def test_recount_failures_multisect_from_a_ladder_bracket():
         moved.update(zip(idx.tolist(), y.tolist()))
         return y
 
-    def recording(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps):
-        entered.extend(zip(active.tolist(), (hi[active] - lo[active]).tolist()))
-        multisect(c, lam, lo, hi, lo_ct, hi_ct, targets, active, steps)
+    def recording(c, lam, pts, cts, count, steps, finish=None):
+        if finish is not None:
+            # the width of each finishing zero's cell as multisection starts
+            i = np.searchsorted(cts, finish - 1, side="right") - 1
+            entered.extend(zip((finish - 1).tolist(), (pts[i + 1] - pts[i]).tolist()))
+        return split(c, lam, pts, cts, count, steps, finish)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flows, "_polish", off)
-        mp.setattr(flows, "_multisect", recording)
+        mp.setattr(flows, "_split", recording)
         got = zeros_of(rec, 300, 200).zeros
     assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
     assert len(entered) > 150
     for i, width in entered:
         assert width <= 16.0 * (abs(moved[i] - ref[i]) + 4.0 * _bisect_tol(ref[i]))
+
+
+def test_finishing_passes_spend_a_batch_per_unfinished_zero():
+    # a few zeros that the polish leaves finish in passes of at most
+    # max(_PROBE_BATCH, 2 * len(finish)) probes, not the 2 * count of the
+    # isolating passes, which a large solve would spend on every pass
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4))
+    count = 600
+    ref = zeros_of(rec, 800, count).zeros
+    polish, split, sturm_counts = flows._polish, flows._split, flows._sturm_counts
+    finishing, sizes = [], []
+
+    def failing(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps):
+        x = polish(c, lam, lo, hi, lo_ct, hi_ct, targets, idx, steps)
+        x[::97] = np.nan
+        return x
+
+    def recording(c, lam, pts, cts, count, steps, finish=None):
+        finishing.append(finish)
+        try:
+            return split(c, lam, pts, cts, count, steps, finish)
+        finally:
+            finishing.pop()
+
+    def counting(c, lam, xs, stops):
+        if finishing and finishing[-1] is not None:
+            sizes.append((xs.size, finishing[-1].size))
+        return sturm_counts(c, lam, xs, stops)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_polish", failing)
+        mp.setattr(flows, "_split", recording)
+        mp.setattr(flows, "_sturm_counts", counting)
+        got = zeros_of(rec, 800, count).zeros
+    assert len(sizes) >= 2
+    assert all(size <= max(flows._PROBE_BATCH, 2 * k) for size, k in sizes)
+    assert all(k <= 10 for _, k in sizes)
+    assert np.all(np.abs(got - ref) <= 4.0 * _bisect_tol(ref))
 
 
 def test_tol_below_the_double_spacing_is_a_usage_error():
@@ -805,6 +849,18 @@ def test_default_schedule_past_the_budget_reaches_the_level_count():
     assert all(np.all(b.degrees >= a.degrees) for a, b in zip(cutoffs, cutoffs[1:]))
     assert max(n.degrees.max() for n in cutoffs) == 260_000
     assert np.all(cutoffs[-1].degrees == 260_000)
+
+
+def test_a_default_solve_ends_when_growth_cannot_move_an_open_flow(monkeypatch):
+    # with the budget at 1000, 1200 levels cap the top step at 1200 rows,
+    # too few to certify the top levels: once every open level sits on a
+    # step at that cap, a later cut-off could only solve them again
+    monkeypatch.setattr(flows, "_DEFAULT_N_MAX", 1000)
+    solved = _count_solves(monkeypatch)
+    res = run_flows(rabi_recurrence(RabiParams(0.2, 0.4)), 1200, tol=1e-6)
+    assert len(solved) == 1 and solved[0].top == 1200
+    assert [lv.l for lv in res.levels if not lv.converged] == list(range(1179, 1201))
+    assert all(lv.n_converged == 1200 for lv in res.levels[1178:])
 
 
 def test_step_ends_are_the_gershgorin_ends_of_each_prefix_bitwise():
