@@ -17,15 +17,16 @@ frozen count below first runs over at the top level, the first multiple of
 16 at least 16 rows past the dominance index there, taken at most count //
 64 times under the top level from 128 levels on, so that most requests
 solve one cut-off and each point is counted at its own degree.  Where those
-rows fall short each step grows by 1.5, up to one cap: the table length and
-max(250000, levels).  No default degree depends on tol.  A flow stops at
-the first degree where the Sturm count frozen at degree infinity
+rows fall short, each step that holds an open flow grows by 1.5, up to one
+cap (the table length and max(250000, levels)), and N(x) is raised to stay
+nondecreasing.  No default degree depends on tol.  A flow stops at the
+first degree where the Sturm count frozen at degree infinity
 (recurrence._frozen_counts: exact at a table's length, or past a model's
 dominance index) finds at most l - 1 spectral points below x_{n,l} - tol,
 which proves xi_l in [x_{n,l} - tol, x_{n,l}].  That is the only stop rule,
 so a model with neither a table length nor a dominance index is refused; a
-default solve also ends, with those levels unconverged, once every open
-flow sits on a step already at the cap, where growth cannot move it.
+default solve also ends, with those levels unconverged, once growth
+changes no degree (every open flow sits on a step at the cap).
 Every degree is solved cold, from the Gershgorin bracket, by one
 multisection (_split) over a sorted list of counted points, each pass
 spreading a batch of probes over the open cells between them in one batched
@@ -181,28 +182,12 @@ def _steps(rec: MonicRecurrence, count: int) -> _Steps:
     return _Steps(ends=ends[:-1], degrees=np.minimum(degrees, _cap(rec, count)))
 
 
-def _grown(first: _Steps, cap: int) -> Iterable[_Steps]:
-    """The growth by the factor 1.5 from `first`, pointwise: each step as
-    GrowthSchedule(its degree, cap), held at cap until every step is there."""
-    runs = [list(GrowthSchedule(int(d), cap).degrees()) for d in first.degrees]
-    for i in range(max(map(len, runs))):
-        yield _Steps(first.ends, np.array([run[min(i, len(run) - 1)] for run in runs]))
-
-
-def _degrees(
-    rec: MonicRecurrence, count: int, schedule: Optional[ScheduleLike] = None
-) -> Iterable[_Steps]:
-    """The cut-offs at which `count` flows are followed, each a step
-    function: by default, lazily, the growth schedule by the factor 1.5 from
-    _steps up to _cap; else the constant degrees of an explicit increasing
-    list or a growth schedule, validated before any is solved.  On a
-    tabulated model the first explicit degree at or past the table length
-    becomes the last one, at that length; later degrees are not read."""
+def _degrees(rec: MonicRecurrence, count: int, schedule: ScheduleLike) -> list[_Steps]:
+    """The constant degrees of an explicit increasing list or a growth
+    schedule, validated before any is solved.  On a tabulated model the
+    first degree at or past the table length becomes the last one, at that
+    length; later degrees are not read."""
     cap = rec.n_cap
-    if cap is not None and cap < count:
-        raise ValueError("tabulated model too short for the requested levels")
-    if schedule is None:
-        return _grown(_steps(rec, count), _cap(rec, count))
     if isinstance(schedule, GrowthSchedule):
         schedule = schedule.degrees()
     degrees: list[int] = []
@@ -217,7 +202,7 @@ def _degrees(
         raise ValueError("schedule must contain at least one degree")
     if degrees[0] < count:
         raise ValueError(f"schedule degree {degrees[0]} is below the flow count {count}")
-    return map(_flat, degrees)
+    return [_flat(n) for n in degrees]
 
 
 @dataclass(frozen=True)
@@ -511,31 +496,35 @@ def _track_flows(
     visited (one row per cut-off: its step function at the zero), the
     tableaux of those flows (one row per cut-off), and the degree
     at which each flow converged (0 if it did not), as run_flows defines
-    them.  Stops once every flow from index `watch` on has converged or,
-    on the default schedule, sits on a step already at its cap.
-    Before any zero is computed, tol must be finite and > 0 and the model's
-    count must freeze (a table length or a dominance index), else
-    ValueError."""
+    them.  Stops once every flow from index `watch` on has converged, or
+    an explicit schedule runs out.  By default each later cut-off is the
+    last one with each step that holds such an open flow grown by 1.5, up
+    to _cap, then raised to stay nondecreasing; it stops once that changes
+    no degree.  Before any zero is computed, tol must be finite and > 0,
+    the model's count must freeze (a table length or a dominance index) and
+    a table must hold `count` rows, else ValueError."""
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be finite and > 0; got {tol!r}")
     _require_frozen_count(rec)
+    if rec.n_cap is not None and rec.n_cap < count:
+        raise ValueError("tabulated model too short for the requested levels")
     rows: list[np.ndarray] = []
     own: list[np.ndarray] = []
     n_conv = np.zeros(count, dtype=np.int64)
-    # growth cannot move a flow whose step is at the default schedule's cap
-    ceiling = _cap(rec, count) if schedule is None else math.inf
-    flat = False
-    for n in _degrees(rec, count, schedule):
-        n = _flat(n.top) if flat else n
+    if schedule is None:
+        n, cap, later = _steps(rec, count), _cap(rec, count), []
+    else:
+        n, *later = _degrees(rec, count, schedule)
+    while True:
         try:
             x = zeros_of(rec, n, count).zeros
         except ZeroCoagulation:
             # a step of N short at its end makes the count jump there by more
             # than one level, a collision of the step function's own making:
-            # from here on each cut-off is its step function's top degree
+            # solve again at the top degree, which later cut-offs grow as one
             if not n.ends.size:
                 raise
-            n, flat = _flat(n.top), True
+            n = _flat(n.top)
             x = zeros_of(rec, n, count).zeros
         deg = n.at(x)
         if rows:
@@ -563,8 +552,18 @@ def _track_flows(
         below = _frozen_counts(rec, lower)
         closed = open_[below <= open_]
         n_conv[closed] = deg[closed]
-        if np.all(deg[watch:][n_conv[watch:] == 0] >= ceiling):
+        watched = watch + np.flatnonzero(n_conv[watch:] == 0)
+        if schedule is None and watched.size:
+            # grow each step that holds a watched open flow, keep N(x)
+            # nondecreasing, and stop once no degree changes (all capped)
+            grown = n.degrees.copy()
+            held = np.searchsorted(n.ends, x[watched], side="left")
+            grown[held] = np.minimum(np.ceil(_GROWTH * grown[held]), cap)
+            grown = np.maximum.accumulate(grown)
+            later = [] if np.array_equal(grown, n.degrees) else [_Steps(n.ends, grown)]
+        if not (watched.size and later):
             break
+        n = later.pop(0)
     return np.array(own), np.array(rows), n_conv
 
 
@@ -576,20 +575,20 @@ def run_flows(
 ) -> SpectrumResult:
     """Track the first n_levels zero flows until each has converged.
 
-    The cut-offs follow `schedule`, by default a growth schedule by the
-    factor 1.5 from the rows the frozen count first runs over at the top
-    level (for 128 levels or more a step function of x under them, _steps),
-    so that one solve usually suffices, up to the table length and
-    max(250000, n_levels) for any n_levels.
+    The cut-offs follow `schedule`.  By default the first is the rows the
+    frozen count first runs over at the top level (for 128 levels or more
+    a step function of x under them, _steps), so that one solve usually
+    suffices; each later one grows by 1.5 the steps that hold open levels,
+    up to the table length and max(250000, n_levels) for any n_levels.
     Each level's n_converged is its own degree.  tol, finite and > 0, is
     the width of the enclosure, up to the bisection resolution of xi: a
     flow converges at the first degree n where the frozen Sturm count proves
     xi_l >= x_{n,l} - tol, which with xi_l <= x_{n,l} encloses the level; a
     model without that count (no table length, no dominance index) is
     refused with ValueError; its class verdict (classify) is not consulted.
-    If the schedule is exhausted first, or the default schedule can no
-    longer grow any open level's degree (each at the cap), the partial
-    result is returned with the affected levels flagged converged=False.
+    If the schedule is exhausted first, or the default one can no longer
+    grow the step of any open level (each at the cap), the partial result
+    is returned with the affected levels flagged converged=False.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -617,14 +616,13 @@ def flow_trace(
     schedule: Optional[ScheduleLike] = None,
     tol: float = 1e-8,
 ) -> ZeroFlow:
-    """Full history of the single flow x_{n,l} over the schedule (by default
-    run_flows's for l levels, whose first degree, the frozen count's first
-    rows, usually certifies, so the history then has one row; an explicit
-    schedule gives a flow across several degrees), up to the degree at which
-    it converged by run_flows's rule, each n the flow's own degree; tol and
-    the model are checked as in run_flows.  This is where a level's
-    decrements across degrees are read: run_flows reports the last degree
-    only."""
+    """Full history of the single flow x_{n,l} over the schedule, up to the
+    degree at which it converged by run_flows's rule, each n the flow's own
+    degree; tol and the model are checked as in run_flows.  By default the
+    cut-offs are run_flows's for l levels, except that later ones grow only
+    from flow l's step up; the first usually certifies, so the history has
+    one row.  An explicit schedule follows the flow across several degrees,
+    where its decrements are read: run_flows reports the last degree only."""
     if l < 1:
         raise ValueError("l must be >= 1")
     degrees, tableaux, n_conv = _track_flows(rec, l, tol, schedule, watch=l - 1)

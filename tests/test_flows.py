@@ -694,30 +694,91 @@ def test_default_steps_never_decrease_nor_pass_the_first_degree(kind, count):
         assert steps.degrees[0] > 700  # the deep site is below every level
 
 
+def _record_solves(monkeypatch) -> list:
+    """(cut-off, zeros) of each zeros_of call, in order; zeros None where
+    the solve raised."""
+    solved = []
+    zeros_of = flows.zeros_of
+
+    def recording(rec, n, count):
+        solved.append((n, None))
+        tableau = zeros_of(rec, n, count)
+        solved[-1] = (n, tableau.zeros)
+        return tableau
+
+    monkeypatch.setattr(flows, "zeros_of", recording)
+    return solved
+
+
+def _expected_growth(rec, solved, count, tol) -> list:
+    """The cut-off that each successful solve grows into: each step that
+    holds a flow open after it grows to max(ceil(1.5 d), d + 1), then N(x)
+    is raised to stay nondecreasing; the other steps keep their degrees.
+    The open flows are read off the frozen count at x - tol of every
+    solve so far."""
+    certified = np.zeros(count, dtype=bool)
+    grown = []
+    for n, x in solved:
+        if x is None:
+            grown.append(None)
+            continue
+        certified |= flows._frozen_counts(rec, x - tol) <= np.arange(count)
+        held = np.searchsorted(n.ends, x[~certified], side="left")
+        d = n.degrees.copy()
+        d[held] = np.maximum(np.ceil(1.5 * d[held]), d[held] + 1)
+        grown.append(np.maximum.accumulate(d))
+    return grown
+
+
 @pytest.mark.parametrize("cut", [14, None])
 def test_short_steps_grow_pointwise_and_still_certify(monkeypatch, cut):
     # steps 14 rows short of the frozen count's first rows fail to certify
-    # some levels: the growth schedule grows each step by 1.5 until they
-    # do.  Steps far too short (each at its own level count) make the count
-    # jump by many levels at their ends: that solve falls back to the step
-    # function's top degree, and so do the cut-offs after it.  Every level
-    # matches LAPACK
+    # some levels: each step that holds an open level grows by 1.5 until
+    # they do.  Steps far too short (each at its own level count) make the
+    # count jump by many levels at their ends: that solve falls back to the
+    # step function's top degree, which the cut-offs after it grow as one
+    # constant degree.  Every level matches LAPACK
     rec = rabi_recurrence(RabiParams(kappa=1.0, delta=0.4))
     short = (lambda m: 0 * m) if cut is None else (lambda m: _first_rows(m) - cut)
     monkeypatch.setattr(flows, "_first_rows", short)
-    solved = _count_solves(monkeypatch)
+    solved = _record_solves(monkeypatch)
     res = run_flows(rec, 300, tol=1e-8)
-    assert len(solved) >= 2 and solved[0].ends.size
-    for a, b in zip(solved, solved[1:]):
-        if b.ends.size:
-            np.testing.assert_array_equal(b.degrees, np.maximum(np.ceil(1.5 * a.degrees), a.degrees + 1))
-        elif a.ends.size:  # the fall-back solve
-            assert _constant([b]) == [a.top]
+    assert len(solved) >= 2 and solved[0][0].ends.size
+    for (a, x), (b, _), grown in zip(solved, solved[1:], _expected_growth(rec, solved, 300, 1e-8)):
+        if x is None:  # the fall-back solve
+            assert a.ends.size and _constant([b]) == [a.top]
         else:
-            assert b.top > a.top
-    assert bool(solved[-1].ends.size) == (cut is not None)
+            np.testing.assert_array_equal(b.ends, a.ends)
+            np.testing.assert_array_equal(b.degrees, grown)
+    assert bool(solved[-1][0].ends.size) == (cut is not None)
     expect = jacobi_eigenvalues(rec, 3 * max(lv.n_converged for lv in res.levels), 300)
     _assert_enclosed(res, expect, 1e-12 * 300)
+
+
+def test_only_the_steps_holding_open_levels_grow(monkeypatch):
+    # Rabi kappa = 3 at 400 levels and tol 1e-10: the first cut-off leaves
+    # levels 202, 203, 282 and 283 open, on its second and third steps.
+    # Those grow by 1.5, the fourth and fifth rise to the third's degree to
+    # keep N(x) nondecreasing, and the first, below every open level, and
+    # the top keep their degrees.  Every level matches LAPACK
+    rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
+    solved = _record_solves(monkeypatch)
+    res = run_flows(rec, 400, tol=1e-10)
+    assert [n.degrees.tolist() for n, _ in solved] == [
+        [224, 320, 416, 512, 592, 704],
+        [224, 480, 624, 624, 624, 704],
+    ]
+    (first, x), (second, _) = solved
+    np.testing.assert_array_equal(second.degrees, _expected_growth(rec, solved, 400, 1e-10)[0])
+    open_ = flows._frozen_counts(rec, x - 1e-10) > np.arange(400)
+    assert np.flatnonzero(open_).tolist() == [201, 202, 281, 282]
+    lowest = np.searchsorted(first.ends, x[open_], side="left").min()
+    assert lowest == 1
+    np.testing.assert_array_equal(second.degrees[:lowest], first.degrees[:lowest])
+    dim = 3 * max(lv.n_converged for lv in res.levels)
+    c, lam = rec.coeff_arrays(dim)
+    exact = eigvalsh_tridiagonal(c, np.sqrt(lam[1:]), select="i", select_range=(0, 399))
+    _assert_enclosed(res, exact, 1e-12 * 400)
 
 
 @settings(max_examples=40, deadline=None)
@@ -821,13 +882,17 @@ def test_first_degree_stays_under_the_default_budget(monkeypatch):
     # a default degree past _DEFAULT_N_MAX is never taken, nor is one past
     # a table; the flow count itself is the floor, also past that budget.
     # Displaced kappa = 600 has its dominance index near kappa^2 = 360000:
-    # its first degree is the budget, and a growth schedule from there is valid
-    assert _constant(flows._degrees(displaced_recurrence(600.0), 3))[0] == flows._DEFAULT_N_MAX
+    # its first degree is the budget.  A step at that cap does not grow:
+    # 100 levels at a budget of 100 solve once and leave levels open
+    assert _constant([flows._steps(displaced_recurrence(600.0), 3)]) == [flows._DEFAULT_N_MAX]
     rec = rabi_recurrence(RabiParams(kappa=3.0, delta=0.4))
     assert _constant([flows._steps(rec, 20)])[0] > 100
     monkeypatch.setattr(flows, "_DEFAULT_N_MAX", 100)
     assert _constant([flows._steps(rec, 20)]) == [100]
     assert _constant([flows._steps(rec, 100)]) == [100]
+    solved = _count_solves(monkeypatch)
+    assert not run_flows(rec, 100, tol=1e-10).complete
+    assert _constant(solved) == [100]
     steps = flows._steps(rec, 150)
     assert steps.top == 150 and 64 <= steps.degrees[0] <= 150
     c = np.arange(30.0)
@@ -837,18 +902,34 @@ def test_first_degree_stays_under_the_default_budget(monkeypatch):
     assert _constant([flows._steps(table, 30)]) == [30]
 
 
-def test_default_schedule_past_the_budget_reaches_the_level_count():
+def test_default_schedule_past_the_budget_reaches_the_level_count(monkeypatch):
     # 260000 levels lie past the default budget of 250000: the cap is the
-    # level count, so the first cut-off tops out there and the growth from
-    # it stops there, with no step past it
+    # level count, so the first cut-off tops out there, its top step does
+    # not grow, and no grown cut-off passes it.  The solves are stubbed: the
+    # zeros spread over every step and no level certifies, so each cut-off
+    # grows every step below the cap until all are there
     rec = rabi_recurrence(RabiParams(0.2, 0.4))
-    first = next(iter(flows._degrees(rec, 260_000)))
+    first = flows._steps(rec, 260_000)
     assert first.top == 260_000 and first.degrees.max() == 260_000
     assert first.ends.size == first.degrees.size - 1 == 260_000 // 64 - 1
-    cutoffs = list(flows._degrees(rec, 260_000))
-    assert all(np.all(b.degrees >= a.degrees) for a, b in zip(cutoffs, cutoffs[1:]))
-    assert max(n.degrees.max() for n in cutoffs) == 260_000
-    assert np.all(cutoffs[-1].degrees == 260_000)
+    zeros = np.linspace(first.ends[0] - 1.0, first.ends[-1] + 1.0, 260_000)
+    solved = []
+
+    def stub(rec, n, count):
+        solved.append(n)
+        return ZeroTableau(n=n.top, zeros=zeros)
+
+    monkeypatch.setattr(flows, "zeros_of", stub)
+    monkeypatch.setattr(flows, "_frozen_counts", lambda rec, x: np.full(x.size, 260_000))
+    res = run_flows(rec, 260_000, tol=1e-6)
+    assert not any(lv.converged for lv in res.levels)
+    np.testing.assert_array_equal(solved[0].degrees, first.degrees)
+    assert len(solved) > 2
+    for a, b in zip(solved, solved[1:]):
+        grown = np.maximum.accumulate(np.minimum(np.ceil(1.5 * a.degrees), 260_000))
+        np.testing.assert_array_equal(b.degrees, grown)
+    assert all(n.top == 260_000 for n in solved)
+    assert np.all(solved[-1].degrees == 260_000)
 
 
 def test_a_default_solve_ends_when_growth_cannot_move_an_open_flow(monkeypatch):
