@@ -6,8 +6,8 @@ Subcommands:
     flow              single zero-flow trace (n, x_{n,l}) for plotting
     cf-compare        zero crossings (+ to -) of the quantization function F
                       on a grid versus the true level count per interval
-    classify          growth-exponent membership test (case a-d)
-    classify-spectrum lattice-family fit of a spectrum file
+    classify          growth-exponent membership test (case a-d), json
+    classify-spectrum lattice-family fit of a spectrum file, json
 
 The computing subcommands pass the argparse values straight on: _recurrence
 validates the flags and builds the model, _schedule hands --schedule (or
@@ -316,9 +316,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_out_flag(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True, help="prefactor of b_n")
     p.add_argument("--t1", type=float, default=None, help="larger-|.| characteristic root")
     p.add_argument("--t2", type=float, default=None, help="smaller-|.| characteristic root")
-    _add_output_flags(p)
+    _add_out_flag(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("classify-spectrum", help="lattice-family fit of a spectrum file")
     p.add_argument("path", help="spectrum file (csv with xi column, bare csv, or json)")
     p.add_argument("--family", choices=FAMILIES, default=None, help="force one family")
-    _add_output_flags(p)
+    _add_out_flag(p)
     p.set_defaults(func=cmd_classify_spectrum)
 
     return parser

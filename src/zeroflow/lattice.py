@@ -21,6 +21,11 @@ The reported residual is the plain RMS deviation over all supplied levels;
 no normalization is applied, so residuals from different spectra are
 comparable only at the same energy scale.
 
+best_lattice_fit fits the families in FAMILIES order, simplest first, and
+stops at the first family that fits to rounding (_TIE_ATOL * max|y|) once
+no earlier one can tie with it: no later family could take the answer, so
+an exact lattice costs no q search.
+
 Any origin shift of the level index is absorbed by the u parameters (a
 rescaling of u1, u2 for the q families), so fixing n to start at 1 loses no
 generality.
@@ -189,7 +194,16 @@ def best_lattice_fit(spectrum: Sequence[float]) -> LatticeFit:
     """Minimum-residual fit over all four families.  Residuals that agree
     to within rounding tie, and a tie goes to the earliest (simplest) family
     in FAMILIES.  A family whose design degenerates numerically is skipped;
-    only if all four fail is the degeneracy reraised."""
+    only if all four fail is the degeneracy reraised.
+
+    The families are fitted in FAMILIES order, and the fits stop as soon
+    as the answer is known.  The tie cut, least * (1 + _TIE_RTOL) +
+    _TIE_ATOL * max|y|, only falls as fits are added, and never below
+    _TIE_ATOL * max|y|.  So when the first fit so far under the cut lies
+    within _TIE_ATOL * max|y|, every earlier fit stays above the cut and
+    that one stays under it, whatever the later families give.  An exact
+    lattice, or a solver's spectrum of an exactly solvable model, then
+    costs one or two polynomial fits and no q search."""
     fits = []
     failures = []
     for family in FAMILIES:
@@ -197,12 +211,16 @@ def best_lattice_fit(spectrum: Sequence[float]) -> LatticeFit:
             fits.append(fit_lattice(spectrum, family))
         except DegenerateFit as exc:
             failures.append(str(exc))
+            continue
+        # fit_lattice has validated the spectrum by now
+        scale = float(np.max(np.abs(np.asarray(spectrum, dtype=float))))
+        cut = min(fit.residual for fit in fits) * (1.0 + _TIE_RTOL) + _TIE_ATOL * scale
+        best = next(fit for fit in fits if fit.residual <= cut)
+        if best.residual <= _TIE_ATOL * scale:
+            return best
     if not fits:
         raise DegenerateFit("; ".join(failures))
-    least = min(fit.residual for fit in fits)
-    scale = float(np.max(np.abs(np.asarray(spectrum, dtype=float))))
-    cut = least * (1.0 + _TIE_RTOL) + _TIE_ATOL * scale
-    return next(fit for fit in fits if fit.residual <= cut)
+    return best
 
 
 def solvability_distance(spectrum: Sequence[float]) -> tuple[str, float]:

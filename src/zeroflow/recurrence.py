@@ -134,6 +134,14 @@ class MonicRecurrence:
     prefix at construction): a nonpositive lambda means the functional is
     degenerate and the model is outside the supported class.
 
+    Each model materializes its coefficients once: coeff_arrays keeps the
+    longest validated prefix built so far, read-only, and answers a request
+    no longer than it with slices; a longer request builds and validates
+    the whole longer prefix, which replaces it.  The prefix is held while
+    the model lives (the 1.54 M rows of the displaced kappa = 600
+    certificate hold about 24 MB); a copy made with dataclasses.replace,
+    and every associated() recurrence, starts empty.
+
     asymptotics, when present, describe the growth of the *raw* parent
     coefficients (not of c, lambda) and are metadata only, for
     classifier.classify: the solver never reads them, since the frozen count
@@ -154,6 +162,7 @@ class MonicRecurrence:
     dominance_index: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "_prefix", (np.empty(0), np.empty(0)))
         probe = 64 if self.n_cap is None else min(64, self.n_cap)
         if probe > 0:
             self.coeff_arrays(probe)
@@ -184,15 +193,20 @@ class MonicRecurrence:
         return cls(c=c_fn, lam=lam_fn, description=description, n_cap=n_cap)
 
     def coeff_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize (c_0..c_{n-1}, lambda_0..lambda_{n-1}); lambda_0 = 1."""
+        """(c_0..c_{n-1}, lambda_0..lambda_{n-1}) with lambda_0 = 1, as
+        read-only arrays: slices of the model's prefix when it has n rows,
+        else a newly built and validated prefix of n rows."""
         if n < 0:
             raise ValueError("n must be >= 0")
         if self.n_cap is not None and n > self.n_cap:
             raise ValueError(
                 f"degree {n} exceeds the tabulated length {self.n_cap} of {self.description or 'model'}"
             )
+        c, lam = self._prefix
+        if n <= c.size:
+            return c[:n], lam[:n]
         idx = np.arange(n, dtype=np.int64)
-        c = np.asarray(self.c(idx), dtype=float)
+        c = np.array(self.c(idx), dtype=float)  # a copy: the prefix owns its rows
         lam = np.empty(n, dtype=float)
         if n > 0:
             lam[0] = 1.0
@@ -206,6 +220,8 @@ class MonicRecurrence:
         if bad.size:
             k = int(bad[0]) + 1
             raise NonPositiveLambda(k, float(lam[k]))
+        c.flags.writeable = lam.flags.writeable = False
+        object.__setattr__(self, "_prefix", (c, lam))
         return c, lam
 
     def associated(self, upsilon: int) -> "MonicRecurrence":

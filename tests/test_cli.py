@@ -414,6 +414,16 @@ def test_classify_missing_roots_is_error(capsys):
     assert "t1" in err
 
 
+def test_classify_has_no_format_flag(capsys):
+    # classify prints json only, so a --format there is a usage error
+    code, out, err = run_cli(
+        capsys,
+        "classify", "--alpha", "0", "--beta", "-1", "--a", "5", "--b", "1", "--format", "csv",
+    )
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --format" in err
+
+
 def test_usage_error_exits_1_not_2(capsys):
     code = main(["spectrum", "--model", "nonsense", "--levels", "2"])
     capsys.readouterr()
@@ -584,6 +594,15 @@ def test_classify_spectrum_quadratic_csv(capsys, tmp_path):
     assert forced[0] == 0
     quad = json.loads(forced[1])
     assert quad["params"]["u2"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_classify_spectrum_has_no_format_flag(capsys, tmp_path):
+    # the fit is printed as json only, so a --format there is a usage error
+    path = tmp_path / "levels.csv"
+    path.write_text("".join(f"{n}\n" for n in range(8)))
+    code, out, err = run_cli(capsys, "classify-spectrum", str(path), "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --format" in err
 
 
 def test_classify_spectrum_too_few_levels(capsys, tmp_path):

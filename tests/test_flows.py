@@ -1176,3 +1176,53 @@ def test_tabulated_cap_limits_schedule():
     # cap reached; flows for this shifted-Charlier head still converge
     assert res.complete
     np.testing.assert_allclose(res.xi, displaced_oscillator_spectrum(0.2, 3), atol=1e-9)
+
+
+# -- the Juddian points: exact Rabi levels ---------------------------------------
+
+
+def _juddian_points(n_top: int, delta: float) -> list[tuple[float, float]]:
+    """(kappa, E) of every Juddian point with N <= n_top: the positive roots
+    x = 4 kappa**2 of the constraint polynomial P_N, P_0 = 1, P_1 = x + y - 1,
+    P_k = (k x + y - k**2) P_{k-1} - k (k-1) (N-k+1) x P_{k-2} with y =
+    delta**2, found by mpmath at 60 digits; E = N - kappa**2, and kappa and
+    E are each rounded to a double once."""
+    import mpmath
+
+    points = []
+    with mpmath.workdps(60):
+        y = mpmath.mpf(delta) ** 2
+        for n in range(1, n_top + 1):
+            # coefficient lists in x, highest power first
+            older, old = [mpmath.mpf(1)], [mpmath.mpf(1), y - 1]
+            for k in range(2, n + 1):
+                grown = [k * a for a in old] + [0]
+                for i, a in enumerate(old):
+                    grown[i + 1] += (y - k * k) * a
+                for i, a in enumerate(older):
+                    grown[i + 1] -= k * (k - 1) * (n - k + 1) * a
+                older, old = old, grown
+            for x in mpmath.polyroots(old, maxsteps=200, extraprec=200):
+                if abs(mpmath.im(x)) < mpmath.mpf(10) ** -40 and mpmath.re(x) > 0:
+                    x = mpmath.re(x)
+                    points.append((float(mpmath.sqrt(x) / 2), float(n - x / 4)))
+    return points
+
+
+def test_juddian_points_are_levels_of_both_parities():
+    # at a Juddian point the level N - kappa**2 is exact and shared by both
+    # parity chains (Judd 1979, Kus 1985); an oracle independent of any
+    # truncation, so it needs no LAPACK
+    tol = 1e-12
+    checked = 0
+    for delta in (0.1, 0.4, 0.9):
+        for kappa, level in _juddian_points(6, delta):
+            slack = float(_bisect_tol(np.array(level)))
+            for parity in ("+", "-"):
+                rec = rabi_recurrence(RabiParams(kappa=kappa, delta=delta, parity=parity))
+                result = run_flows(rec, 8, tol=tol)
+                assert result.complete
+                inside = (result.xi >= level - tol - slack) & (result.xi <= level + slack)
+                assert np.count_nonzero(inside) == 1, (delta, kappa, parity, level)
+            checked += 1
+    assert checked == 63

@@ -15,6 +15,7 @@ from zeroflow import (
     TooFewLevels,
     best_lattice_fit,
     displaced_oscillator_spectrum,
+    displaced_recurrence,
     fit_lattice,
     rabi_recurrence,
     run_flows,
@@ -321,20 +322,136 @@ def test_rabi_spectrum_ties_go_to_quadratic():
 
 def test_tie_margin(monkeypatch):
     # residuals are fed in directly: within 1e-8 relative plus 1e-13 max|y|
-    # of the least, the earliest family wins; beyond it, the least
+    # (here 1e-12) of the least, the earliest family wins; beyond it, the
+    # least.  The fits stop once a family within 1e-12 leads the tie, and
+    # not while an earlier family lies inside its cut (the last two: the
+    # q families may lower the cut below linear, or not)
     spectrum = np.linspace(-10.0, 10.0, 8)
 
     def run(residuals):
         table = dict(zip(FAMILIES, residuals))
+        fitted = []
 
         def fake(y, family):
+            fitted.append(family)
             return lattice.LatticeFit(family, 0.0, 1.0, 0.0, None, table[family], len(y))
 
         monkeypatch.setattr(lattice, "fit_lattice", fake)
-        return best_lattice_fit(spectrum).family
+        return best_lattice_fit(spectrum).family, len(fitted)
 
-    assert run([1.0, 1.0 - 5e-9, 1.0 - 9e-9, 2.0]) == "linear"
-    assert run([1.0, 1.0 - 2e-8, 2.0, 2.0]) == "quadratic"
-    assert run([5e-13, 1e-13, 2.0, 0.0]) == "linear"
-    assert run([2e-12, 1e-13, 2.0, 0.0]) == "quadratic"
-    assert run([2e-12, 2e-12, 2.0, 0.0]) == "q-quadratic"
+    assert run([1.0, 1.0 - 5e-9, 1.0 - 9e-9, 2.0]) == ("linear", 4)
+    assert run([1.0, 1.0 - 2e-8, 2.0, 2.0]) == ("quadratic", 4)
+    assert run([5e-13, 1e-13, 2.0, 0.0]) == ("linear", 1)
+    assert run([2e-12, 1e-13, 2.0, 0.0]) == ("quadratic", 2)
+    assert run([2e-12, 2e-12, 2.0, 0.0]) == ("q-quadratic", 4)
+    assert run([1.5e-12, 0.9e-12, 2.0, 2.0]) == ("linear", 4)
+    assert run([1.5e-12, 0.9e-12, 0.0, 2.0]) == ("quadratic", 3)
+
+
+# -- the early stop ----------------------------------------------------------------
+
+
+def _fit_all(spectrum):
+    """best_lattice_fit without the early stop: fit all four families, then
+    take the earliest within the tie cut of the least residual."""
+    fits, failures = [], []
+    for family in FAMILIES:
+        try:
+            fits.append(lattice.fit_lattice(spectrum, family))
+        except DegenerateFit as exc:
+            failures.append(str(exc))
+    if not fits:
+        raise DegenerateFit("; ".join(failures))
+    least = min(fit.residual for fit in fits)
+    scale = float(np.max(np.abs(np.asarray(spectrum, dtype=float))))
+    cut = least * (1.0 + lattice._TIE_RTOL) + lattice._TIE_ATOL * scale
+    return next(fit for fit in fits if fit.residual <= cut)
+
+
+def _outcome(fn, spectrum):
+    try:
+        return repr(fn(spectrum))  # repr keeps every float bitwise, -0.0 too
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _perturbed(family, factor, size=40):
+    # an exact lattice plus centred noise whose RMS is `factor` times the
+    # allowance _TIE_ATOL * max|y| of the early stop
+    y = _exact_lattice(family, 0.4, 1.1, 0.6, 0.9, size)
+    noise = np.random.default_rng([size, len(family)]).normal(size=size)
+    noise -= noise.mean()
+    noise *= factor * lattice._TIE_ATOL * np.max(np.abs(y)) / np.sqrt(np.mean(noise * noise))
+    return np.sort(y + noise)
+
+
+_EARLY_STOP_CASES = {
+    **{f"exact-{f}": _exact_lattice(f, -2.0, 0.7, 1.3, 0.85, 60) for f in FAMILIES},
+    **{f"{f}-x{k}": _perturbed(f, k) for f in FAMILIES for k in (0.5, 2.0)},
+    **{f"random-{s}": np.sort(np.random.default_rng(s).normal(size=4 + 9 * s)) for s in range(4)},
+    "constant": np.full(10, 2.5),
+    "ladder": np.arange(300) - 0.04,
+    "squares": np.array([0.0, 1.0, 4.0, 9.0, 16.0]),
+    "too-few": [1.0, 2.0, 3.0],
+    "unsorted": [3.0, 2.0, 1.0, 0.0],
+    "nan": [0.0, np.nan, 2.0, 3.0, 4.0],
+    "inf": [0.0, 1.0, 2.0, np.inf],
+    "flat-array": [[0.0, 1.0], [2.0, 3.0]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("spectrum", _EARLY_STOP_CASES.values(), ids=_EARLY_STOP_CASES.keys())
+def test_early_stop_returns_what_fitting_all_four_returns(spectrum):
+    # family, parameters and residual bitwise; the same error for a rejected input
+    assert _outcome(best_lattice_fit, spectrum) == _outcome(_fit_all, spectrum)
+
+
+@pytest.mark.parametrize(
+    "degenerate",
+    [("linear",), ("linear", "quadratic"), ("quadratic", "q-quadratic"), FAMILIES],
+    ids=lambda d: "+".join(d),
+)
+def test_early_stop_skips_degenerate_families_as_fitting_all_does(monkeypatch, degenerate):
+    fit = lattice.fit_lattice
+
+    def failing(spectrum, family):
+        result = fit(spectrum, family)  # validates the input first, as fit_lattice does
+        if family in degenerate:
+            raise DegenerateFit(f"{family} degenerate")
+        return result
+
+    monkeypatch.setattr(lattice, "fit_lattice", failing)
+    for case in ("exact-linear", "exact-quadratic", "random-2"):
+        spectrum = _EARLY_STOP_CASES[case]
+        assert _outcome(best_lattice_fit, spectrum) == _outcome(_fit_all, spectrum)
+
+
+def _q_searches(monkeypatch, spectrum):
+    """The families whose q search best_lattice_fit runs on spectrum."""
+    profile = lattice._least_squares
+    searched = set()
+
+    def recording(logq, y, quadratic):
+        if logq is not None:
+            searched.add("q-quadratic" if quadratic else "linear-q")
+        return profile(logq, y, quadratic)
+
+    monkeypatch.setattr(lattice, "_least_squares", recording)
+    best_lattice_fit(spectrum)
+    monkeypatch.setattr(lattice, "_least_squares", profile)
+    return searched
+
+
+def test_exact_polynomial_lattices_run_no_q_search(monkeypatch):
+    ladder = run_flows(displaced_recurrence(0.5), 50, tol=1e-8).xi
+    for spectrum in (
+        _exact_lattice("linear", 0.3, 0.7, 0.0, None, 50),
+        _exact_lattice("quadratic", 0.3, 0.7, 0.2, None, 50),
+        ladder,
+    ):
+        assert _q_searches(monkeypatch, spectrum) == set()
+    assert best_lattice_fit(ladder).family == "linear"
+    rec = rabi_recurrence(RabiParams(kappa=0.2, delta=0.4, parity="+"))
+    rabi = run_flows(rec, 50, tol=1e-10).xi
+    assert _q_searches(monkeypatch, rabi) == {"linear-q", "q-quadratic"}

@@ -120,6 +120,105 @@ def test_lambda0_convention_and_cap():
         rec.coeff_arrays(4)
 
 
+def _recording_model(lam_fn=lambda n: np.asarray(n, dtype=float)):
+    """A model whose generators record the rows asked of them."""
+    asked = []
+
+    def c_fn(n):
+        asked.extend(np.asarray(n).tolist())
+        return 0.5 * np.asarray(n, dtype=float)
+
+    return MonicRecurrence(c=c_fn, lam=lam_fn), asked
+
+
+def test_each_row_is_built_once_per_prefix():
+    # a request no longer than the prefix built so far is answered from it;
+    # a longer one builds the whole longer prefix once
+    rec, asked = _recording_model()
+    assert asked == list(range(64))  # the eager check at construction
+    del asked[:]
+    c, lam = rec.coeff_arrays(200)
+    assert asked == list(range(200))
+    for n in (200, 50, 199, 0, 200):
+        c_n, lam_n = rec.coeff_arrays(n)
+        assert c_n.shape == lam_n.shape == (n,)
+        assert np.array_equal(c_n, c[:n]) and np.array_equal(lam_n, lam[:n])
+    assert asked == list(range(200))
+    rec.coeff_arrays(300)
+    assert asked == list(range(200)) + list(range(300))
+
+
+def test_grown_prefix_is_a_fresh_build_bitwise():
+    rec = rabi_recurrence(RabiParams(kappa=1.3, delta=0.4, parity="-"))
+    for n in (100, 5000, 2295, 7001):
+        rec.coeff_arrays(n)
+    fresh = rabi_recurrence(RabiParams(kappa=1.3, delta=0.4, parity="-"))
+    for got, want in zip(rec.coeff_arrays(7001), fresh.coeff_arrays(7001)):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(rec.coeff_arrays(2295), fresh.coeff_arrays(2295)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_coefficient_arrays_are_read_only():
+    rec = displaced_recurrence(0.5)
+    for n in (10, 64, 500):
+        for arr in rec.coeff_arrays(n):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7.0
+    # the prefix owns its rows: a generator's own array is copied, neither
+    # frozen nor shared
+    table = np.arange(1000, dtype=float)
+    rec = MonicRecurrence(
+        c=lambda n: table if np.size(n) == table.size else table[np.asarray(n)],
+        lam=lambda n: np.ones(np.shape(n)),
+    )
+    rec.coeff_arrays(1000)
+    assert table.flags.writeable
+    table[:] = -1.0
+    assert np.array_equal(rec.coeff_arrays(1000)[0], np.arange(1000.0))
+
+
+def test_copies_and_associated_recurrences_start_empty():
+    import dataclasses
+
+    rec, asked = _recording_model()
+    rec.coeff_arrays(300)
+    del asked[:]
+    copy = dataclasses.replace(rec, description="copy")
+    assert asked == list(range(64))
+    copy.coeff_arrays(300)
+    assert asked == list(range(64)) + list(range(300))
+    del asked[:]
+    shifted = rec.associated(3)
+    c, lam = shifted.coeff_arrays(297)
+    assert asked == list(range(3, 67)) + list(range(3, 300))
+    assert c.tobytes() == rec.coeff_arrays(300)[0][3:].tobytes()
+
+
+@pytest.mark.parametrize("first", ["short", "long"])
+def test_nonpositive_lambda_raises_past_its_row_in_either_order(first):
+    # lambda_100 = 0: every prefix of more than 100 rows is refused, with
+    # the same error whether or not a shorter prefix was built before, and
+    # no prefix of up to 100 rows is
+    rec, _ = _recording_model(lambda n: 100.0 - np.asarray(n, dtype=float))
+
+    def refused(n):
+        with pytest.raises(NonPositiveLambda) as err:
+            rec.coeff_arrays(n)
+        assert (err.value.index, err.value.value) == (100, 0.0)
+
+    if first == "long":
+        refused(101)
+        refused(400)
+    for n in (100, 37, 100):
+        c, lam = rec.coeff_arrays(n)
+        assert lam.shape == (n,) and np.all(lam > 0.0)
+    refused(101)
+    refused(400)
+    assert rec.coeff_arrays(100)[1][-1] == 1.0
+
+
 # -- Sturm counts ------------------------------------------------------------
 
 
